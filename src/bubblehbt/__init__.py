@@ -6,10 +6,9 @@ Units throughout: lengths in um, times in ps, wavenumbers in 1/um, angular
 frequencies in 1/ps, hbar = 1.
 """
 
-from .correlators import (CHAOTICITY, CorrelationValue, FactorizedForm,
-                          correlation, factorized, form_factor,
-                          kappa_to_radius, phi_of_X, small_q_coefficient,
-                          time_factor)
+from .correlators import (CHAOTICITY, CorrelationValue, correlation,
+                          form_factor, kappa_to_radius, phi_of_X,
+                          small_q_coefficient, time_factor)
 from .kinematics import (C_UM_PER_PS, PhotonPair, RelativeKinematics,
                          relative_kinematics, resolution_ratio)
 from .oracle import QuadratureSettings, numeric_correlation, numeric_curvature
@@ -25,9 +24,8 @@ from .inference import (Chaoticity, FitReport, chaoticity_test,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHAOTICITY", "CorrelationValue", "FactorizedForm", "correlation",
-    "factorized", "form_factor", "kappa_to_radius", "phi_of_X",
-    "small_q_coefficient", "time_factor",
+    "CHAOTICITY", "CorrelationValue", "correlation", "form_factor",
+    "kappa_to_radius", "phi_of_X", "small_q_coefficient", "time_factor",
     "C_UM_PER_PS", "PhotonPair", "RelativeKinematics",
     "relative_kinematics", "resolution_ratio",
     "QuadratureSettings", "numeric_correlation", "numeric_curvature",

@@ -21,17 +21,18 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 import argparse
 import math
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .correlators import correlation, phi_of_X
+from .correlators import FACTORIZED_CASES, correlation, phi_of_X
 from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
 from .oracle import OracleConvergenceError, numeric_correlation
 from .sources import Emission, SourceCase, SourceSpec
-from .synth import (CannotRenormalizeError, GridSpec, NoiseSpec, generate,
-                    read_surface_csv, write_surface_csv)
+from .synth import (UNITS, CannotRenormalizeError, GridSpec, NoiseSpec,
+                    format_value, generate, read_surface_csv, spec_metadata,
+                    write_metadata, write_surface_csv)
 
 __all__ = ["main"]
 
@@ -50,10 +51,6 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _add_source_args(p: argparse.ArgumentParser, default_case: Optional[str] = "A"):
@@ -77,7 +74,7 @@ def _spec_from_args(args) -> SourceSpec:
     return SourceSpec(case=case, tau=args.tau, R=args.R, emission=emission)
 
 
-def _parse_grid(text: str) -> Tuple[float, ...]:
+def _parse_grid(text: str) -> np.ndarray:
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -85,24 +82,13 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
         raise _UsageError(f"bad grid '{text}', expected min:max:n") from exc
     if n < 1 or hi < lo:
         raise _UsageError(f"bad grid '{text}'")
-    return tuple(np.linspace(lo, hi, n))
-
-
-def _spec_meta(spec: SourceSpec) -> List[str]:
-    lines = [f"# case = {spec.case.value}",
-             f"# emission = {spec.emission.value}",
-             f"# tau_ps = {_fmt(spec.tau)}"]
-    if spec.R is not None:
-        lines.append(f"# R_um = {_fmt(spec.R)}")
-    if spec.r_dot is not None:
-        lines.append(f"# rdot_um_per_ps = {_fmt(spec.r_dot)}")
-    return lines
+    return np.linspace(lo, hi, n)
 
 
 def _cmd_eval(args) -> int:
     spec = _spec_from_args(args)
     val = correlation(spec, args.q, args.dw)
-    print(f"C = {_fmt(val.c)}")
+    print(f"C = {format_value(val.c)}")
     return 0
 
 
@@ -114,18 +100,17 @@ def _cmd_check(args) -> int:
     dw_values = _parse_grid(args.dw_grid)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for line in _spec_meta(spec):
-            out.write(line + "\n")
-        out.write("# units = q in 1/um, d_omega in 1/ps\n")
+        write_metadata(out, {**spec_metadata(spec), "units": UNITS})
         out.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
         worst = 0.0
         for q in q_values:
-            for dw in dw_values:
-                ca = correlation(spec, q, dw).c
+            c_analytic = correlation(spec, q, dw_values).c
+            for dw, ca in zip(dw_values, c_analytic):
                 co = numeric_correlation(spec, q, dw).c
                 rel = abs(ca - co) / abs(co)
                 worst = max(worst, rel)
-                out.write(f"{_fmt(q)},{_fmt(dw)},{_fmt(ca)},{_fmt(co)},"
+                out.write(f"{format_value(q)},{format_value(dw)},"
+                          f"{format_value(ca)},{format_value(co)},"
                           f"{rel:.3e}\n")
         out.write(f"# max_relative_deviation = {worst:.6e}\n")
         print(f"max relative deviation = {worst:.6e}",
@@ -171,21 +156,23 @@ def _cmd_figure1(args) -> int:
         "E": SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=args.tau,
                         r_dot=args.rdot * C_UM_PER_PS),
     }
+    meta = {"artifact": "figure1",
+            "tau_ps": format_value(args.tau),
+            "R_um": format_value(args.R),
+            "rdot_um_per_ps": format_value(args.rdot * C_UM_PER_PS),
+            "q_values_per_um": " ".join(format_value(q)
+                                        for q in FIGURE1_Q_VALUES),
+            "units": UNITS}
     with open(args.out, "w") as fh:
-        fh.write("# artifact = figure1\n")
-        fh.write(f"# tau_ps = {_fmt(args.tau)}\n")
-        fh.write(f"# R_um = {_fmt(args.R)}\n")
-        fh.write(f"# rdot_um_per_ps = {_fmt(args.rdot * C_UM_PER_PS)}\n")
-        fh.write(f"# q_values_per_um = "
-                 f"{' '.join(_fmt(q) for q in FIGURE1_Q_VALUES)}\n")
-        fh.write("# units = q in 1/um, d_omega in 1/ps\n")
+        write_metadata(fh, meta)
         fh.write("case,q,dw_squared,log10_excess\n")
         for label, spec in specs.items():
             for q in FIGURE1_Q_VALUES:
-                for w in dw:
-                    excess = correlation(spec, q, w).excess
-                    fh.write(f"{label},{_fmt(q)},{_fmt(w * w)},"
-                             f"{_fmt(math.log10(excess))}\n")
+                excess = correlation(spec, q, dw).excess
+                for w, e in zip(dw, excess):
+                    fh.write(f"{label},{format_value(q)},"
+                             f"{format_value(w * w)},"
+                             f"{format_value(math.log10(e))}\n")
     return 0
 
 
@@ -194,14 +181,13 @@ def _cmd_figure2(args) -> int:
         raise _UsageError("figure2 requires --out")
     xs = np.linspace(0.0, FIGURE2_X_MAX, FIGURE2_X_POINTS)
     with open(args.out, "w") as fh:
-        fh.write("# artifact = figure2\n")
-        fh.write("# X = sqrt(kappa/2) q, dimensionless\n")
+        write_metadata(fh, {"artifact": "figure2",
+                            "X": "sqrt(kappa/2) q, dimensionless"})
         fh.write("case,X,phi\n")
-        for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
-                     SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL):
-            for x in xs:
-                fh.write(f"{case.value},{_fmt(x)},"
-                         f"{_fmt(phi_of_X(case, x))}\n")
+        for case in FACTORIZED_CASES:
+            for x, phi in zip(xs, phi_of_X(case, xs)):
+                fh.write(f"{case.value},{format_value(x)},"
+                         f"{format_value(phi)}\n")
     return 0
 
 

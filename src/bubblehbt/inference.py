@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .correlators import FACTORIZED_CASES, kappa_to_radius, phi_of_X
 from .sources import SourceCase
@@ -244,7 +244,7 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
     w = 1.0 / errs ** 2
     mean = np.sum(w * slopes) / np.sum(w)
     chi2 = float(np.sum(((slopes - mean) / errs) ** 2))
-    return float(stats.chi2.sf(chi2, len(tau_per_q) - 1))
+    return float(special.chdtrc(len(tau_per_q) - 1, chi2))
 
 
 def estimate_kappa(samples: FormFactorSamples,
@@ -297,8 +297,7 @@ def shape_discrimination(samples: FormFactorSamples,
     err = np.maximum(np.asarray(samples.phi_err), PHI_ERR_FLOOR)
     entries = []
     for case in FACTORIZED_CASES:
-        model = np.asarray([phi_of_X(case, xi) for xi in x])
-        chi2 = float(np.mean(((phi - model) / err) ** 2))
+        chi2 = float(np.mean(((phi - phi_of_X(case, x)) / err) ** 2))
         entries.append((case, chi2))
     entries.sort(key=lambda e: (e[1], e[0].value))
     chis = [c for _, c in entries]

@@ -96,7 +96,8 @@ def _time_amplitude(spec: SourceSpec, d_omega: float,
 def _space_amplitude(spec: SourceSpec, q: float,
                      settings: QuadratureSettings) -> float:
     """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support
-    (constant prefactors cancel in the ratio)."""
+    (constant prefactors cancel in the ratio).  For q > 0 the integrand is
+    written r rho_s(r) sin(q r) / q, which has no removable singularity."""
     if spec.case is SourceCase.B_SHELL:
         # delta shell: the radial measure picks out r = R
         return sinc(q * spec.R)
@@ -109,9 +110,10 @@ def _space_amplitude(spec: SourceSpec, q: float,
     else:  # D
         R = spec.R
         rho = lambda r: math.exp(-r / R)
-    f = lambda r: r * r * rho(r) * sinc(q * r)
-    hp = (math.pi / q,) if q > 0.0 else ()
-    return _quad(f, lo, hi, settings, hp)
+    if q > 0.0:
+        return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, lo, hi,
+                     settings, (math.pi / q,))
+    return _quad(lambda r: r * r * rho(r), lo, hi, settings)
 
 
 def _shock_inner(q: float, a: float) -> float:

@@ -3,11 +3,13 @@
 These are the numerical bedrock for the expanding-shock correlator and the
 space/time form factors: the Faddeeva function w(z) = exp(-z^2) erfc(-iz),
 the real complementary error function, and sin(x)/x with its removable
-singularity handled.
+singularity handled.  `faddeeva` and `sinc` take a scalar or an array and
+return the same shape.
 """
 
-import math
+from typing import Union
 
+import numpy as np
 from scipy import special
 
 __all__ = ["faddeeva", "erfc_real", "sinc"]
@@ -17,26 +19,23 @@ __all__ = ["faddeeva", "erfc_real", "sinc"]
 _SINC_SMALL = 1e-4
 
 
-def faddeeva(z: complex) -> complex:
+def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz), whole complex plane.
 
     The lower half-plane is routed through the reflection identity
     w(-z) = 2 exp(-z^2) - w(z), which produces the exponentially growing
     branch explicitly instead of trusting the asymptotic evaluation there.
     """
-    z = complex(z)
-    if z.imag >= 0.0:
-        return complex(special.wofz(z))
-    # exp(-z^2) grows like exp(Im(z)^2) here; this overflows to inf only when
-    # the function value itself is not representable in double precision.
-    return 2.0 * _cexp_neg_sq(z) - complex(special.wofz(-z))
-
-
-def _cexp_neg_sq(z: complex) -> complex:
-    """exp(-z^2) for complex z."""
-    w = -z * z
-    return complex(math.exp(w.real) * math.cos(w.imag),
-                   math.exp(w.real) * math.sin(w.imag))
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(special.wofz(z))
+    lower = z.imag < 0.0
+    if lower.any():
+        # exp(-z^2) grows like exp(Im(z)^2) here; this overflows to inf only
+        # when the function value itself is not representable in double
+        # precision.
+        zl = z[lower]
+        w[lower] = 2.0 * np.exp(-zl * zl) - special.wofz(-zl)
+    return w[()]
 
 
 def erfc_real(x: float) -> float:
@@ -44,13 +43,13 @@ def erfc_real(x: float) -> float:
     return float(special.erfc(x))
 
 
-def sinc(x: float) -> float:
+def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(x)/x, exactly 1 at x = 0.
 
     |x| < 1e-4 uses the 4-term Taylor polynomial to avoid cancellation.
     """
-    x = float(x)
-    if abs(x) < _SINC_SMALL:
-        x2 = x * x
-        return 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 - x2 / 5040.0))
-    return math.sin(x) / x
+    x2 = x * x
+    series = np.asarray(1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0
+                                                       - x2 / 5040.0)))
+    return np.divide(np.sin(x), x, out=series,
+                     where=np.abs(x) >= _SINC_SMALL)[()]

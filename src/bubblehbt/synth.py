@@ -17,7 +17,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import integrate
 
-from .correlators import CHAOTICITY, correlation, form_factor, time_factor
+from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values,
+                          correlation, form_factor, time_factor)
 from .sources import Emission, SourceCase, SourceSpec
 
 __all__ = [
@@ -61,6 +62,11 @@ class GridSpec:
         if self.q_values[0] < 0.0:
             raise ValueError("q_values must be non-negative")
 
+    def points(self) -> Tuple[np.ndarray, np.ndarray]:
+        """q and d_omega of every grid point, q outer and d_omega inner."""
+        nq, nw = len(self.q_values), len(self.d_omega_values)
+        return np.repeat(self.q_values, nw), np.tile(self.d_omega_values, nq)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -103,8 +109,7 @@ class FormFactorSamples:
 
 def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
     """<T> over a box window of full width delta_omega (factorized cases)."""
-    if spec.case not in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
-                         SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL):
+    if spec.case not in FACTORIZED_CASES:
         raise ValueError("smearing of the non-factorized case E is unsupported")
     if not delta_omega_window > 0.0:
         raise ValueError("smearing window must be positive")
@@ -114,20 +119,12 @@ def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
     return val / delta_omega_window
 
 
-def apply_energy_smearing(spec: SourceSpec, q: float,
-                          delta_omega_window: float) -> float:
-    """Smeared correlation value 1 + (1/2) <T> Phi(q)."""
+def apply_energy_smearing(spec: SourceSpec, q: Values,
+                          delta_omega_window: float) -> Values:
+    """Smeared correlation value 1 + (1/2) <T> Phi(q), for a scalar q or an
+    array of them."""
     mean_t = mean_time_factor(spec, delta_omega_window)
     return 1.0 + CHAOTICITY * mean_t * form_factor(spec.case, spec.R, q)
-
-
-def _true_value(spec: SourceSpec, q: float, dw: float,
-                smear_dw: Optional[float], mean_t: Optional[float]) -> float:
-    if spec.emission is Emission.COHERENT:
-        return 1.0
-    if smear_dw is not None:
-        return 1.0 + CHAOTICITY * mean_t * form_factor(spec.case, spec.R, q)
-    return correlation(spec, q, dw).c
 
 
 def generate(spec: SourceSpec, grid: GridSpec,
@@ -135,19 +132,13 @@ def generate(spec: SourceSpec, grid: GridSpec,
              smear_dw: Optional[float] = None) -> CorrelationSurface:
     """Tabulate c_true over the grid; with `noise`, draw c_obs = n/N with
     n ~ Poisson(N c_true) and sigma = sqrt(c_true/N) per bin."""
-    mean_t = None
+    q, dw = grid.points()
     if smear_dw is not None and spec.emission is Emission.CHAOTIC:
-        mean_t = mean_time_factor(spec, smear_dw)
-    nq, nw = len(grid.q_values), len(grid.d_omega_values)
-    q = np.empty(nq * nw)
-    dw = np.empty(nq * nw)
-    c_true = np.empty(nq * nw)
-    for i, qi in enumerate(grid.q_values):
-        for j, wj in enumerate(grid.d_omega_values):
-            idx = i * nw + j
-            q[idx] = qi
-            dw[idx] = wj
-            c_true[idx] = _true_value(spec, qi, wj, smear_dw, mean_t)
+        c_true = apply_energy_smearing(spec, q, smear_dw)
+    else:
+        dw_row = np.asarray(grid.d_omega_values)
+        c_true = np.concatenate([correlation(spec, qi, dw_row).c
+                                 for qi in grid.q_values])
     if noise is None:
         c_obs = c_true.copy()
         sigma = np.zeros_like(c_true)
@@ -195,44 +186,58 @@ def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
 
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key = value metadata, then a header line,
-# then data rows with 17 significant digits.
+# then data rows with 17 significant digits.  The CLI writes its other CSV
+# outputs with the same formatter and metadata writer.
 
-def _fmt(x: float) -> str:
+UNITS = "q in 1/um, d_omega in 1/ps"
+
+
+def format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
-def surface_metadata(surface: CorrelationSurface) -> dict:
-    spec = surface.spec
+def spec_metadata(spec: SourceSpec) -> dict:
+    """Metadata entries that pin down a source specification."""
     meta = {
-        "artifact": "correlation_surface",
         "case": spec.case.value,
         "emission": spec.emission.value,
-        "tau_ps": _fmt(spec.tau),
+        "tau_ps": format_value(spec.tau),
     }
     if spec.R is not None:
-        meta["R_um"] = _fmt(spec.R)
+        meta["R_um"] = format_value(spec.R)
     if spec.r_dot is not None:
-        meta["rdot_um_per_ps"] = _fmt(spec.r_dot)
-    meta["q_values_per_um"] = " ".join(_fmt(v) for v in surface.grid.q_values)
+        meta["rdot_um_per_ps"] = format_value(spec.r_dot)
+    return meta
+
+
+def write_metadata(fh, meta: dict) -> None:
+    for key, val in meta.items():
+        fh.write(f"# {key} = {val}\n")
+
+
+def surface_metadata(surface: CorrelationSurface) -> dict:
+    meta = {"artifact": "correlation_surface",
+            **spec_metadata(surface.spec)}
+    meta["q_values_per_um"] = " ".join(
+        format_value(v) for v in surface.grid.q_values)
     meta["d_omega_values_per_ps"] = " ".join(
-        _fmt(v) for v in surface.grid.d_omega_values)
+        format_value(v) for v in surface.grid.d_omega_values)
     if surface.noise is not None:
         meta["pairs_per_bin"] = str(surface.noise.pairs_per_bin)
         meta["seed"] = str(surface.noise.seed)
     if surface.smear_dw is not None:
-        meta["smear_dw_per_ps"] = _fmt(surface.smear_dw)
-    meta["units"] = "q in 1/um, d_omega in 1/ps"
+        meta["smear_dw_per_ps"] = format_value(surface.smear_dw)
+    meta["units"] = UNITS
     return meta
 
 
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
     with open(path, "w") as fh:
-        for key, val in surface_metadata(surface).items():
-            fh.write(f"# {key} = {val}\n")
+        write_metadata(fh, surface_metadata(surface))
         fh.write("q,d_omega,c_true,c_obs,sigma\n")
         for row in zip(surface.q, surface.d_omega, surface.c_true,
                        surface.c_obs, surface.sigma):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def _parse_metadata(lines: Sequence[str]) -> dict:
@@ -282,7 +287,22 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         noise = NoiseSpec(pairs_per_bin=int(meta["pairs_per_bin"]),
                           seed=int(meta["seed"]))
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
+    if not data:
+        raise ValueError("surface CSV has no data rows")
     arr = np.asarray(data, dtype=float)
+    if arr.shape[1] != len(columns):
+        raise ValueError(f"surface CSV rows need {len(columns)} values")
+    if not np.isfinite(arr).all():
+        raise ValueError("surface CSV holds non-finite values")
+    if (arr[:, 4] < 0.0).any():
+        raise ValueError("surface CSV holds a negative sigma")
+    # rows may come in any order, but must cover the grid point for point
+    grid_q, grid_dw = grid.points()
+    keys = arr[np.lexsort((arr[:, 1], arr[:, 0])), :2]
+    if keys.shape[0] != grid_q.size or not (
+            np.array_equal(keys[:, 0], grid_q)
+            and np.array_equal(keys[:, 1], grid_dw)):
+        raise ValueError("surface CSV rows do not match its metadata grid")
     return CorrelationSurface(q=arr[:, 0], d_omega=arr[:, 1], c_true=arr[:, 2],
                               c_obs=arr[:, 3], sigma=arr[:, 4], spec=spec,
                               grid=grid, noise=noise, smear_dw=smear_dw)

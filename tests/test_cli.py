@@ -1,10 +1,14 @@
 """Command-line interface: subcommand outputs, exit codes, artifacts."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bubblehbt
 from bubblehbt.cli import main
 
 
@@ -160,3 +164,81 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "fit", str(tmp_path / "absent.csv"))
     assert code == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is a large share of start-up and nothing here needs it
+    src = os.path.dirname(os.path.dirname(bubblehbt.__file__))
+    probe = "import sys, bubblehbt.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"
+
+
+# --- malformed surface CSVs: exit 1 with one line ---------------------------
+
+def write_default_surface(capsys, path):
+    code, _, _ = run(capsys, "synth", "--case", "A", "--pairs-per-bin",
+                     "1000000", "--seed", "5", "--out", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines(keepends=True)
+    head = [line for line in lines if line.startswith("#")] + [
+        "q,d_omega,c_true,c_obs,sigma\n"]
+    return head, lines[len(head):]
+
+
+def assert_rejected(capsys, path, message):
+    code, out, err = run(capsys, "fit", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_fit_rejects_surface_without_rows(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, _ = write_default_surface(capsys, path)
+    path.write_text("".join(head))
+    assert_rejected(capsys, path, "no data rows")
+
+
+def test_fit_rejects_rows_off_the_grid(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    assert len(rows) == 61 * 9
+    # row order is free
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(
+        len(rows))]
+    path.write_text("".join(head + shuffled))
+    code, _, _ = run(capsys, "fit", str(path))
+    assert code == 0
+    path.write_text("".join(head + rows[:276]))
+    assert_rejected(capsys, path, "do not match its metadata grid")
+    path.write_text("".join(head + rows[:-1] + rows[:1]))
+    assert_rejected(capsys, path, "do not match its metadata grid")
+
+
+def test_fit_rejects_non_finite_values(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    q, dw, c_true, _, sigma = rows[10].split(",")
+    rows[10] = ",".join([q, dw, c_true, "nan", sigma])
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, "non-finite")
+
+
+def test_fit_rejects_negative_sigma(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    q, dw, c_true, c_obs, sigma = rows[10].split(",")
+    rows[10] = ",".join([q, dw, c_true, c_obs, "-" + sigma])
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, "negative sigma")
+
+
+def test_fit_rejects_short_rows(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    path.write_text("".join(head + [row.rsplit(",", 1)[0] + "\n"
+                                    for row in rows]))
+    assert_rejected(capsys, path, "need 5 values")

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bubblehbt.correlators import form_factor
+from bubblehbt.correlators import MU_SERIES_MAX, correlation, form_factor
+from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real
 from bubblehbt.synth import (CannotRenormalizeError, GridSpec, NoiseSpec,
@@ -37,6 +38,32 @@ def test_noiseless_truth():
     assert surf.c_true[0] == 1.5
     np.testing.assert_array_equal(surf.c_obs, surf.c_true)
     assert np.all(surf.sigma == 0.0)
+
+
+def test_c_true_equals_pointwise_correlation():
+    # generate evaluates one q row per call; every point must equal the
+    # call at that single point bit for bit
+    cli_default = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
+                           d_omega_values=tuple(np.linspace(0.0, 2.0, 9)))
+    r_dot = 2e-4 * C_UM_PER_PS
+    shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                       r_dot=r_dot)
+    q_switch = MU_SERIES_MAX / r_dot
+    around_switch = GridSpec(
+        q_values=tuple(np.linspace(0.5 * q_switch, 2.0 * q_switch, 16)),
+        d_omega_values=tuple(np.linspace(-2.0, 2.0, 11)))
+    mu = r_dot * np.asarray(around_switch.q_values)
+    assert np.any(mu <= MU_SERIES_MAX) and np.any(mu > MU_SERIES_MAX)
+    runs = [(SourceSpec(case=case, tau=1.0, R=1.0), cli_default)
+            for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
+                         SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)]
+    runs += [(shock, cli_default), (shock, around_switch),
+             (spec_a(emission=Emission.COHERENT), cli_default)]
+    for spec, grid in runs:
+        surf = generate(spec, grid)
+        for i in range(surf.c_true.size):
+            assert surf.c_true[i] == correlation(spec, surf.q[i],
+                                                 surf.d_omega[i]).c
 
 
 def test_coherent_surface_is_flat():
