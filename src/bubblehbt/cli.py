@@ -163,16 +163,21 @@ def _cmd_figure1(args) -> int:
             "q_values_per_um": " ".join(format_value(q)
                                         for q in FIGURE1_Q_VALUES),
             "units": UNITS}
+    curves = [(label, q, correlation(spec, q, dw).excess)
+              for label, spec in specs.items() for q in FIGURE1_Q_VALUES]
+    for label, q, excess in curves:
+        if (excess == 0.0).any():
+            raise ValueError(f"case {label} excess is 0 at q = "
+                             f"{format_value(q)} 1/um; log10 of a zero "
+                             f"excess is undefined")
     with open(args.out, "w") as fh:
         write_metadata(fh, meta)
         fh.write("case,q,dw_squared,log10_excess\n")
-        for label, spec in specs.items():
-            for q in FIGURE1_Q_VALUES:
-                excess = correlation(spec, q, dw).excess
-                for w, e in zip(dw, excess):
-                    fh.write(f"{label},{format_value(q)},"
-                             f"{format_value(w * w)},"
-                             f"{format_value(math.log10(e))}\n")
+        for label, q, excess in curves:
+            for w, e in zip(dw, excess):
+                fh.write(f"{label},{format_value(q)},"
+                         f"{format_value(w * w)},"
+                         f"{format_value(math.log10(e))}\n")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Forward model for what a coincidence experiment would record on a (q,
 d_omega) grid.  Counting noise is Poisson on the coincidence numerator with
-a fixed expected denominator N per bin; each grid point draws from its own
-seeded substream so generation is deterministic and order-independent.
+a fixed expected denominator N per bin; the whole surface draws from one
+stream seeded by the noise seed, so generation is deterministic.
 
 Poor energy resolution is modeled as a box average of the time factor over
 a full width delta_omega; since <T> is q-independent for factorized
@@ -131,7 +131,8 @@ def generate(spec: SourceSpec, grid: GridSpec,
              noise: Optional[NoiseSpec] = None,
              smear_dw: Optional[float] = None) -> CorrelationSurface:
     """Tabulate c_true over the grid; with `noise`, draw c_obs = n/N with
-    n ~ Poisson(N c_true) and sigma = sqrt(c_true/N) per bin."""
+    n ~ Poisson(N c_true) and sigma = sqrt(c_true/N) per bin, all bins in
+    one call on a generator seeded by `noise.seed`, in row-major order."""
     q, dw = grid.points()
     if smear_dw is not None and spec.emission is Emission.CHAOTIC:
         c_true = apply_energy_smearing(spec, q, smear_dw)
@@ -144,11 +145,8 @@ def generate(spec: SourceSpec, grid: GridSpec,
         sigma = np.zeros_like(c_true)
     else:
         n_exp = noise.pairs_per_bin
-        c_obs = np.empty_like(c_true)
-        for idx in range(c_true.size):
-            # per-point substream: deterministic under any execution order
-            rng = np.random.default_rng([noise.seed, idx])
-            c_obs[idx] = rng.poisson(n_exp * c_true[idx]) / n_exp
+        rng = np.random.default_rng(noise.seed)
+        c_obs = rng.poisson(n_exp * c_true) / n_exp
         sigma = np.sqrt(c_true / n_exp)
     return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec, grid=grid, noise=noise,
@@ -190,10 +188,12 @@ def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
 # outputs with the same formatter and metadata writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
+_COLUMNS = ["q", "d_omega", "c_true", "c_obs", "sigma"]
+_VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 
 def format_value(x: float) -> str:
-    return f"{x:.17g}"
+    return _VALUE_FORMAT % x
 
 
 def spec_metadata(spec: SourceSpec) -> dict:
@@ -234,10 +234,11 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
     with open(path, "w") as fh:
         write_metadata(fh, surface_metadata(surface))
-        fh.write("q,d_omega,c_true,c_obs,sigma\n")
-        for row in zip(surface.q, surface.d_omega, surface.c_true,
-                       surface.c_obs, surface.sigma):
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.write(",".join(_COLUMNS) + "\n")
+        table = np.column_stack((surface.q, surface.d_omega, surface.c_true,
+                                 surface.c_obs, surface.sigma))
+        row_format = ",".join([_VALUE_FORMAT] * len(_COLUMNS)) + "\n"
+        fh.write((row_format * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _parse_metadata(lines: Sequence[str]) -> dict:
@@ -264,12 +265,19 @@ def read_surface_csv(path: str) -> CorrelationSurface:
             elif columns is None:
                 columns = line.split(",")
             else:
-                data.append([float(v) for v in line.split(",")])
-    if columns != ["q", "d_omega", "c_true", "c_obs", "sigma"]:
+                data.append(line)
+    if columns != _COLUMNS:
         raise ValueError(f"unexpected surface CSV columns: {columns}")
     meta = _parse_metadata(header_lines)
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
+    required = ["case", "tau_ps", "emission", "q_values_per_um",
+                "d_omega_values_per_ps"]
+    if "pairs_per_bin" in meta:
+        required.append("seed")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ValueError("surface CSV metadata lacks " + ", ".join(missing))
     spec = SourceSpec(
         case=SourceCase(meta["case"]),
         tau=float(meta["tau_ps"]),
@@ -289,9 +297,10 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
     if not data:
         raise ValueError("surface CSV has no data rows")
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[1] != len(columns):
+    # checked before parsing, so a ragged row gets this message
+    if any(line.count(",") != len(columns) - 1 for line in data):
         raise ValueError(f"surface CSV rows need {len(columns)} values")
+    arr = np.loadtxt(data, delimiter=",", ndmin=2)
     if not np.isfinite(arr).all():
         raise ValueError("surface CSV holds non-finite values")
     if (arr[:, 4] < 0.0).any():

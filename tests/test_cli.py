@@ -242,3 +242,37 @@ def test_fit_rejects_short_rows(capsys, tmp_path):
     path.write_text("".join(head + [row.rsplit(",", 1)[0] + "\n"
                                     for row in rows]))
     assert_rejected(capsys, path, "need 5 values")
+
+
+def test_fit_rejects_missing_metadata_keys(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    for key in ("case", "tau_ps", "emission", "q_values_per_um",
+                "d_omega_values_per_ps", "seed"):
+        kept = [line for line in head if not line.startswith(f"# {key} =")]
+        assert len(kept) == len(head) - 1
+        path.write_text("".join(kept + rows))
+        assert_rejected(capsys, path, f"metadata lacks {key}")
+
+
+def test_fit_rejects_non_numeric_field(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    q, dw, c_true, _, sigma = rows[10].split(",")
+    rows[10] = ",".join([q, dw, c_true, "1.0x", sigma])
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, "1.0x")
+
+
+def test_figure1_zero_excess_writes_nothing(capsys, tmp_path):
+    # at tau = 30 ps the Gaussian time factor underflows to 0 within the
+    # d_omega range
+    path = tmp_path / "fig1.csv"
+    code, out, err = run(capsys, "figure1", "--tau", "30", "--out",
+                         str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "case A" in err and "q = 0.5" in err
+    assert "log10 of a zero excess is undefined" in err
+    assert not path.exists()

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtri, ndtri
 
 from bubblehbt.correlators import MU_SERIES_MAX, correlation, form_factor
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real
-from bubblehbt.synth import (CannotRenormalizeError, GridSpec, NoiseSpec,
-                             apply_energy_smearing, generate,
-                             mean_time_factor, read_surface_csv,
-                             renormalize_at_origin, write_surface_csv)
+from bubblehbt.synth import (CannotRenormalizeError, CorrelationSurface,
+                             GridSpec, NoiseSpec, apply_energy_smearing,
+                             format_value, generate, mean_time_factor,
+                             read_surface_csv, renormalize_at_origin,
+                             write_surface_csv)
 
 
 def spec_a(**kw):
@@ -102,6 +104,37 @@ def test_noise_statistics():
     assert draws.var(ddof=1) == pytest.approx(c_true / n, rel=0.10)
 
 
+def test_noise_stream_is_pinned():
+    # one Poisson call over the row-major surface on a generator seeded by
+    # the noise seed; a change to this stream changes every seeded test
+    n = 10 ** 6
+    for seed in (0, 7, 2 ** 40):
+        surf = generate(spec_a(), GRID,
+                        noise=NoiseSpec(pairs_per_bin=n, seed=seed))
+        expected = np.random.default_rng(seed).poisson(n * surf.c_true) / n
+        assert surf.c_obs.tobytes() == expected.tobytes()
+
+
+def test_noise_statistics_across_one_surface():
+    # 101 x 101 coherent bins (c_true = 1) of one surface: mean 1 and
+    # variance 1/N; bounds at a two-sided false-alarm rate of 1e-6 each
+    n = 10 ** 4
+    grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 101)),
+                    d_omega_values=tuple(np.linspace(0.0, 2.0, 101)))
+    surf = generate(spec_a(emission=Emission.COHERENT), grid,
+                    noise=NoiseSpec(pairs_per_bin=n, seed=3))
+    m = surf.c_obs.size
+    alpha = 1e-6
+    z = -ndtri(alpha / 2.0)
+    assert abs(surf.c_obs.mean() - 1.0) < z * math.sqrt(1.0 / (n * m))
+    # s^2 / sigma^2 ~ chi2(nu) / nu; Poisson's excess kurtosis 1/N widens
+    # the spread, taken up by the effective dof (Satterthwaite)
+    nu = 2.0 / (2.0 / (m - 1) + 1.0 / (n * m))
+    ratio = surf.c_obs.var(ddof=1) * n
+    assert chdtri(nu, 1.0 - alpha / 2.0) / nu < ratio
+    assert ratio < chdtri(nu, alpha / 2.0) / nu
+
+
 # --- smearing ---------------------------------------------------------------
 
 def test_smearing_narrow_window_limit():
@@ -185,3 +218,30 @@ def test_csv_metadata_header(tmp_path):
     assert text.startswith("# artifact = correlation_surface")
     assert "# smear_dw_per_ps = 2" in text
     assert "q,d_omega,c_true,c_obs,sigma" in text
+
+
+def test_csv_edge_values_bytes_and_round_trip(tmp_path):
+    # every row is written by one format pass and read by numpy's parser;
+    # both must agree with the per-value formatter to the last bit
+    edges = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
+    grid = GridSpec(q_values=edges, d_omega_values=[-1e308] + edges[:3])
+    q, dw = grid.points()
+    rng = np.random.default_rng(11)
+    c_obs = 1.0 + rng.random(q.size)
+    assert sum(float("%.16g" % v) != v for v in c_obs) > 4
+    c_true = np.resize([-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308, 0.1], q.size)
+    sigma = np.resize(edges, q.size)
+    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
+                              sigma=sigma, spec=spec_a(), grid=grid)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    header = b"q,d_omega,c_true,c_obs,sigma\n"
+    reference = "".join(
+        ",".join(format_value(v) for v in row) + "\n"
+        for row in zip(q, dw, c_true, c_obs, sigma)).encode()
+    text = path.read_bytes()
+    assert text.count(header) == 1
+    assert text.partition(header)[2] == reference
+    back = read_surface_csv(str(path))
+    for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
+        assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
