@@ -12,7 +12,7 @@ from .correlators import (CHAOTICITY, CorrelationValue, correlation,
 from .kinematics import (C_UM_PER_PS, PhotonPair, RelativeKinematics,
                          relative_kinematics, resolution_ratio)
 from .oracle import QuadratureSettings, numeric_correlation, numeric_curvature
-from .sources import Emission, SourceCase, SourceSpec, SpaceTimePoint, density
+from .sources import Emission, SourceCase, SourceSpec, density
 from .synth import (CorrelationSurface, FormFactorSamples, GridSpec,
                     NoiseSpec, apply_energy_smearing, generate,
                     renormalize_at_origin)
@@ -29,7 +29,7 @@ __all__ = [
     "C_UM_PER_PS", "PhotonPair", "RelativeKinematics",
     "relative_kinematics", "resolution_ratio",
     "QuadratureSettings", "numeric_correlation", "numeric_curvature",
-    "Emission", "SourceCase", "SourceSpec", "SpaceTimePoint", "density",
+    "Emission", "SourceCase", "SourceSpec", "density",
     "CorrelationSurface", "FormFactorSamples", "GridSpec", "NoiseSpec",
     "apply_energy_smearing", "generate", "renormalize_at_origin",
     "Chaoticity", "FitReport", "chaoticity_test", "estimate_kappa",

@@ -53,13 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """The parser of every float option and grid bound: NaN and +-inf are
+    rejected, since no source parameter or grid point can take them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got '{text}'")
+    return value
+
+
 def _add_source_args(p: argparse.ArgumentParser, default_case: Optional[str] = "A"):
     p.add_argument("--case", choices=["A", "B", "C", "D", "E"],
                    default=default_case, help="source case (Table of shapes)")
-    p.add_argument("--R", type=float, default=1.0,
+    p.add_argument("--R", type=_finite_float, default=1.0,
                    help="spatial extension in um (cases A-D)")
-    p.add_argument("--tau", type=float, default=1.0, help="time span in ps")
-    p.add_argument("--rdot", type=float, default=DEFAULT_RDOT_FRACTION,
+    p.add_argument("--tau", type=_finite_float, default=1.0,
+                   help="time span in ps")
+    p.add_argument("--rdot", type=_finite_float,
+                   default=DEFAULT_RDOT_FRACTION,
                    help="shock-front speed as a fraction of c (case E)")
     p.add_argument("--coherent", action="store_true",
                    help="coherent emission (C identically 1)")
@@ -77,7 +92,9 @@ def _spec_from_args(args) -> SourceSpec:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo_s, hi_s, n_s = text.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        lo, hi, n = _finite_float(lo_s), _finite_float(hi_s), int(n_s)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"bad grid '{text}': {exc}") from exc
     except ValueError as exc:
         raise _UsageError(f"bad grid '{text}', expected min:max:n") from exc
     if n < 1 or hi < lo:
@@ -205,8 +222,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate C at one point")
     _add_source_args(p)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--dw", type=float, default=0.0)
+    p.add_argument("--q", type=_finite_float, required=True)
+    p.add_argument("--dw", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check", help="analytic vs oracle over a grid")
@@ -222,7 +239,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dw-grid", default="0:2:9")
     p.add_argument("--pairs-per-bin", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smear-dw", type=float, default=None)
+    p.add_argument("--smear-dw", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -232,9 +249,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("figure1", help="log10(C-1) vs (d_omega)^2 plot data")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--rdot", type=float, default=DEFAULT_RDOT_FRACTION)
+    p.add_argument("--R", type=_finite_float, default=1.0)
+    p.add_argument("--tau", type=_finite_float, default=1.0)
+    p.add_argument("--rdot", type=_finite_float,
+                   default=DEFAULT_RDOT_FRACTION)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_figure1)
 

@@ -108,7 +108,7 @@ def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
 
 def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     """Phi(q): squared normalized spatial transform, Phi(0) = 1."""
-    if (np.asarray(q) < 0.0).any():
+    if (~(np.asarray(q) >= 0.0)).any():
         raise ValueError("q must be non-negative")
     x = q * R
     if case is SourceCase.A_GAUSSIAN:
@@ -127,7 +127,7 @@ def correlation(spec: SourceSpec, q: float, d_omega: Values
                 ) -> CorrelationValue:
     """C(q, d_omega) at one q, for a scalar d_omega or an array of them;
     coherent emission gives C = 1 exactly."""
-    if q < 0.0:
+    if not q >= 0.0:
         raise ValueError("q must be non-negative")
     if spec.emission is Emission.COHERENT:
         excess = np.zeros(np.shape(d_omega))[()]

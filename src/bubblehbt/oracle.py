@@ -15,7 +15,8 @@ from typing import Callable, Optional, Tuple
 from scipy import integrate
 
 from .correlators import CHAOTICITY, CorrelationValue
-from .sources import Emission, SourceCase, SourceSpec, radial_support, time_support
+from .sources import (Emission, SourceCase, SourceSpec, radial_profile,
+                      radial_support, shock_front, time_profile, time_support)
 from .special_functions import sinc
 
 __all__ = [
@@ -83,11 +84,7 @@ def _time_amplitude(spec: SourceSpec, d_omega: float,
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     t0, t1 = time_support(spec)
-    if spec.case is SourceCase.D_EXPONENTIAL:
-        rho = lambda t: 1.0
-    else:
-        tau = spec.tau
-        rho = lambda t: math.exp(-t * t / (2.0 * tau * tau))
+    rho = time_profile(spec)
     f = lambda t: rho(t) * math.cos(d_omega * t)
     hp = (math.pi / abs(d_omega),) if d_omega != 0.0 else ()
     return _quad(f, t0, t1, settings, hp)
@@ -102,14 +99,7 @@ def _space_amplitude(spec: SourceSpec, q: float,
         # delta shell: the radial measure picks out r = R
         return sinc(q * spec.R)
     lo, hi = radial_support(spec, 0.0)
-    if spec.case is SourceCase.A_GAUSSIAN:
-        R = spec.R
-        rho = lambda r: math.exp(-r * r / (2.0 * R * R))
-    elif spec.case is SourceCase.C_SPHERE:
-        rho = lambda r: 1.0
-    else:  # D
-        R = spec.R
-        rho = lambda r: math.exp(-r / R)
+    rho = radial_profile(spec)
     if q > 0.0:
         return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, lo, hi,
                      settings, (math.pi / q,))
@@ -128,21 +118,16 @@ def _shock_inner(q: float, a: float) -> float:
 def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
                       settings: QuadratureSettings) -> complex:
     """F(q, d_omega) for the expanding shock (up to constant factors)."""
-    _, t_max = time_support(spec)
-    tau, rd = spec.tau, spec.r_dot
+    t0, t1 = time_support(spec)
+    rho, front = time_profile(spec), shock_front(spec)
     if q > 0.0:
-        inner = lambda t: _shock_inner(q, rd * t)
+        env = lambda t: rho(t) * _shock_inner(q, front(t))
     else:
-        inner = lambda t: (rd * t) ** 3 / 3.0
-    env = lambda t: math.exp(-t * t / (tau * tau)) * inner(t)
-    hp = []
-    if d_omega != 0.0:
-        hp.append(math.pi / abs(d_omega))
-    if q > 0.0:
-        hp.append(math.pi / (q * rd))
-    hp = tuple(hp)
-    re = _quad(lambda t: env(t) * math.cos(d_omega * t), 0.0, t_max, settings, hp)
-    im = _quad(lambda t: env(t) * math.sin(d_omega * t), 0.0, t_max, settings, hp)
+        env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
+    # half-periods of the cos/sin(d_omega t) and sin(q r_dot t) oscillations
+    hp = [math.pi / k for k in (abs(d_omega), q * spec.r_dot) if k > 0.0]
+    re = _quad(lambda t: env(t) * math.cos(d_omega * t), t0, t1, settings, hp)
+    im = _quad(lambda t: env(t) * math.sin(d_omega * t), t0, t1, settings, hp)
     return complex(re, im)
 
 
@@ -152,7 +137,7 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float,
     """C(q, d_omega) from the space-time Fourier transform of the density."""
     if spec.emission is not Emission.CHAOTIC:
         raise ValueError("the oracle applies to chaotic sources")
-    if q < 0.0:
+    if not q >= 0.0:
         raise ValueError("q must be non-negative")
     settings = settings or QuadratureSettings()
     if spec.case is SourceCase.E_EXPANDING_SHOCK:

@@ -1,4 +1,4 @@
-"""The five space-time source densities and their supports.
+"""The five space-time source densities: profiles, hard edges, supports.
 
 Cases (spherically symmetric, unnormalized; normalization cancels in the
 correlation ratio):
@@ -12,12 +12,16 @@ correlation ratio):
 
 Case E's time exponent is -t^2/tau^2 (not -t^2/2tau^2 as in A-C); both are
 kept exactly as defined.
+
+This module is the one definition of each source: its profiles, its hard
+edges (in the supports, and case E's `shock_front`) and `density`, built
+from them.  The quadrature oracle integrates the same profiles.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .kinematics import C_UM_PER_PS
 
@@ -25,9 +29,11 @@ __all__ = [
     "SourceCase",
     "Emission",
     "SourceSpec",
-    "SpaceTimePoint",
     "DistributionalDensityError",
     "density",
+    "time_profile",
+    "radial_profile",
+    "shock_front",
     "radial_support",
     "time_support",
     "DENSITY_CUTOFF",
@@ -86,44 +92,53 @@ class SourceSpec:
                 raise ValueError(f"case {self.case.value} requires R > 0")
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """Radial coordinate r >= 0 (um) and time t (ps)."""
+def density(spec: SourceSpec, r: float, t: float) -> float:
+    """Unnormalized rho(r, t) at r >= 0 (um) and t (ps): the time profile
+    times the radial profile, or for case E the time profile inside the shock
+    front.  Case B, a delta shell, raises DistributionalDensityError."""
+    if not r >= 0.0:
+        raise ValueError("r must be non-negative")
+    if spec.case is SourceCase.E_EXPANDING_SHOCK:
+        return time_profile(spec)(t) if r <= shock_front(spec)(t) else 0.0
+    return time_profile(spec)(t) * radial_profile(spec)(r)
 
-    r: float
-    t: float
 
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError("r must be non-negative")
+def time_profile(spec: SourceSpec) -> Callable[[float], float]:
+    """rho_t(t): the Gaussian lapse of A-C, D's box, E's one-sided
+    exp(-t^2/tau^2).  The box and E's onset are time_support's edges."""
+    tau = spec.tau
+    t0, t1 = time_support(spec)
+    if spec.case is SourceCase.D_EXPONENTIAL:
+        return lambda t: 1.0 if t0 <= t <= t1 else 0.0
+    if spec.case is SourceCase.E_EXPANDING_SHOCK:
+        tau2 = tau * tau
+        return lambda t: math.exp(-t * t / tau2) if t >= t0 else 0.0
+    two_tau2 = 2.0 * tau * tau
+    return lambda t: math.exp(-t * t / two_tau2)
 
 
-def density(spec: SourceSpec, p: SpaceTimePoint) -> float:
-    """Unnormalized rho(r, t) for the given case.
-
-    Case B raises DistributionalDensityError: the shell is handled through
-    its radial measure, never pointwise.
-    """
-    r, t = p.r, p.t
-    case = spec.case
+def radial_profile(spec: SourceSpec) -> Callable[[float], float]:
+    """rho_s(r) of cases A, C and D; C's edge is its radial_support.  Case B
+    has no pointwise profile and case E's density does not separate."""
+    case, R = spec.case, spec.R
     if case is SourceCase.A_GAUSSIAN:
-        return math.exp(-r * r / (2.0 * spec.R * spec.R)
-                        - t * t / (2.0 * spec.tau * spec.tau))
+        two_R2 = 2.0 * R * R
+        return lambda r: math.exp(-r * r / two_R2)
+    if case is SourceCase.C_SPHERE:
+        _, edge = radial_support(spec, 0.0)
+        return lambda r: 1.0 if r <= edge else 0.0
+    if case is SourceCase.D_EXPONENTIAL:
+        return lambda r: math.exp(-r / R)
     if case is SourceCase.B_SHELL:
         raise DistributionalDensityError(
             "case B density is a delta shell; use its radial measure")
-    if case is SourceCase.C_SPHERE:
-        if r > spec.R:
-            return 0.0
-        return math.exp(-t * t / (2.0 * spec.tau * spec.tau))
-    if case is SourceCase.D_EXPONENTIAL:
-        if t * t > 3.0 * spec.tau * spec.tau:
-            return 0.0
-        return math.exp(-r / spec.R)
-    # case E
-    if t < 0.0 or r > spec.r_dot * t:
-        return 0.0
-    return math.exp(-t * t / (spec.tau * spec.tau))
+    raise ValueError("case E density is not a product of r and t profiles")
+
+
+def shock_front(spec: SourceSpec) -> Callable[[float], float]:
+    """Case E's front radius at time t: the ball r <= r_dot t emits."""
+    r_dot = spec.r_dot
+    return lambda t: r_dot * t
 
 
 def radial_support(spec: SourceSpec, t: float) -> Optional[Tuple[float, float]]:
@@ -131,9 +146,8 @@ def radial_support(spec: SourceSpec, t: float) -> Optional[Tuple[float, float]]:
     time t, or None if the density vanishes at that time."""
     case = spec.case
     if case is SourceCase.E_EXPANDING_SHOCK:
-        if t <= 0.0:
-            return None
-        return (0.0, spec.r_dot * t)
+        front = shock_front(spec)(t)
+        return (0.0, front) if front > 0.0 else None
     ts = time_support(spec)
     if not (ts[0] <= t <= ts[1]):
         return None

@@ -251,6 +251,27 @@ def _parse_metadata(lines: Sequence[str]) -> dict:
     return meta
 
 
+def _non_numeric_field(path: str) -> str:
+    """Name the first field of the surface CSV's data rows that np.loadtxt
+    cannot read, by its 1-based file line; for the error path only, so the
+    whole-array parse stays one pass."""
+    with open(path) as fh:
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1)]
+    # the first line that is neither blank nor '#' metadata is the header
+    rows = [(n, line) for n, line in lines
+            if line and not line.startswith("#")][1:]
+    for n, line in rows:
+        for field in line.split(","):
+            try:
+                if field.strip():
+                    np.loadtxt([field], delimiter=",", comments=None)
+                    continue
+            except ValueError:
+                pass
+            return f"surface CSV line {n}: '{field}' is not a number"
+    return "surface CSV holds a field that is not a number"
+
+
 def read_surface_csv(path: str) -> CorrelationSurface:
     header_lines = []
     data = []
@@ -300,7 +321,10 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     # checked before parsing, so a ragged row gets this message
     if any(line.count(",") != len(columns) - 1 for line in data):
         raise ValueError(f"surface CSV rows need {len(columns)} values")
-    arr = np.loadtxt(data, delimiter=",", ndmin=2)
+    try:
+        arr = np.loadtxt(data, delimiter=",", ndmin=2)
+    except ValueError:
+        raise ValueError(_non_numeric_field(path)) from None
     if not np.isfinite(arr).all():
         raise ValueError("surface CSV holds non-finite values")
     if (arr[:, 4] < 0.0).any():

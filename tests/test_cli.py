@@ -151,6 +151,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--q", "nan"],
+    ["eval", "--q", "1", "--dw", "inf"],
+    ["eval", "--q", "1", "--R", "inf"],
+    ["synth", "--q-grid", "nan:3:5", "--out", "{out}"],
+    ["check", "--q-grid", "0:nan:3", "--out", "{out}"],
+])
+def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *[a.format(out=out_path) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
+    assert not out_path.exists()
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path):
     # too few q points to fit the curvature: exit code 2
     surf = tmp_path / "sparse.csv"
@@ -261,7 +277,9 @@ def test_fit_rejects_non_numeric_field(capsys, tmp_path):
     q, dw, c_true, _, sigma = rows[10].split(",")
     rows[10] = ",".join([q, dw, c_true, "1.0x", sigma])
     path.write_text("".join(head + rows))
-    assert_rejected(capsys, path, "1.0x")
+    # rows[10] is the 11th line after the head
+    assert_rejected(capsys, path,
+                    f"surface CSV line {len(head) + 11}: '1.0x' is not a number")
 
 
 def test_figure1_zero_excess_writes_nothing(capsys, tmp_path):

@@ -71,6 +71,18 @@ def test_rejects_negative_q():
         correlation(spec(A), -0.1, 0.0)
 
 
+def test_q_checks_reject_nan():
+    # NaN fails q < 0 as well as q > 0, so a check written q < 0 let it
+    # through to the q = 0 branch (the oracle gave C = 1.5)
+    calls = [lambda: correlation(spec(A), math.nan, 0.0),
+             lambda: correlation(spec(E), math.nan, 0.0),
+             lambda: form_factor(C, 1.0, np.array([0.5, math.nan])),
+             lambda: numeric_correlation(spec(A), math.nan, 0.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="q must be non-negative"):
+            call()
+
+
 # --- factorized form --------------------------------------------------------
 
 def test_factorized_origin():

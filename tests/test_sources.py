@@ -7,8 +7,8 @@ import pytest
 
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import (DistributionalDensityError, Emission,
-                               SourceCase, SourceSpec, SpaceTimePoint,
-                               density, radial_support, time_support)
+                               SourceCase, SourceSpec, density,
+                               radial_support, time_support)
 
 
 def spec_a(R=1.0, tau=1.0):
@@ -20,33 +20,33 @@ def spec_e(r_dot=0.06, tau=1.0):
 
 
 def test_gaussian_peak():
-    assert density(spec_a(), SpaceTimePoint(r=0.0, t=0.0)) == 1.0
+    assert density(spec_a(), 0.0, 0.0) == 1.0
 
 
 def test_sphere_outside_is_zero():
     spec = SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=1.0)
-    assert density(spec, SpaceTimePoint(r=1.5, t=0.0)) == 0.0
-    assert density(spec, SpaceTimePoint(r=0.5, t=0.0)) == 1.0
+    assert density(spec, 1.5, 0.0) == 0.0
+    assert density(spec, 0.5, 0.0) == 1.0
 
 
 def test_shock_interior_value():
     spec = spec_e()
     t = spec.tau
-    p = SpaceTimePoint(r=0.5 * spec.r_dot * t, t=t)
-    assert density(spec, p) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert density(spec, 0.5 * spec.r_dot * t, t) == pytest.approx(
+        math.exp(-1.0), rel=1e-15)
 
 
 def test_exponential_outside_time_box():
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    assert density(spec, SpaceTimePoint(r=0.3, t=2.0)) == 0.0
-    assert density(spec, SpaceTimePoint(r=0.3, t=1.0)) == pytest.approx(
+    assert density(spec, 0.3, 2.0) == 0.0
+    assert density(spec, 0.3, 1.0) == pytest.approx(
         math.exp(-0.3))
 
 
 def test_shell_density_is_distributional():
     spec = SourceSpec(case=SourceCase.B_SHELL, tau=1.0, R=1.0)
     with pytest.raises(DistributionalDensityError):
-        density(spec, SpaceTimePoint(r=1.0, t=0.0))
+        density(spec, 1.0, 0.0)
 
 
 def test_density_nonnegative_everywhere():
@@ -56,8 +56,8 @@ def test_density_nonnegative_everywhere():
              spec_e()]
     for spec in specs:
         for _ in range(200):
-            p = SpaceTimePoint(r=rng.uniform(0, 10), t=rng.uniform(-10, 10))
-            assert density(spec, p) >= 0.0
+            r, t = rng.uniform(0, 10), rng.uniform(-10, 10)
+            assert density(spec, r, t) >= 0.0
 
 
 def test_sphere_support():
@@ -85,7 +85,7 @@ def test_gaussian_support_cutoff():
     assert lo == 0.0
     assert hi == pytest.approx(7.43, abs=0.01)
     # density at the cutoff radius is at the 1e-12 level
-    assert density(spec, SpaceTimePoint(r=hi, t=0.0)) == pytest.approx(
+    assert density(spec, hi, 0.0) == pytest.approx(
         1e-12, rel=1e-6)
 
 
@@ -99,7 +99,7 @@ def test_time_supports():
     assert time_support(d) == (-math.sqrt(3) * tau, math.sqrt(3) * tau)
     e = spec_e(tau=tau)
     assert time_support(e)[0] == 0.0
-    assert density(e, SpaceTimePoint(r=0.0, t=-1e-9)) == 0.0
+    assert density(e, 0.0, -1e-9) == 0.0
 
 
 def test_spec_validation():
@@ -113,8 +113,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                    r_dot=0.5 * C_UM_PER_PS)
-    with pytest.raises(ValueError):
-        SpaceTimePoint(r=-0.1, t=0.0)
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        density(spec_a(), -0.1, 0.0)
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        density(spec_a(), math.nan, 0.0)
 
 
 def test_emission_default_is_chaotic():
