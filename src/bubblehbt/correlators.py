@@ -87,6 +87,10 @@ def _shape_constant(case: SourceCase) -> float:
     return _SHAPE_CONSTANT[case]
 
 
+# Far out on either axis the squares in the closed forms overflow to inf,
+# which gives their exact limit 0 (exp(-inf), 1/inf); numpy's overflow
+# warning would only be noise on stderr.
+@np.errstate(over="ignore")
 def time_factor(case: SourceCase, tau: float, d_omega: Values) -> Values:
     """T(d_omega): squared normalized temporal transform, T(0) = 1."""
     if case is SourceCase.D_EXPONENTIAL:
@@ -106,6 +110,7 @@ def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
                      where=np.abs(x) >= 1e-2)
 
 
+@np.errstate(over="ignore")
 def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     """Phi(q): squared normalized spatial transform, Phi(0) = 1."""
     if (~(np.asarray(q) >= 0.0)).any():
@@ -189,10 +194,18 @@ def case_e_excess(spec: SourceSpec, q: float, d_omega: Values) -> Values:
     if mu > MU_SERIES_MAX:
         z_plus = (d_omega + r_dot * q) * tau / 2.0
         z_minus = (d_omega - r_dot * q) * tau / 2.0
-        i_val = (-1j * _SQRTPI * ((1.0 + mu * z_plus) * faddeeva(z_plus)
-                                  - (1.0 - mu * z_minus) * faddeeva(z_minus))
-                 - 2.0 * mu)
-        return 9.0 * np.square(np.abs(i_val)) / (8.0 * mu2 * mu2 * mu2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mz_plus, mz_minus = mu * z_plus, mu * z_minus
+            i_val = (-1j * _SQRTPI * ((1.0 + mz_plus) * faddeeva(z_plus)
+                                      - (1.0 - mz_minus) * faddeeva(z_minus))
+                     - 2.0 * mu)
+            mu6 = mu2 * mu2 * mu2
+            excess = 9.0 * np.square(np.abs(i_val)) / (8.0 * mu6)
+        # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu),
+        # the excess is below 1e-200, and the direct form gives 0 or NaN
+        # there: return its q, d_omega -> inf limit 0.
+        far = np.isinf(mu6) | np.isinf(mz_plus) | np.isinf(mz_minus)
+        return np.where(far, 0.0, excess)[()]
     # F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6).
     m = _one_sided_gaussian_moments(tau, d_omega, 7)
     t4 = tau ** 4

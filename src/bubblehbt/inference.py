@@ -5,7 +5,9 @@ linear least squares does all the work:
 
   * tau from the slope of log(C - 1) vs (d_omega)^2 at fixed q, restricted
     to the origin regime tau^2 (d_omega)^2 <= 0.5 so non-Gaussian time
-    factors are read through their origin derivative;
+    factors are read through their origin derivative; every q slice is
+    fitted in one array pass, from per-slice weighted sums (np.bincount)
+    and the closed-form solution of the 2x2 normal equations;
   * factorization from the chi-square probability that all slice slopes
     share one value;
   * kappa from an even-polynomial fit of Phi_hat near q = 0, R from the
@@ -107,34 +109,6 @@ class FitReport:
     form_factor_by_intercept: Optional[FormFactorSamples] = None
 
 
-def _wls(x: np.ndarray, y: np.ndarray, sigma: np.ndarray
-         ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Weighted least squares of y = b0 + b1 x.
-
-    With per-point sigmas the covariance is the unscaled (X' W X)^-1.  With
-    all-zero sigmas (noiseless data) the statistical covariance is zero;
-    residual-scaled errors would conflate model curvature with statistical
-    scatter, which is exactly what the parallelism test must not do.
-    """
-    design = np.column_stack([np.ones_like(x), x])
-    noisy = np.any(sigma > 0.0)
-    if noisy:
-        w = 1.0 / sigma
-        a = design * w[:, None]
-        b = y * w
-    else:
-        a = design
-        b = y
-    beta, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if noisy:
-        cov = np.linalg.inv(a.T @ a)
-    else:
-        cov = np.zeros((2, 2))
-    resid = y - design @ beta
-    rms = math.sqrt(float(resid @ resid) / len(x))
-    return beta, cov, rms
-
-
 def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Weighted fit of y = a q^2 + b q^4 (no constant term)."""
@@ -157,40 +131,37 @@ def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
     return beta, cov
 
 
-def _slice_groups(surface: CorrelationSurface) -> List[Tuple[float, np.ndarray]]:
-    """Indices of usable rows grouped by q: excess significant at 3 sigma."""
-    excess = surface.c_obs - 1.0
-    usable = excess > 3.0 * surface.sigma
-    groups = []
-    for q in np.unique(surface.q):
-        idx = np.flatnonzero((surface.q == q) & usable)
-        if idx.size >= 3:
-            groups.append((float(q), idx))
-    return groups
+def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+               noisy: np.ndarray, g: np.ndarray, n: int
+               ) -> Tuple[np.ndarray, ...]:
+    """Weighted least squares of y = intercept + slope x in each of the n
+    groups that g labels, solved in closed form from each group's centered
+    weighted sums.
+
+    Returns slope, intercept, their errors, the unweighted residual RMS and
+    the point count per group.  The errors are from the unscaled
+    (X' W X)^-1, and zero for a noiseless group (unit weights): residual-
+    scaled errors would conflate model curvature with statistical scatter,
+    which is exactly what the parallelism test must not do.
+    """
+    sw = np.bincount(g, w, n)
+    x_mean = np.bincount(g, w * x, n) / sw
+    y_mean = np.bincount(g, w * y, n) / sw
+    dx = x - x_mean[g]
+    sxx = np.bincount(g, w * dx * dx, n)
+    slope = np.bincount(g, w * dx * (y - y_mean[g]), n) / sxx
+    intercept = y_mean - slope * x_mean
+    count = np.bincount(g, minlength=n)
+    resid = y - (intercept[g] + slope[g] * x)
+    rms = np.sqrt(np.bincount(g, resid * resid, n) / count)
+    slope_err = np.sqrt(np.where(noisy, 1.0 / sxx, 0.0))
+    intercept_err = np.sqrt(np.where(noisy, 1.0 / sw + x_mean ** 2 / sxx, 0.0))
+    return slope, intercept, slope_err, intercept_err, rms, count
 
 
-def _fit_one_slice(surface: CorrelationSurface, q: float, idx: np.ndarray,
-                   dw2_max: Optional[float]) -> Optional[SliceFit]:
-    dw2 = surface.d_omega[idx] ** 2
-    if dw2_max is not None:
-        keep = dw2 <= dw2_max
-        if keep.sum() >= 3:
-            idx = idx[keep]
-            dw2 = dw2[keep]
-    excess = surface.c_obs[idx] - 1.0
-    y = np.log(excess)
-    sig = np.where(surface.sigma[idx] > 0.0,
-                   surface.sigma[idx] / excess, 0.0)
-    beta, cov, rms = _wls(dw2, y, sig)
-    return SliceFit(q=q, slope=float(beta[1]), intercept=float(beta[0]),
-                    slope_err=math.sqrt(max(0.0, cov[1, 1])),
-                    intercept_err=math.sqrt(max(0.0, cov[0, 0])),
-                    residual_rms=rms, n_points=len(idx))
-
-
-def _floored_slope_err(fit: SliceFit, scale: float) -> float:
+def _floored_slope_err(slope_err: np.ndarray, scale: float) -> np.ndarray:
     floor = SLOPE_ERR_FLOOR_REL * scale + 1e-12
-    return math.hypot(fit.slope_err, floor)
+    return np.hypot(slope_err, floor)
 
 
 def fit_tau_slices(surface: CorrelationSurface
@@ -199,36 +170,51 @@ def fit_tau_slices(surface: CorrelationSurface
 
     Two passes: a full-range fit pools a rough tau, then each slice is
     refitted over the window tau^2 (d_omega)^2 <= 0.5 so curved (non-
-    Gaussian) time factors are read at the origin.
+    Gaussian) time factors are read at the origin.  A slice is a q value
+    with at least 3 points whose excess is significant at 3 sigma; a slice
+    with fewer than 3 of them inside the window keeps them all.  Each pass
+    fits every slice at once.
     """
-    groups = _slice_groups(surface)
-    if len(groups) < 2:
+    excess = surface.c_obs - 1.0
+    usable = excess > 3.0 * surface.sigma
+    _, g, count = np.unique(surface.q[usable], return_inverse=True,
+                            return_counts=True)
+    usable[usable] = count[g] >= 3
+    q_values, g = np.unique(surface.q[usable], return_inverse=True)
+    n = q_values.size
+    if n < 2:
         raise InsufficientDataError("insufficient significant points")
-    first = [_fit_one_slice(surface, q, idx, None) for q, idx in groups]
-    pooled = float(np.mean([f.slope for f in first]))
+    excess = excess[usable]
+    x = np.square(surface.d_omega[usable])
+    y = np.log(excess)
+    sig = surface.sigma[usable] / excess
+    noisy = np.bincount(g, sig > 0.0, n) > 0
+    w = np.divide(1.0, np.square(sig), out=np.ones_like(sig), where=sig > 0.0)
+    pooled = float(np.mean(_line_fits(x, y, w, noisy, g, n)[0]))
     if pooled >= 0.0:
         raise InsufficientDataError(
             "negative slope variance: fitted slopes are non-negative")
-    dw2_max = TAU_WINDOW / (-pooled)
-    fits = [_fit_one_slice(surface, q, idx, dw2_max) for q, idx in groups]
-    slope_scale = abs(float(np.mean([f.slope for f in fits]))) or 1.0
-    taus, errs = [], []
-    for f in fits:
-        if f.slope >= 0.0:
-            if f.slope > 2.0 * f.slope_err:
-                raise InsufficientDataError(
-                    "negative slope variance: slope >= 0 beyond errors "
-                    f"at q = {f.q}")
-            continue  # consistent with zero slope; no tau information
-        tau_q = math.sqrt(-f.slope)
-        err_q = _floored_slope_err(f, slope_scale) / (2.0 * tau_q)
-        taus.append(tau_q)
-        errs.append(err_q)
-    if not taus:
+    inside = x <= TAU_WINDOW / (-pooled)
+    keep = inside | (np.bincount(g, inside, n) < 3)[g]
+    columns = _line_fits(x[keep], y[keep], w[keep], noisy, g[keep], n)
+    slope, _, slope_err = columns[:3]
+    fits = [SliceFit(*row) for row in zip(
+        q_values.tolist(), *(c.tolist() for c in columns))]
+    rising = slope >= 0.0
+    beyond = rising & (slope > 2.0 * slope_err)
+    if beyond.any():
+        raise InsufficientDataError(
+            "negative slope variance: slope >= 0 beyond errors "
+            f"at q = {fits[np.argmax(beyond)].q}")
+    if rising.all():
         raise InsufficientDataError(
             "negative slope variance: no slice has a negative slope")
-    w = 1.0 / np.asarray(errs) ** 2
-    tau_hat = float(np.sum(w * np.asarray(taus)) / np.sum(w))
+    slope_scale = abs(float(np.mean(slope))) or 1.0
+    # a slope >= 0 within its errors carries no tau information
+    taus = np.sqrt(-slope[~rising])
+    errs = _floored_slope_err(slope_err[~rising], slope_scale) / (2.0 * taus)
+    w = 1.0 / errs ** 2
+    tau_hat = float(np.sum(w * taus) / np.sum(w))
     tau_err = float(1.0 / math.sqrt(np.sum(w)))
     return tau_hat, tau_err, fits
 
@@ -240,7 +226,8 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
         raise InsufficientDataError("need at least 2 slices")
     slopes = np.asarray([f.slope for f in tau_per_q])
     scale = abs(float(np.mean(slopes))) or 1.0
-    errs = np.asarray([_floored_slope_err(f, scale) for f in tau_per_q])
+    errs = _floored_slope_err(np.asarray([f.slope_err for f in tau_per_q]),
+                              scale)
     w = 1.0 / errs ** 2
     mean = np.sum(w * slopes) / np.sum(w)
     chi2 = float(np.sum(((slopes - mean) / errs) ** 2))

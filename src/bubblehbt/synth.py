@@ -273,6 +273,8 @@ def _non_numeric_field(path: str) -> str:
 
 
 def read_surface_csv(path: str) -> CorrelationSurface:
+    """Read a surface CSV; its rows may come in any order and are returned
+    in the grid's row-major order.  Malformed input raises ValueError."""
     header_lines = []
     data = []
     columns = None
@@ -329,12 +331,18 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         raise ValueError("surface CSV holds non-finite values")
     if (arr[:, 4] < 0.0).any():
         raise ValueError("surface CSV holds a negative sigma")
-    # rows may come in any order, but must cover the grid point for point
+    # a surface is either noiseless or noisy in every bin; a zero sigma
+    # among positive ones would be an infinite weight in the fits
+    zero_sigma = arr[:, 4] == 0.0
+    if zero_sigma.any() and not zero_sigma.all():
+        raise ValueError("surface CSV mixes zero and positive sigma")
+    # rows may come in any order, but must cover the grid point for point;
+    # they are returned in the grid's row-major order
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     grid_q, grid_dw = grid.points()
-    keys = arr[np.lexsort((arr[:, 1], arr[:, 0])), :2]
-    if keys.shape[0] != grid_q.size or not (
-            np.array_equal(keys[:, 0], grid_q)
-            and np.array_equal(keys[:, 1], grid_dw)):
+    if arr.shape[0] != grid_q.size or not (
+            np.array_equal(arr[:, 0], grid_q)
+            and np.array_equal(arr[:, 1], grid_dw)):
         raise ValueError("surface CSV rows do not match its metadata grid")
     return CorrelationSurface(q=arr[:, 0], d_omega=arr[:, 1], c_true=arr[:, 2],
                               c_obs=arr[:, 3], sigma=arr[:, 4], spec=spec,

@@ -143,6 +143,28 @@ def test_figure2_values(capsys, tmp_path):
             assert float(r[2]) == pytest.approx(0.367879, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", ["1e200", "1e300"])
+def test_eval_case_e_at_huge_q_is_unity(capsys, q):
+    # mu = rdot tau q and mu z± overflow there; the excess is at its limit 0
+    code, out, err = run(capsys, "eval", "--case", "E", "--q", q)
+    assert code == 0
+    assert out == "C = 1\n"
+    assert err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_synth_at_huge_d_omega_is_quiet(capsys, tmp_path):
+    # (d_omega tau)^2 overflows to inf, so T = exp(-inf) = 0 exactly
+    path = tmp_path / "surf.csv"
+    code, out, err = run(capsys, "synth", "--case", "A", "--dw-grid",
+                         "0:1e200:3", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    _, rows = read_csv_columns(path)
+    far = [row for row in rows if float(row[1]) == 1e200]
+    assert far and all(float(row[2]) == 1.0 for row in far)
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--case", "Z", "--q", "1")
     assert code == 1
@@ -222,12 +244,16 @@ def test_fit_rejects_rows_off_the_grid(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
     assert len(rows) == 61 * 9
-    # row order is free
+    code, ordered, _ = run(capsys, "fit", str(path))
+    assert code == 0
+    # row order is free, and the reader restores the grid's order, so the
+    # report is the same to the last digit
     shuffled = [rows[i] for i in np.random.default_rng(0).permutation(
         len(rows))]
     path.write_text("".join(head + shuffled))
-    code, _, _ = run(capsys, "fit", str(path))
+    code, out, _ = run(capsys, "fit", str(path))
     assert code == 0
+    assert out == ordered
     path.write_text("".join(head + rows[:276]))
     assert_rejected(capsys, path, "do not match its metadata grid")
     path.write_text("".join(head + rows[:-1] + rows[:1]))
@@ -250,6 +276,16 @@ def test_fit_rejects_negative_sigma(capsys, tmp_path):
     rows[10] = ",".join([q, dw, c_true, c_obs, "-" + sigma])
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, "negative sigma")
+
+
+def test_fit_rejects_mixed_zero_and_positive_sigma(capfd, tmp_path):
+    # capfd, not capsys: LAPACK would print to file descriptor 1
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capfd, path)
+    q, dw, c_true, c_obs, _ = rows[10].split(",")
+    rows[10] = ",".join([q, dw, c_true, c_obs, "0"]) + "\n"
+    path.write_text("".join(head + rows))
+    assert_rejected(capfd, path, "mixes zero and positive sigma")
 
 
 def test_fit_rejects_short_rows(capsys, tmp_path):

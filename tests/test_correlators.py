@@ -210,6 +210,13 @@ def test_case_e_series_faddeeva_continuity(monkeypatch):
         np.testing.assert_allclose(closed, series, rtol=1e-8, atol=0.0)
 
 
+def test_case_e_excess_at_huge_q():
+    # mu^6 overflows: the direct form returns the q -> inf limit 0, not NaN
+    for q in (1e100, 1e150):
+        excess = case_e_excess(spec(E), q, np.array([0.0, 1.0, 1e100]))
+        assert np.isfinite(excess).all() and (excess >= 0.0).all()
+
+
 def test_case_e_against_oracle():
     s = spec(E)
     for q in [0.02, 0.2, 0.7, 1.5]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bubblehbt.correlators import form_factor, kappa_analytic
-from bubblehbt.inference import (Chaoticity, InsufficientDataError,
+from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
+                                 Chaoticity, InsufficientDataError, SliceFit,
                                  chaoticity_test, estimate_kappa,
                                  factorization_test, fit_surface,
                                  fit_tau_slices, radii_from_kappa,
@@ -80,6 +81,95 @@ def test_insufficient_data_errors():
         fit_tau_slices(thin)
 
 
+def reference_tau_slices(surf):
+    """fit_tau_slices with one np.linalg.lstsq per slice and pass."""
+    excess = surf.c_obs - 1.0
+    usable = excess > 3.0 * surf.sigma
+    groups = [np.flatnonzero((surf.q == q) & usable) for q in np.unique(surf.q)]
+    groups = [idx for idx in groups if idx.size >= 3]
+    if len(groups) < 2:
+        raise InsufficientDataError("insufficient significant points")
+
+    def fit(idx, dw2_max):
+        inside = surf.d_omega[idx] ** 2 <= dw2_max
+        if inside.sum() >= 3:
+            idx = idx[inside]
+        x = surf.d_omega[idx] ** 2
+        y = np.log(excess[idx])
+        sig = surf.sigma[idx] / excess[idx]
+        noisy = bool((sig > 0.0).any())
+        w = 1.0 / sig if noisy else np.ones_like(sig)
+        a = np.column_stack([np.ones_like(x), x]) * w[:, None]
+        beta = np.linalg.lstsq(a, y * w, rcond=None)[0]
+        cov = np.linalg.inv(a.T @ a) if noisy else np.zeros((2, 2))
+        rms = math.sqrt(np.mean((y - beta[0] - beta[1] * x) ** 2))
+        return SliceFit(q=float(surf.q[idx[0]]), slope=beta[1],
+                        intercept=beta[0], slope_err=math.sqrt(cov[1, 1]),
+                        intercept_err=math.sqrt(cov[0, 0]), residual_rms=rms,
+                        n_points=idx.size)
+
+    pooled = np.mean([fit(idx, math.inf).slope for idx in groups])
+    if pooled >= 0.0:
+        raise InsufficientDataError(
+            "negative slope variance: fitted slopes are non-negative")
+    fits = [fit(idx, TAU_WINDOW / -pooled) for idx in groups]
+    floor = SLOPE_ERR_FLOOR_REL * (abs(np.mean([f.slope for f in fits]))
+                                   or 1.0) + 1e-12
+    taus, errs = [], []
+    for f in fits:
+        if f.slope >= 0.0:
+            if f.slope > 2.0 * f.slope_err:
+                raise InsufficientDataError(
+                    "negative slope variance: slope >= 0 beyond errors "
+                    f"at q = {f.q}")
+            continue
+        taus.append(math.sqrt(-f.slope))
+        errs.append(math.hypot(f.slope_err, floor) / (2.0 * taus[-1]))
+    if not taus:
+        raise InsufficientDataError(
+            "negative slope variance: no slice has a negative slope")
+    w = 1.0 / np.square(errs)
+    return (float(np.sum(w * taus) / np.sum(w)),
+            1.0 / math.sqrt(np.sum(w)), fits)
+
+
+def test_slice_fits_match_one_lstsq_per_slice():
+    # the slices are fitted in one array pass from per-slice weighted sums;
+    # only the summation order differs from a least-squares solve per slice
+    cli_grid = (np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9))
+    cases = [(case, cli_grid, seed) for case in (A, B, C, D)
+             for seed in range(5)]
+    cases += [(E, (np.linspace(0.0, 3.0, 151), np.linspace(0.0, 2.0, 51)),
+               seed) for seed in range(5)]
+    cases += [(D, cli_grid, None)]
+    for case, (q, dw), seed in cases:
+        noise = None if seed is None else NoiseSpec(10 ** 6, seed)
+        surf = surface(case, q, dw, noise=noise)
+        tau_hat, tau_err, fits = fit_tau_slices(surf)
+        ref_hat, ref_err, ref_fits = reference_tau_slices(surf)
+        assert tau_hat == pytest.approx(ref_hat, rel=1e-14)
+        assert tau_err == pytest.approx(ref_err, rel=1e-14)
+        assert [(f.q, f.n_points) for f in fits] == [
+            (f.q, f.n_points) for f in ref_fits]
+        for f, ref in zip(fits, ref_fits):
+            for field in ("slope", "intercept", "slope_err", "intercept_err",
+                          "residual_rms"):
+                assert getattr(f, field) == pytest.approx(
+                    getattr(ref, field), rel=1e-12, abs=1e-13)
+    # the same InsufficientDataError, message and all
+    failing = [surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6),
+                       emission=Emission.COHERENT),
+               surface(E, np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 9),
+                       r_dot=1.0)]
+    for surf in failing:
+        with pytest.raises(InsufficientDataError) as ref:
+            reference_tau_slices(surf)
+        with pytest.raises(InsufficientDataError) as new:
+            fit_tau_slices(surf)
+        assert str(new.value) == str(ref.value)
+    assert "slope >= 0 beyond errors at q = 3.0" in str(new.value)
+
+
 def test_factorization_score_factorized_cases():
     for case in (A, B, C, D):
         surf = surface(case, (0.5, 1.0, 1.5), np.linspace(0.0, 1.0, 9))
@@ -99,7 +189,6 @@ def test_factorization_score_shock_case():
 
 
 def test_factorization_needs_two_slices():
-    from bubblehbt.inference import SliceFit
     lone = SliceFit(q=1.0, slope=-1.0, intercept=0.0, slope_err=0.0,
                     intercept_err=0.0, residual_rms=0.0, n_points=6)
     with pytest.raises(InsufficientDataError):

@@ -230,7 +230,8 @@ def test_csv_edge_values_bytes_and_round_trip(tmp_path):
     c_obs = 1.0 + rng.random(q.size)
     assert sum(float("%.16g" % v) != v for v in c_obs) > 4
     c_true = np.resize([-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308, 0.1], q.size)
-    sigma = np.resize(edges, q.size)
+    # a surface's sigma is zero in every bin or in none
+    sigma = np.resize(edges[1:] + [0.1], q.size)
     surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec_a(), grid=grid)
     path = tmp_path / "surface.csv"
