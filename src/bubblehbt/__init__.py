@@ -9,8 +9,7 @@ frequencies in 1/ps, hbar = 1.
 from .correlators import (CHAOTICITY, CorrelationValue, correlation,
                           form_factor, kappa_to_radius, phi_of_X,
                           small_q_coefficient, time_factor)
-from .kinematics import (C_UM_PER_PS, PhotonPair, RelativeKinematics,
-                         relative_kinematics, resolution_ratio)
+from .kinematics import C_UM_PER_PS, resolution_ratio
 from .oracle import QuadratureSettings, numeric_correlation, numeric_curvature
 from .sources import Emission, SourceCase, SourceSpec, density
 from .synth import (CorrelationSurface, FormFactorSamples, GridSpec,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CHAOTICITY", "CorrelationValue", "correlation", "form_factor",
     "kappa_to_radius", "phi_of_X", "small_q_coefficient", "time_factor",
-    "C_UM_PER_PS", "PhotonPair", "RelativeKinematics",
-    "relative_kinematics", "resolution_ratio",
+    "C_UM_PER_PS", "resolution_ratio",
     "QuadratureSettings", "numeric_correlation", "numeric_curvature",
     "Emission", "SourceCase", "SourceSpec", "density",
     "CorrelationSurface", "FormFactorSamples", "GridSpec", "NoiseSpec",

@@ -102,12 +102,16 @@ def time_factor(case: SourceCase, tau: float, d_omega: Values) -> Values:
 
 
 def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
-    """3 (sin x - x cos x) / x^3, the normalized sphere transform; its
-    Taylor series below |x| = 1e-2, where the direct form cancels."""
+    """3 (sin x - x cos x) / x^3 for x >= 0, the normalized sphere
+    transform; its Taylor series below x = 1e-2, where the direct form
+    cancels, and its limit 0 where x^3 overflows."""
+    # above 1e300 the amplitude is 0 in double precision anyway; the clip
+    # keeps sin, cos and the numerator finite up to x = inf
+    x = np.minimum(x, 1e300)
     x2 = x * x
     series = np.asarray(1.0 + x2 * (-0.1 + x2 * (1.0 / 280.0 - x2 / 15120.0)))
     return np.divide(3.0 * (np.sin(x) - x * np.cos(x)), x2 * x, out=series,
-                     where=np.abs(x) >= 1e-2)
+                     where=x >= 1e-2)
 
 
 @np.errstate(over="ignore")

@@ -1,4 +1,4 @@
-"""Unit conventions and photon-pair relative variables.
+"""Unit conventions and the energy-resolution diagnostic.
 
 Internal units are fixed to micrometers and picoseconds so that the
 interesting parameter region (tau ~ 1 ps, R ~ 1 um, k ~ 40 1/um for blue
@@ -6,55 +6,13 @@ light) is order unity.  Wavenumbers are 1/um, angular frequencies 1/ps,
 and hbar = 1 throughout.
 """
 
-import math
-from dataclasses import dataclass
-
 __all__ = [
     "C_UM_PER_PS",
-    "PhotonPair",
-    "RelativeKinematics",
-    "relative_kinematics",
     "resolution_ratio",
 ]
 
 # Speed of light in um/ps; the single hard-coded physical constant.
 C_UM_PER_PS = 299.792458
-
-
-@dataclass(frozen=True)
-class PhotonPair:
-    """Two detected photons: wavenumbers k1, k2 (1/um) and opening angle (rad)."""
-
-    k1: float
-    k2: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
-            raise ValueError("wavenumbers must be positive")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError("opening angle must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class RelativeKinematics:
-    """Momentum-difference magnitude q (1/um) and energy difference (1/ps)."""
-
-    q: float
-    d_omega: float
-
-
-def relative_kinematics(pair: PhotonPair) -> RelativeKinematics:
-    """(q, d_omega) from a photon pair.
-
-    q = |k1_vec - k2_vec| via the law of cosines, guarded against negative
-    round-off near theta = 0; d_omega = c (k1 - k2).
-    """
-    q2 = (pair.k1 * pair.k1 + pair.k2 * pair.k2
-          - 2.0 * pair.k1 * pair.k2 * math.cos(pair.theta))
-    q = math.sqrt(max(0.0, q2))
-    d_omega = C_UM_PER_PS * (pair.k1 - pair.k2)
-    return RelativeKinematics(q=q, d_omega=d_omega)
 
 
 def resolution_ratio(tau: float, k: float) -> float:

@@ -44,12 +44,14 @@ def erfc_real(x: float) -> float:
 
 
 def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """sin(x)/x, exactly 1 at x = 0.
+    """sin(x)/x, exactly 1 at x = 0 and its limit 0 at x = +-inf.
 
     |x| < 1e-4 uses the 4-term Taylor polynomial to avoid cancellation.
     """
     x2 = x * x
     series = np.asarray(1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0
                                                        - x2 / 5040.0)))
-    return np.divide(np.sin(x), x, out=series,
+    # sin is skipped at +-inf, where it is NaN; 0 / +-inf is the limit 0
+    sin_x = np.sin(x, out=np.zeros(np.shape(x)), where=np.isfinite(x))
+    return np.divide(sin_x, x, out=series,
                      where=np.abs(x) >= _SINC_SMALL)[()]

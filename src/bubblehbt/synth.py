@@ -11,6 +11,7 @@ sources, the averaged excess still factorizes and can be renormalized away
 at the origin, which is what `renormalize_at_origin` does.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -184,8 +185,8 @@ def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
 
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key = value metadata, then a header line,
-# then data rows with 17 significant digits.  The CLI writes its other CSV
-# outputs with the same formatter and metadata writer.
+# then data rows with 17 significant digits and no '#' lines.  The CLI
+# writes its other CSV outputs with the same formatter and metadata writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
 _COLUMNS = ["q", "d_omega", "c_true", "c_obs", "sigma"]
@@ -232,12 +233,20 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
 
 
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
+    # each distinct q and d_omega (by bits: 0.0 and -0.0 stay apart) is
+    # formatted once; c_true, c_obs and sigma are formatted per point
+    table = np.empty((surface.q.size, len(_COLUMNS)), dtype=object)
+    for col, values in enumerate((surface.q, surface.d_omega)):
+        bits, inverse = np.unique(np.asarray(values, np.float64).view(
+            np.uint64), return_inverse=True)
+        text = [_VALUE_FORMAT % v for v in bits.view(np.float64).tolist()]
+        table[:, col] = np.array(text, dtype=object)[inverse]
+    table[:, 2:] = np.column_stack((surface.c_true, surface.c_obs,
+                                    surface.sigma))
+    row_format = ",".join(["%s", "%s"] + [_VALUE_FORMAT] * 3) + "\n"
     with open(path, "w") as fh:
         write_metadata(fh, surface_metadata(surface))
         fh.write(",".join(_COLUMNS) + "\n")
-        table = np.column_stack((surface.q, surface.d_omega, surface.c_true,
-                                 surface.c_obs, surface.sigma))
-        row_format = ",".join([_VALUE_FORMAT] * len(_COLUMNS)) + "\n"
         fh.write((row_format * len(table)) % tuple(table.ravel().tolist()))
 
 
@@ -251,16 +260,16 @@ def _parse_metadata(lines: Sequence[str]) -> dict:
     return meta
 
 
-def _non_numeric_field(path: str) -> str:
-    """Name the first field of the surface CSV's data rows that np.loadtxt
-    cannot read, by its 1-based file line; for the error path only, so the
-    whole-array parse stays one pass."""
+def _row_fault(path: str, first_row: int, width: int) -> str:
+    """Name the first fault in a surface CSV's data rows, which start at
+    1-based file line `first_row`; for when the one np.loadtxt over them
+    has failed, so a good file is parsed once."""
     with open(path) as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, 1)]
-    # the first line that is neither blank nor '#' metadata is the header
-    rows = [(n, line) for n, line in lines
-            if line and not line.startswith("#")][1:]
+        rows = [(n, line.strip()) for n, line in enumerate(fh, 1)
+                if n >= first_row and not line.isspace()]
     for n, line in rows:
+        if line.startswith("#"):
+            return f"surface CSV line {n}: '#' line among the data rows"
         for field in line.split(","):
             try:
                 if field.strip():
@@ -269,26 +278,32 @@ def _non_numeric_field(path: str) -> str:
             except ValueError:
                 pass
             return f"surface CSV line {n}: '{field}' is not a number"
-    return "surface CSV holds a field that is not a number"
+    # every field is a number, so the rows differ in width
+    return f"surface CSV rows need {width} values"
 
 
 def read_surface_csv(path: str) -> CorrelationSurface:
     """Read a surface CSV; its rows may come in any order and are returned
     in the grid's row-major order.  Malformed input raises ValueError."""
     header_lines = []
-    data = []
     columns = None
     with open(path) as fh:
-        for line in fh:
+        # '#' metadata and blank lines, then the header; one np.loadtxt
+        # parses the non-blank lines after it straight from the file
+        for n_header, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header_lines.append(line)
-            elif columns is None:
+            if line and not line.startswith("#"):
                 columns = line.split(",")
-            else:
-                data.append(line)
+                break
+            header_lines.append(line)
+        try:
+            with warnings.catch_warnings():
+                # numpy warns on input without rows; that is checked below
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt((line for line in fh if not line.isspace()),
+                                 delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            arr = None  # the fault is named after the metadata checks
     if columns != _COLUMNS:
         raise ValueError(f"unexpected surface CSV columns: {columns}")
     meta = _parse_metadata(header_lines)
@@ -318,15 +333,10 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         noise = NoiseSpec(pairs_per_bin=int(meta["pairs_per_bin"]),
                           seed=int(meta["seed"]))
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
-    if not data:
+    if arr is not None and arr.size == 0:
         raise ValueError("surface CSV has no data rows")
-    # checked before parsing, so a ragged row gets this message
-    if any(line.count(",") != len(columns) - 1 for line in data):
-        raise ValueError(f"surface CSV rows need {len(columns)} values")
-    try:
-        arr = np.loadtxt(data, delimiter=",", ndmin=2)
-    except ValueError:
-        raise ValueError(_non_numeric_field(path)) from None
+    if arr is None or arr.shape[1] != len(columns):
+        raise ValueError(_row_fault(path, n_header + 1, len(columns)))
     if not np.isfinite(arr).all():
         raise ValueError("surface CSV holds non-finite values")
     if (arr[:, 4] < 0.0).any():

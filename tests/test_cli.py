@@ -154,6 +154,16 @@ def test_eval_case_e_at_huge_q_is_unity(capsys, q):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--case", "C", "--q", "1e308"],
+                                  ["--case", "B", "--R", "2", "--q", "1e308"]])
+def test_eval_form_factor_at_huge_q_is_unity(capsys, argv):
+    # C: 3 (sin x - x cos x) overflows; B: q R overflows to inf, where
+    # sin(x)/x has its limit 0
+    code, out, err = run(capsys, "eval", *argv)
+    assert (code, out, err) == (0, "C = 1\n", "")
+
+
+@pytest.mark.filterwarnings("error")
 def test_synth_at_huge_d_omega_is_quiet(capsys, tmp_path):
     # (d_omega tau)^2 overflows to inf, so T = exp(-inf) = 0 exactly
     path = tmp_path / "surf.csv"
@@ -238,6 +248,26 @@ def test_fit_rejects_surface_without_rows(capsys, tmp_path):
     head, _ = write_default_surface(capsys, path)
     path.write_text("".join(head))
     assert_rejected(capsys, path, "no data rows")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tail", ["", "\n\n", "   \n\t\n"])
+def test_fit_rejects_rowless_surface_quietly(capsys, tmp_path, tail):
+    # numpy's "input contained no data" warning must not reach stderr
+    path = tmp_path / "surf.csv"
+    head, _ = write_default_surface(capsys, path)
+    path.write_text("".join(head) + tail)
+    assert_rejected(capsys, path, "surface CSV has no data rows")
+
+
+def test_fit_rejects_comment_among_rows(capsys, tmp_path):
+    # '#' lines are metadata only above the header
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    rows.insert(10, "# note = x\n")
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, f"surface CSV line {len(head) + 11}: "
+                    "'#' line among the data rows")
 
 
 def test_fit_rejects_rows_off_the_grid(capsys, tmp_path):

@@ -246,3 +246,38 @@ def test_csv_edge_values_bytes_and_round_trip(tmp_path):
     back = read_surface_csv(str(path))
     for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
         assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
+
+
+def test_csv_writer_formats_each_distinct_value_once(tmp_path):
+    # q and d_omega are formatted once per distinct value (by bits, so 0.0
+    # and -0.0 stay apart); the rows must still read as if every value were
+    # formatted in place, whatever order the columns hold them in
+    rng = np.random.default_rng(12)
+    q = rng.choice([0.0, -0.0, 0.1, 1e308], 40)
+    dw = rng.choice([-0.0, 0.0, 5e-324, -2.5], 40)
+    c_true = 1.0 + rng.random(40)
+    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_true,
+                              sigma=np.zeros(40), spec=spec_a(), grid=GRID)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    reference = "".join(
+        ",".join(format_value(v) for v in row) + "\n"
+        for row in zip(q, dw, c_true, c_true, np.zeros(40))).encode()
+    header = b"q,d_omega,c_true,c_obs,sigma\n"
+    assert path.read_bytes().partition(header)[2] == reference
+
+
+def test_csv_crlf_and_blank_lines_read_back(tmp_path):
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(pairs_per_bin=10 ** 6,
+                                                    seed=3))
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    lines = path.read_text().splitlines()
+    # CRLF endings, empty lines and lines of only whitespace between rows
+    gaps = ["", "   ", "\t", ""]
+    path.write_bytes("".join(line + "\r\n" + gaps[i % 4] + "\r\n"
+                             for i, line in enumerate(lines)).encode())
+    back = read_surface_csv(str(path))
+    for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
+        assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
+    assert back.spec == surf.spec and back.grid == surf.grid
