@@ -28,7 +28,6 @@ import numpy as np
 from .correlators import FACTORIZED_CASES, correlation, phi_of_X
 from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
-from .oracle import OracleConvergenceError, numeric_correlation
 from .sources import Emission, SourceCase, SourceSpec
 from .synth import (UNITS, CannotRenormalizeError, GridSpec, NoiseSpec,
                     format_value, generate, read_surface_csv, spec_metadata,
@@ -110,6 +109,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # the oracle, and the scipy.integrate it needs, load only here
+    from .oracle import numeric_correlation
+
     spec = _spec_from_args(args)
     if spec.emission is Emission.COHERENT:
         raise _UsageError("check compares chaotic closed forms to the oracle")
@@ -271,8 +273,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OracleConvergenceError, CannotRenormalizeError,
-            InsufficientDataError, ArithmeticError) as exc:
+    except (CannotRenormalizeError, InsufficientDataError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -5,12 +5,14 @@ is computed as (1/2) |F(q, d_omega)|^2 / |F(0,0)|^2 with F the space-time
 Fourier transform of the source density, evaluated by adaptive quadrature.
 Oscillatory integrands are pre-subdivided at their half-periods before the
 adaptive scheme refines.
+
+Every quadrature uses the module constants REL_TOL, ABS_TOL and
+MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from scipy import integrate
 
@@ -20,39 +22,32 @@ from .sources import (Emission, SourceCase, SourceSpec, radial_profile,
 from .special_functions import sinc
 
 __all__ = [
-    "QuadratureSettings",
+    "REL_TOL",
+    "ABS_TOL",
+    "MAX_SUBDIVISIONS",
     "OracleConvergenceError",
     "numeric_correlation",
     "numeric_curvature",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
 
 
-class OracleConvergenceError(RuntimeError):
+class OracleConvergenceError(ArithmeticError):
     """Adaptive quadrature failed to meet tolerance within the subdivision
     budget."""
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
-          settings: QuadratureSettings,
           half_periods: Tuple[float, ...] = ()) -> float:
     """Adaptive quadrature of f on [a, b], pre-split at oscillation
     half-periods."""
     # cap explicit breakpoints well below the subdivision budget; adaptive
     # refinement handles the rest
-    max_pts = min(200, settings.max_subdivisions // 2)
+    max_pts = min(200, MAX_SUBDIVISIONS // 2)
     pts = set()
     for h in half_periods:
         if h <= 0.0 or not math.isfinite(h):
@@ -69,29 +64,28 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         try:
             val, abserr = integrate.quad(
                 f, a, b, points=points,
-                epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions)
+                epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS)
         except integrate.IntegrationWarning as exc:
-            raise OracleConvergenceError(str(exc)) from exc
-    if abserr > 100.0 * max(settings.abs_tol, settings.rel_tol * abs(val)):
+            # quadpack's first line names the failure; the rest is advice
+            raise OracleConvergenceError(
+                str(exc).strip().splitlines()[0]) from exc
+    if abserr > 100.0 * max(ABS_TOL, REL_TOL * abs(val)):
         raise OracleConvergenceError(
             f"estimated error {abserr:g} exceeds tolerance for value {val:g}")
     return val
 
 
-def _time_amplitude(spec: SourceSpec, d_omega: float,
-                    settings: QuadratureSettings) -> float:
+def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     t0, t1 = time_support(spec)
     rho = time_profile(spec)
     f = lambda t: rho(t) * math.cos(d_omega * t)
     hp = (math.pi / abs(d_omega),) if d_omega != 0.0 else ()
-    return _quad(f, t0, t1, settings, hp)
+    return _quad(f, t0, t1, hp)
 
 
-def _space_amplitude(spec: SourceSpec, q: float,
-                     settings: QuadratureSettings) -> float:
+def _space_amplitude(spec: SourceSpec, q: float) -> float:
     """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support
     (constant prefactors cancel in the ratio).  For q > 0 the integrand is
     written r rho_s(r) sin(q r) / q, which has no removable singularity."""
@@ -102,8 +96,8 @@ def _space_amplitude(spec: SourceSpec, q: float,
     rho = radial_profile(spec)
     if q > 0.0:
         return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, lo, hi,
-                     settings, (math.pi / q,))
-    return _quad(lambda r: r * r * rho(r), lo, hi, settings)
+                     (math.pi / q,))
+    return _quad(lambda r: r * r * rho(r), lo, hi)
 
 
 def _shock_inner(q: float, a: float) -> float:
@@ -115,8 +109,7 @@ def _shock_inner(q: float, a: float) -> float:
     return (math.sin(x) - x * math.cos(x)) / (q * q * q)
 
 
-def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
-                      settings: QuadratureSettings) -> complex:
+def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
     """F(q, d_omega) for the expanding shock (up to constant factors)."""
     t0, t1 = time_support(spec)
     rho, front = time_profile(spec), shock_front(spec)
@@ -126,29 +119,27 @@ def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
         env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
     # half-periods of the cos/sin(d_omega t) and sin(q r_dot t) oscillations
     hp = [math.pi / k for k in (abs(d_omega), q * spec.r_dot) if k > 0.0]
-    re = _quad(lambda t: env(t) * math.cos(d_omega * t), t0, t1, settings, hp)
-    im = _quad(lambda t: env(t) * math.sin(d_omega * t), t0, t1, settings, hp)
+    re = _quad(lambda t: env(t) * math.cos(d_omega * t), t0, t1, hp)
+    im = _quad(lambda t: env(t) * math.sin(d_omega * t), t0, t1, hp)
     return complex(re, im)
 
 
-def numeric_correlation(spec: SourceSpec, q: float, d_omega: float,
-                        settings: Optional[QuadratureSettings] = None
+def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
                         ) -> CorrelationValue:
     """C(q, d_omega) from the space-time Fourier transform of the density."""
     if spec.emission is not Emission.CHAOTIC:
         raise ValueError("the oracle applies to chaotic sources")
     if not q >= 0.0:
         raise ValueError("q must be non-negative")
-    settings = settings or QuadratureSettings()
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        f = _case_e_transform(spec, q, d_omega, settings)
-        f0 = _case_e_transform(spec, 0.0, 0.0, settings)
+        f = _case_e_transform(spec, q, d_omega)
+        f0 = _case_e_transform(spec, 0.0, 0.0)
         ratio2 = abs(f / f0) ** 2
     else:
-        ft = _time_amplitude(spec, d_omega, settings)
-        ft0 = _time_amplitude(spec, 0.0, settings)
-        fs = _space_amplitude(spec, q, settings)
-        fs0 = _space_amplitude(spec, 0.0, settings)
+        ft = _time_amplitude(spec, d_omega)
+        ft0 = _time_amplitude(spec, 0.0)
+        fs = _space_amplitude(spec, q)
+        fs0 = _space_amplitude(spec, 0.0)
         ratio2 = (ft / ft0) ** 2 * (fs / fs0) ** 2
     excess = CHAOTICITY * ratio2
     return CorrelationValue(c=1.0 + excess, excess=excess)

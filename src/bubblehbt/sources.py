@@ -79,8 +79,9 @@ class SourceSpec:
     emission: Emission = Emission.CHAOTIC
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        # the comparisons are False for NaN, and the upper bounds reject inf
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.case is SourceCase.E_EXPANDING_SHOCK:
             if self.r_dot is None or not self.r_dot > 0.0:
                 raise ValueError("case E requires r_dot > 0")
@@ -88,8 +89,9 @@ class SourceSpec:
             if not self.r_dot < 0.01 * C_UM_PER_PS:
                 raise ValueError("case E requires r_dot << c (r_dot < 0.01 c)")
         else:
-            if self.R is None or not self.R > 0.0:
-                raise ValueError(f"case {self.case.value} requires R > 0")
+            if self.R is None or not 0.0 < self.R < math.inf:
+                raise ValueError(
+                    f"case {self.case.value} requires a finite R > 0")
 
 
 def density(spec: SourceSpec, r: float, t: float) -> float:

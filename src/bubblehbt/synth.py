@@ -6,20 +6,22 @@ a fixed expected denominator N per bin; the whole surface draws from one
 stream seeded by the noise seed, so generation is deterministic.
 
 Poor energy resolution is modeled as a box average of the time factor over
-a full width delta_omega; since <T> is q-independent for factorized
-sources, the averaged excess still factorizes and can be renormalized away
-at the origin, which is what `renormalize_at_origin` does.
+a full width delta_omega, taken in closed form (`mean_time_factor`); since
+<T> is q-independent for factorized sources, the averaged excess still
+factorizes and can be renormalized away at the origin, which is what
+`renormalize_at_origin` does.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values,
-                          correlation, form_factor, time_factor)
+                          correlation, form_factor)
 from .sources import Emission, SourceCase, SourceSpec
 
 __all__ = [
@@ -44,7 +46,8 @@ class CannotRenormalizeError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strictly increasing q (1/um) and d_omega (1/ps) sample values."""
+    """Strictly increasing, finite q (1/um) and d_omega (1/ps) sample
+    values."""
 
     q_values: Tuple[float, ...]
     d_omega_values: Tuple[float, ...]
@@ -55,6 +58,10 @@ class GridSpec:
                            tuple(float(w) for w in self.d_omega_values))
         if not self.q_values or not self.d_omega_values:
             raise ValueError("grid must be non-empty")
+        # checked first: every comparison with NaN is False, so the order
+        # checks below would pass it
+        if not all(map(math.isfinite, self.q_values + self.d_omega_values)):
+            raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(self.q_values, self.q_values[1:])):
             raise ValueError("q_values must be strictly increasing")
         if any(b <= a for a, b in
@@ -109,15 +116,31 @@ class FormFactorSamples:
 
 
 def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
-    """<T> over a box window of full width delta_omega (factorized cases)."""
+    """<T> over a box window of full width W = delta_omega_window, for the
+    factorized cases, in closed form:
+
+        A-C  T = exp(-(tau w)^2):         <T> = sqrt(pi) erf(x) / (2 x),
+             x = tau W / 2;
+        D    T = sinc^2(sqrt(3) tau w):   <T> = (Si(2y) - sin^2(y) / y) / y,
+             y = sqrt(3) tau W / 2.
+
+    Below x, y = 1e-3 each takes its Taylor series, whose next term is
+    below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
+    underflow."""
     if spec.case not in FACTORIZED_CASES:
         raise ValueError("smearing of the non-factorized case E is unsupported")
-    if not delta_omega_window > 0.0:
-        raise ValueError("smearing window must be positive")
-    half = 0.5 * delta_omega_window
-    val, _ = integrate.quad(lambda w: time_factor(spec.case, spec.tau, w),
-                            -half, half, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val / delta_omega_window
+    if not 0.0 < delta_omega_window < math.inf:
+        raise ValueError("smearing window must be positive and finite")
+    if spec.case is SourceCase.D_EXPONENTIAL:
+        y = 0.5 * math.sqrt(3.0) * spec.tau * delta_omega_window
+        if y < 1e-3:
+            return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
+        si, _ = special.sici(2.0 * y)
+        return float(si - math.sin(y) ** 2 / y) / y
+    x = 0.5 * spec.tau * delta_omega_window
+    if x < 1e-3:
+        return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
+    return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
 
 
 def apply_energy_smearing(spec: SourceSpec, q: Values,

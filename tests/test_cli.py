@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bubblehbt
+from bubblehbt import oracle
 from bubblehbt.cli import main
 
 
@@ -214,14 +215,37 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+def test_oracle_nonconvergence_exit_code(capsys, monkeypatch):
+    # quadpack's warning runs to several lines; one reaches stderr
+    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
+    code, out, err = run(capsys, "check", "--case", "D", "--q-grid", "0:6:4",
+                         "--dw-grid", "0:6:4")
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("error: The maximum number of subdivisions (10)")
+
+
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is a large share of start-up and nothing here needs it
-    src = os.path.dirname(os.path.dirname(bubblehbt.__file__))
-    probe = "import sys, bubblehbt.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], check=True,
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.strip() == "False"
+    # scipy.stats, scipy.integrate (with the scipy.optimize it loads) and
+    # the oracle are a large share of start-up: the CLI loads the oracle in
+    # `check` only, and nothing needs scipy.stats; the package root loads no
+    # submodule at all
+    package = os.path.dirname(bubblehbt.__file__)
+    submodules = [f"bubblehbt.{name[:-3]}" for name in os.listdir(package)
+                  if name.endswith(".py") and name != "__init__.py"]
+    probes = {
+        "bubblehbt.cli": ["scipy.stats", "scipy.integrate", "scipy.optimize",
+                          "bubblehbt.oracle"],
+        "bubblehbt": submodules + ["numpy"],
+    }
+    for module, absent in probes.items():
+        probe = (f"import sys, {module}; "
+                 f"print([m for m in {absent!r} if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", probe], check=True,
+                                capture_output=True, text=True,
+                                env={**os.environ,
+                                     "PYTHONPATH": os.path.dirname(package)})
+        assert result.stdout.strip() == "[]", module
 
 
 # --- malformed surface CSVs: exit 1 with one line ---------------------------
@@ -335,6 +359,25 @@ def test_fit_rejects_missing_metadata_keys(capsys, tmp_path):
         assert len(kept) == len(head) - 1
         path.write_text("".join(kept + rows))
         assert_rejected(capsys, path, f"metadata lacks {key}")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("R_um", "case A requires a finite R > 0"),
+    ("tau_ps", "tau must be positive and finite"),
+    ("q_values_per_um", "grid values must be finite"),
+    ("d_omega_values_per_ps", "grid values must be finite"),
+])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_fit_rejects_non_finite_metadata(capsys, tmp_path, key, message,
+                                         bad):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    line = next(i for i, text in enumerate(head)
+                if text.startswith(f"# {key} ="))
+    values = head[line].split("=")[1].split()
+    head[line] = f"# {key} = {' '.join([bad] + values[1:])}\n"
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, message)
 
 
 def test_fit_rejects_non_numeric_field(capsys, tmp_path):

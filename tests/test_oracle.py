@@ -7,8 +7,9 @@ import pytest
 
 from bubblehbt.correlators import form_factor
 from bubblehbt.kinematics import C_UM_PER_PS
-from bubblehbt.oracle import (OracleConvergenceError, QuadratureSettings,
-                              numeric_correlation, numeric_curvature)
+from bubblehbt import oracle
+from bubblehbt.oracle import (OracleConvergenceError, numeric_correlation,
+                              numeric_curvature)
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from scipy import integrate
 
@@ -44,14 +45,7 @@ def test_rejects_coherent_and_negative_q():
         numeric_correlation(chaotic, -1.0, 0.0)
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=5)
-
-
-def test_tolerance_self_consistency():
+def test_tolerance_self_consistency(monkeypatch):
     # halving rel_tol never moves a converged result by more than the
     # previous tolerance
     rng = np.random.default_rng(5)
@@ -61,10 +55,10 @@ def test_tolerance_self_consistency():
         case = cases[rng.integers(len(cases))]
         spec = SourceSpec(case=case, tau=1.0, R=1.0)
         q, dw = rng.uniform(0, 4), rng.uniform(0, 4)
-        loose = QuadratureSettings(rel_tol=1e-8)
-        tight = QuadratureSettings(rel_tol=5e-9)
-        a = numeric_correlation(spec, q, dw, loose).c
-        b = numeric_correlation(spec, q, dw, tight).c
+        monkeypatch.setattr(oracle, "REL_TOL", 1e-8)
+        a = numeric_correlation(spec, q, dw).c
+        monkeypatch.setattr(oracle, "REL_TOL", 5e-9)
+        b = numeric_correlation(spec, q, dw).c
         assert abs(a - b) <= 1e-8 * abs(a) + 1e-11
 
 
@@ -105,12 +99,13 @@ def test_slow_shock_reduces_to_one_sided_gaussian():
         assert got == pytest.approx(expected, rel=1e-6)
 
 
-def test_nonconvergence_reported():
+def test_nonconvergence_reported(monkeypatch):
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    starved = QuadratureSettings(rel_tol=1e-13, abs_tol=1e-16,
-                                 max_subdivisions=10)
+    monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
+    monkeypatch.setattr(oracle, "ABS_TOL", 1e-16)
+    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
     with pytest.raises(OracleConvergenceError):
-        numeric_correlation(spec, 5.7, 3.3, starved)
+        numeric_correlation(spec, 5.7, 3.3)
 
 
 # --- curvature --------------------------------------------------------------

@@ -4,7 +4,8 @@ points (hypothesis, derandomized so every run draws the same examples)."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bubblehbt.correlators import CHAOTICITY, FACTORIZED_CASES, correlation
+from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
+                                   MU_SERIES_MAX, case_e_excess, correlation)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 
@@ -48,3 +49,18 @@ def test_factorized_excess_is_even_in_d_omega(spec, q, d_omega):
 @given(sources(emission=Emission.COHERENT), q_values, d_omega_rows)
 def test_coherent_correlation_is_one(spec, q, d_omega):
     assert (correlation(spec, q, np.array(d_omega)).c == 1.0).all()
+
+
+@PROPERTY_SETTINGS
+@given(sources(cases=(SourceCase.E_EXPANDING_SHOCK,)),
+       st.floats(min_value=-5.0, max_value=5.0))
+def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
+    # just below and just above mu = MU_SERIES_MAX, the series and the
+    # direct form give the same excess.  |d_omega tau| stays <= 5: further
+    # out, the recurrence of the series' one-sided Gaussian moments loses
+    # digits (a 7e-6 gap at d_omega tau = 20-30), which this does not test.
+    q_switch = MU_SERIES_MAX / (spec.r_dot * spec.tau)
+    d_omega = np.array([d_omega_tau / spec.tau])
+    series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
+    direct = case_e_excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
+    np.testing.assert_allclose(series, direct, rtol=1e-7, atol=0.0)

@@ -113,6 +113,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                    r_dot=0.5 * C_UM_PER_PS)
+    # NaN and inf pass a bare "> 0" check, and give NaN correlations
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SourceSpec(case=SourceCase.A_GAUSSIAN, tau=bad, R=1.0)
+        with pytest.raises(ValueError, match="case C requires a finite R"):
+            SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=bad)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=bad, r_dot=0.06)
     with pytest.raises(ValueError, match="r must be non-negative"):
         density(spec_a(), -0.1, 0.0)
     with pytest.raises(ValueError, match="r must be non-negative"):

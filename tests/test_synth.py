@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import chdtri, ndtri
 
-from bubblehbt.correlators import MU_SERIES_MAX, correlation, form_factor
+from bubblehbt.correlators import (MU_SERIES_MAX, correlation, form_factor,
+                                   time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real
@@ -33,6 +35,15 @@ def test_grid_validation():
         GridSpec(q_values=(-1.0, 0.5), d_omega_values=(0.0,))
     with pytest.raises(ValueError):
         NoiseSpec(pairs_per_bin=50, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_values(bad):
+    # every comparison with NaN is False, so the order checks alone pass it
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        GridSpec(q_values=(0.0, 1.0), d_omega_values=(0.0, bad))
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        GridSpec(q_values=(bad,), d_omega_values=(0.0,))
 
 
 def test_noiseless_truth():
@@ -158,6 +169,37 @@ def test_smearing_gaussian_window():
 def test_smearing_monotone_in_window():
     vals = [mean_time_factor(spec_a(), w) for w in [0.5, 1.0, 2.0, 4.0, 8.0]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+FACTORIZED = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL, SourceCase.C_SPHERE,
+              SourceCase.D_EXPONENTIAL)
+
+
+@pytest.mark.parametrize("case", FACTORIZED)
+def test_mean_time_factor_matches_quadrature(case):
+    # the closed forms against a box average of T by adaptive quadrature,
+    # over [0, W/2] by symmetry, split at the zeros of case D's sinc^2
+    for tau in (0.3, 1.0, 3.0):
+        spec = SourceSpec(case=case, tau=tau, R=1.0)
+        for tau_w in np.geomspace(1e-8, 300.0, 25):
+            half = 0.5 * tau_w / tau
+            zero = math.pi / (math.sqrt(3.0) * tau)
+            points = None
+            if case is SourceCase.D_EXPONENTIAL and half > zero:
+                points = zero * np.arange(1, int(half / zero) + 1)
+            avg, _ = integrate.quad(
+                lambda w: float(time_factor(case, tau, w)), 0.0, half,
+                points=points, epsabs=0.0, epsrel=2e-14, limit=500)
+            assert mean_time_factor(spec, tau_w / tau) == pytest.approx(
+                avg / half, rel=1e-13, abs=0.0)
+        # far below the series switch, <T> is 1 to the last bit
+        assert mean_time_factor(spec, 1e-200 / tau) == 1.0
+
+
+def test_mean_time_factor_rejects_bad_windows():
+    for window in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mean_time_factor(spec_a(), window)
 
 
 def test_smearing_rejects_case_e():
