@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 import argparse
+import io
 import math
 import sys
 from typing import List, Optional
@@ -40,6 +41,7 @@ FIGURE1_DW_MAX = 2.5
 FIGURE1_DW_POINTS = 51
 FIGURE2_X_MAX = 3.0
 FIGURE2_X_POINTS = 301
+DEFAULT_CASE = "A"
 DEFAULT_RDOT_FRACTION = 2e-4
 
 
@@ -65,9 +67,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_source_args(p: argparse.ArgumentParser, default_case: Optional[str] = "A"):
+def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--case", choices=["A", "B", "C", "D", "E"],
-                   default=default_case, help="source case (Table of shapes)")
+                   default=DEFAULT_CASE, help="source case (Table of shapes)")
     p.add_argument("--R", type=_finite_float, default=1.0,
                    help="spatial extension in um (cases A-D)")
     p.add_argument("--tau", type=_finite_float, default=1.0,
@@ -117,26 +119,29 @@ def _cmd_check(args) -> int:
         raise _UsageError("check compares chaotic closed forms to the oracle")
     q_values = _parse_grid(args.q_grid)
     dw_values = _parse_grid(args.dw_grid)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        write_metadata(out, {**spec_metadata(spec), "units": UNITS})
-        out.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
-        worst = 0.0
-        for q in q_values:
-            c_analytic = correlation(spec, q, dw_values).c
-            for dw, ca in zip(dw_values, c_analytic):
-                co = numeric_correlation(spec, q, dw).c
-                rel = abs(ca - co) / abs(co)
-                worst = max(worst, rel)
-                out.write(f"{format_value(q)},{format_value(dw)},"
-                          f"{format_value(ca)},{format_value(co)},"
-                          f"{rel:.3e}\n")
-        out.write(f"# max_relative_deviation = {worst:.6e}\n")
-        print(f"max relative deviation = {worst:.6e}",
-              file=sys.stderr if args.out else sys.stdout)
-    finally:
-        if args.out:
-            out.close()
+    # every row is computed before --out is opened, so an oracle failure
+    # mid-grid leaves no partial file behind
+    text = io.StringIO()
+    write_metadata(text, {**spec_metadata(spec), "units": UNITS})
+    text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
+    worst = 0.0
+    for q in q_values:
+        c_analytic = correlation(spec, q, dw_values).c
+        for dw, ca in zip(dw_values, c_analytic):
+            co = numeric_correlation(spec, q, dw).c
+            rel = abs(ca - co) / abs(co)
+            worst = max(worst, rel)
+            text.write(f"{format_value(q)},{format_value(dw)},"
+                       f"{format_value(ca)},{format_value(co)},"
+                       f"{rel:.3e}\n")
+    text.write(f"# max_relative_deviation = {worst:.6e}\n")
+    summary = f"max relative deviation = {worst:.6e}"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text.getvalue())
+        print(summary, file=sys.stderr)
+    else:
+        print(text.getvalue() + summary)
     return 0
 
 

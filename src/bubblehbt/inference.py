@@ -45,7 +45,6 @@ __all__ = [
     "fit_tau_slices",
     "factorization_test",
     "estimate_kappa",
-    "radii_from_kappa",
     "shape_discrimination",
     "chaoticity_test",
     "fit_surface",
@@ -263,20 +262,10 @@ def estimate_kappa(samples: FormFactorSamples,
     return result
 
 
-def radii_from_kappa(kappa_hat: float) -> Dict[SourceCase, float]:
-    """R under each of the four shape hypotheses."""
-    if not kappa_hat > 0.0:
-        raise ValueError("kappa must be positive")
-    return {case: kappa_to_radius(case, kappa_hat)
-            for case in FACTORIZED_CASES}
-
-
 def shape_discrimination(samples: FormFactorSamples,
-                         kappa_hat: Optional[float] = None) -> ShapeRanking:
+                         kappa_hat: float) -> ShapeRanking:
     """Rank the four shapes by chi-square per point of Phi_hat against
     Phi(X), X = sqrt(kappa/2) q with the fitted curvature."""
-    if kappa_hat is None:
-        kappa_hat, _ = estimate_kappa(samples)
     if not kappa_hat > 0.0:
         raise InsufficientDataError("cannot rescale: non-positive curvature")
     x = np.asarray(samples.q) * math.sqrt(kappa_hat / 2.0)
@@ -364,7 +353,8 @@ def fit_surface(surface: CorrelationSurface) -> FitReport:
     report.kappa_hat = kappa_hat
     report.kappa_err = kappa_err
     if kappa_hat > 0.0:
-        report.radius_by_shape = radii_from_kappa(kappa_hat)
+        report.radius_by_shape = {case: kappa_to_radius(case, kappa_hat)
+                                  for case in FACTORIZED_CASES}
         report.shape_ranking = shape_discrimination(samples, kappa_hat)
     return report
 

@@ -18,7 +18,7 @@ from scipy import integrate
 
 from .correlators import CHAOTICITY, CorrelationValue
 from .sources import (Emission, SourceCase, SourceSpec, radial_profile,
-                      radial_support, shock_front, time_profile, time_support)
+                      shock_front, time_profile)
 from .special_functions import sinc
 
 __all__ = [
@@ -78,8 +78,7 @@ def _quad(f: Callable[[float], float], a: float, b: float,
 def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
-    t0, t1 = time_support(spec)
-    rho = time_profile(spec)
+    rho, (t0, t1) = time_profile(spec)
     f = lambda t: rho(t) * math.cos(d_omega * t)
     hp = (math.pi / abs(d_omega),) if d_omega != 0.0 else ()
     return _quad(f, t0, t1, hp)
@@ -92,12 +91,11 @@ def _space_amplitude(spec: SourceSpec, q: float) -> float:
     if spec.case is SourceCase.B_SHELL:
         # delta shell: the radial measure picks out r = R
         return sinc(q * spec.R)
-    lo, hi = radial_support(spec, 0.0)
-    rho = radial_profile(spec)
+    rho, edge = radial_profile(spec)
     if q > 0.0:
-        return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, lo, hi,
+        return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, 0.0, edge,
                      (math.pi / q,))
-    return _quad(lambda r: r * r * rho(r), lo, hi)
+    return _quad(lambda r: r * r * rho(r), 0.0, edge)
 
 
 def _shock_inner(q: float, a: float) -> float:
@@ -111,8 +109,8 @@ def _shock_inner(q: float, a: float) -> float:
 
 def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
     """F(q, d_omega) for the expanding shock (up to constant factors)."""
-    t0, t1 = time_support(spec)
-    rho, front = time_profile(spec), shock_front(spec)
+    rho, (t0, t1) = time_profile(spec)
+    front = shock_front(spec)
     if q > 0.0:
         env = lambda t: rho(t) * _shock_inner(q, front(t))
     else:

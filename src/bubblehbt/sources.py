@@ -1,4 +1,4 @@
-"""The five space-time source densities: profiles, hard edges, supports.
+"""The five space-time source densities: profiles and their supports.
 
 Cases (spherically symmetric, unnormalized; normalization cancels in the
 correlation ratio):
@@ -13,9 +13,10 @@ correlation ratio):
 Case E's time exponent is -t^2/tau^2 (not -t^2/2tau^2 as in A-C); both are
 kept exactly as defined.
 
-This module is the one definition of each source: its profiles, its hard
-edges (in the supports, and case E's `shock_front`) and `density`, built
-from them.  The quadrature oracle integrates the same profiles.
+This module is the one definition of each source: each profile returns
+its support with it, so a case's hard edges (C's ball, D's time box, E's
+onset) and cutoffs sit in one branch; case E's front is `shock_front`.
+The quadrature oracle integrates these profiles over these supports.
 """
 
 import math
@@ -29,13 +30,9 @@ __all__ = [
     "SourceCase",
     "Emission",
     "SourceSpec",
-    "DistributionalDensityError",
-    "density",
     "time_profile",
     "radial_profile",
     "shock_front",
-    "radial_support",
-    "time_support",
     "DENSITY_CUTOFF",
 ]
 
@@ -58,10 +55,6 @@ class SourceCase(str, Enum):
 class Emission(str, Enum):
     CHAOTIC = "chaotic"
     COHERENT = "coherent"
-
-
-class DistributionalDensityError(ValueError):
-    """The shell density is a radial delta measure; it has no pointwise value."""
 
 
 @dataclass(frozen=True)
@@ -94,84 +87,43 @@ class SourceSpec:
                     f"case {self.case.value} requires a finite R > 0")
 
 
-def density(spec: SourceSpec, r: float, t: float) -> float:
-    """Unnormalized rho(r, t) at r >= 0 (um) and t (ps): the time profile
-    times the radial profile, or for case E the time profile inside the shock
-    front.  Case B, a delta shell, raises DistributionalDensityError."""
-    if not r >= 0.0:
-        raise ValueError("r must be non-negative")
-    if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        return time_profile(spec)(t) if r <= shock_front(spec)(t) else 0.0
-    return time_profile(spec)(t) * radial_profile(spec)(r)
-
-
-def time_profile(spec: SourceSpec) -> Callable[[float], float]:
-    """rho_t(t): the Gaussian lapse of A-C, D's box, E's one-sided
-    exp(-t^2/tau^2).  The box and E's onset are time_support's edges."""
+def time_profile(spec: SourceSpec
+                 ) -> Tuple[Callable[[float], float], Tuple[float, float]]:
+    """rho_t(t) and the interval (t0, t1) outside which it is below
+    DENSITY_CUTOFF of its peak: the Gaussian lapse of A-C, D's box (exactly
+    zero outside), E's one-sided exp(-t^2/tau^2) (exactly zero before t = 0).
+    """
     tau = spec.tau
-    t0, t1 = time_support(spec)
     if spec.case is SourceCase.D_EXPONENTIAL:
-        return lambda t: 1.0 if t0 <= t <= t1 else 0.0
+        w = math.sqrt(3.0) * tau
+        return (lambda t: 1.0 if -w <= t <= w else 0.0), (-w, w)
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
         tau2 = tau * tau
-        return lambda t: math.exp(-t * t / tau2) if t >= t0 else 0.0
+        # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
+        return ((lambda t: math.exp(-t * t / tau2) if t >= 0.0 else 0.0),
+                (0.0, tau * math.sqrt(_EXP_CUT)))
     two_tau2 = 2.0 * tau * tau
-    return lambda t: math.exp(-t * t / two_tau2)
+    w = _GAUSS_CUT * tau
+    return (lambda t: math.exp(-t * t / two_tau2)), (-w, w)
 
 
-def radial_profile(spec: SourceSpec) -> Callable[[float], float]:
-    """rho_s(r) of cases A, C and D; C's edge is its radial_support.  Case B
-    has no pointwise profile and case E's density does not separate."""
+def radial_profile(spec: SourceSpec
+                   ) -> Tuple[Callable[[float], float], float]:
+    """rho_s(r) of cases A, C and D and the radius beyond which it is below
+    DENSITY_CUTOFF of its peak (C's edge, where it is exactly zero).  Case B
+    is a delta shell and case E's ball grows with t (see shock_front)."""
     case, R = spec.case, spec.R
     if case is SourceCase.A_GAUSSIAN:
         two_R2 = 2.0 * R * R
-        return lambda r: math.exp(-r * r / two_R2)
+        return (lambda r: math.exp(-r * r / two_R2)), _GAUSS_CUT * R
     if case is SourceCase.C_SPHERE:
-        _, edge = radial_support(spec, 0.0)
-        return lambda r: 1.0 if r <= edge else 0.0
+        return (lambda r: 1.0 if r <= R else 0.0), R
     if case is SourceCase.D_EXPONENTIAL:
-        return lambda r: math.exp(-r / R)
-    if case is SourceCase.B_SHELL:
-        raise DistributionalDensityError(
-            "case B density is a delta shell; use its radial measure")
-    raise ValueError("case E density is not a product of r and t profiles")
+        return (lambda r: math.exp(-r / R)), _EXP_CUT * R
+    raise ValueError(f"case {case.value} has no pointwise radial profile")
 
 
 def shock_front(spec: SourceSpec) -> Callable[[float], float]:
     """Case E's front radius at time t: the ball r <= r_dot t emits."""
     r_dot = spec.r_dot
     return lambda t: r_dot * t
-
-
-def radial_support(spec: SourceSpec, t: float) -> Optional[Tuple[float, float]]:
-    """Radial interval where the density exceeds DENSITY_CUTOFF of its peak at
-    time t, or None if the density vanishes at that time."""
-    case = spec.case
-    if case is SourceCase.E_EXPANDING_SHOCK:
-        front = shock_front(spec)(t)
-        return (0.0, front) if front > 0.0 else None
-    ts = time_support(spec)
-    if not (ts[0] <= t <= ts[1]):
-        return None
-    if case is SourceCase.A_GAUSSIAN:
-        return (0.0, _GAUSS_CUT * spec.R)
-    if case is SourceCase.B_SHELL:
-        return (spec.R, spec.R)
-    if case is SourceCase.C_SPHERE:
-        return (0.0, spec.R)
-    # case D
-    return (0.0, _EXP_CUT * spec.R)
-
-
-def time_support(spec: SourceSpec) -> Tuple[float, float]:
-    """Time interval outside which the density is below DENSITY_CUTOFF of peak
-    (exactly zero for cases D and E's lower edge)."""
-    case = spec.case
-    if case is SourceCase.D_EXPONENTIAL:
-        w = math.sqrt(3.0) * spec.tau
-        return (-w, w)
-    if case is SourceCase.E_EXPANDING_SHOCK:
-        # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
-        return (0.0, spec.tau * math.sqrt(_EXP_CUT))
-    w = _GAUSS_CUT * spec.tau
-    return (-w, w)

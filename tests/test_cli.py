@@ -215,14 +215,18 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 1
 
 
-def test_oracle_nonconvergence_exit_code(capsys, monkeypatch):
-    # quadpack's warning runs to several lines; one reaches stderr
+def test_oracle_nonconvergence_exit_code(capsys, monkeypatch, tmp_path):
+    # quadpack's warning runs to several lines; one reaches stderr.  The
+    # oracle fails mid-grid, after 8 of the 16 rows, and no partial CSV
+    # is left behind
     monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
+    path = tmp_path / "check.csv"
     code, out, err = run(capsys, "check", "--case", "D", "--q-grid", "0:6:4",
-                         "--dw-grid", "0:6:4")
+                         "--dw-grid", "0:6:4", "--out", str(path))
     assert code == 2
     assert err.count("\n") == 1
     assert err.startswith("error: The maximum number of subdivisions (10)")
+    assert not path.exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():

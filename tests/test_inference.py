@@ -11,7 +11,7 @@ from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
                                  Chaoticity, InsufficientDataError, SliceFit,
                                  chaoticity_test, estimate_kappa,
                                  factorization_test, fit_surface,
-                                 fit_tau_slices, radii_from_kappa,
+                                 fit_tau_slices,
                                  report_to_text, shape_discrimination)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
@@ -222,31 +222,6 @@ def test_kappa_window_too_narrow():
     samples = exact_phi_samples(A, (0.0, 1.0, 2.0))
     with pytest.raises(InsufficientDataError, match="window too narrow"):
         estimate_kappa(samples)
-
-
-def test_radii_from_kappa_examples():
-    radii = radii_from_kappa(2.0)
-    assert radii[A] == pytest.approx(1.0)
-    assert radii[B] == pytest.approx(math.sqrt(3.0))
-    assert radii[C] == pytest.approx(math.sqrt(5.0))
-    assert radii[D] == pytest.approx(0.5)
-    radii = radii_from_kappa(8.0)
-    assert radii[A] == pytest.approx(2.0)
-    assert radii[B] == pytest.approx(2.0 * math.sqrt(3.0))
-    assert radii[C] == pytest.approx(2.0 * math.sqrt(5.0))
-    assert radii[D] == pytest.approx(1.0)
-
-
-def test_radii_scale_as_sqrt_kappa():
-    base = radii_from_kappa(1.5)
-    scaled = radii_from_kappa(6.0)
-    for case in (A, B, C, D):
-        assert scaled[case] == pytest.approx(2.0 * base[case], rel=1e-14)
-
-
-def test_radii_reject_nonpositive():
-    with pytest.raises(ValueError):
-        radii_from_kappa(0.0)
 
 
 # --- shape discrimination ---------------------------------------------------

@@ -1,13 +1,24 @@
 """Property tests of the closed-form correlators over random sources and
-points (hypothesis, derandomized so every run draws the same examples)."""
+points, and fuzzing of the input boundary (hypothesis, derandomized so
+every run draws the same examples)."""
+
+import contextlib
+import functools
+import io
+import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bubblehbt.cli import main
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    MU_SERIES_MAX, case_e_excess, correlation)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
+from bubblehbt.synth import (GridSpec, NoiseSpec, generate,
+                             write_surface_csv)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=50)
@@ -64,3 +75,105 @@ def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
     series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
     direct = case_e_excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
     np.testing.assert_allclose(series, direct, rtol=1e-7, atol=0.0)
+
+
+# --- the input boundary -----------------------------------------------------
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# sorted rows reach a valid grid now and then; unsorted ones rarely do
+float_rows = st.lists(any_float, max_size=5)
+float_rows = float_rows | float_rows.map(sorted)
+
+
+@PROPERTY_SETTINGS
+@given(float_rows, float_rows)
+def test_grid_spec_accepts_or_raises_value_error(q_values, d_omega_values):
+    try:
+        grid = GridSpec(q_values=q_values, d_omega_values=d_omega_values)
+    except ValueError:
+        return
+    values = grid.q_values + grid.d_omega_values
+    assert all(map(math.isfinite, values))
+    assert grid.q_values[0] >= 0.0
+    for row in (grid.q_values, grid.d_omega_values):
+        assert all(a < b for a, b in zip(row, row[1:]))
+
+
+# a valid value now and then lets a draw get past the earlier checks; the
+# examples pin the edges that random draws seldom combine with valid rest
+@PROPERTY_SETTINGS
+@given(st.sampled_from(SourceCase), st.just(1.0) | any_float,
+       st.none() | st.just(1.0) | any_float,
+       st.none() | st.just(0.06) | any_float, st.sampled_from(Emission))
+@example(SourceCase.E_EXPANDING_SHOCK, 1.0, None, 0.01 * C_UM_PER_PS,
+         Emission.CHAOTIC)
+@example(SourceCase.A_GAUSSIAN, math.inf, 1.0, None, Emission.CHAOTIC)
+def test_source_spec_accepts_or_raises_value_error(case, tau, R, r_dot,
+                                                   emission):
+    try:
+        spec = SourceSpec(case=case, tau=tau, R=R, r_dot=r_dot,
+                          emission=emission)
+    except ValueError:
+        return
+    assert 0.0 < spec.tau < math.inf
+    if case is SourceCase.E_EXPANDING_SHOCK:
+        assert 0.0 < spec.r_dot < 0.01 * C_UM_PER_PS
+    else:
+        assert 0.0 < spec.R < math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_csv() -> bytes:
+    """A small noisy case A surface that `fit` inverts with exit 0."""
+    spec = SourceSpec(case=SourceCase.A_GAUSSIAN, tau=1.0, R=1.0)
+    grid = GridSpec(q_values=np.linspace(0.0, 3.0, 31),
+                    d_omega_values=np.linspace(0.0, 2.0, 5))
+    surface = generate(spec, grid,
+                       noise=NoiseSpec(pairs_per_bin=100000, seed=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.csv")
+        write_surface_csv(surface, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _fit_exit(data: bytes):
+    """`main(["fit", path])` on a file holding data: exit code, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fit", path])
+    return code, err.getvalue()
+
+
+edits = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                           st.integers(min_value=0), st.binary(min_size=1,
+                                                               max_size=1)),
+                 min_size=1, max_size=4)
+
+
+def test_fuzzed_surface_starts_from_a_fittable_file():
+    assert _fit_exit(_surface_csv()) == (0, "")
+
+
+@PROPERTY_SETTINGS
+@given(edits)
+def test_fit_of_an_edited_surface_exits_with_one_line(byte_edits):
+    # the edits fall in the data rows, after the metadata and the header
+    data = bytearray(_surface_csv())
+    start = data.index(b"\nq,") + 1
+    start = data.index(b"\n", start) + 1
+    for kind, pos, byte in byte_edits:
+        pos = start + pos % (len(data) - start)
+        if kind == "replace":
+            data[pos:pos + 1] = byte
+        elif kind == "insert":
+            data[pos:pos] = byte
+        else:
+            del data[pos]
+    code, err = _fit_exit(bytes(data))
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1

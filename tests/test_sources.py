@@ -1,4 +1,4 @@
-"""Source densities, supports, and spec validation."""
+"""Source profiles, their supports, case E's front, and spec validation."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from bubblehbt.kinematics import C_UM_PER_PS
-from bubblehbt.sources import (DistributionalDensityError, Emission,
-                               SourceCase, SourceSpec, density,
-                               radial_support, time_support)
+from bubblehbt.sources import (Emission, SourceCase, SourceSpec,
+                               radial_profile, shock_front, time_profile)
 
 
 def spec_a(R=1.0, tau=1.0):
@@ -20,86 +19,110 @@ def spec_e(r_dot=0.06, tau=1.0):
 
 
 def test_gaussian_peak():
-    assert density(spec_a(), 0.0, 0.0) == 1.0
+    rho_t, _ = time_profile(spec_a())
+    rho_s, _ = radial_profile(spec_a())
+    assert rho_t(0.0) == 1.0
+    assert rho_s(0.0) == 1.0
 
 
 def test_sphere_outside_is_zero():
     spec = SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=1.0)
-    assert density(spec, 1.5, 0.0) == 0.0
-    assert density(spec, 0.5, 0.0) == 1.0
+    rho_s, _ = radial_profile(spec)
+    assert rho_s(1.5) == 0.0
+    assert rho_s(0.5) == 1.0
 
 
 def test_shock_interior_value():
+    # inside the front at t = tau the emission is exp(-t^2/tau^2) = exp(-1)
     spec = spec_e()
     t = spec.tau
-    assert density(spec, 0.5 * spec.r_dot * t, t) == pytest.approx(
-        math.exp(-1.0), rel=1e-15)
+    rho_t, _ = time_profile(spec)
+    assert 0.5 * spec.r_dot * t < shock_front(spec)(t)
+    assert rho_t(t) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_exponential_outside_time_box():
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    assert density(spec, 0.3, 2.0) == 0.0
-    assert density(spec, 0.3, 1.0) == pytest.approx(
-        math.exp(-0.3))
+    rho_t, _ = time_profile(spec)
+    rho_s, _ = radial_profile(spec)
+    assert rho_t(2.0) == 0.0
+    assert rho_t(1.0) * rho_s(0.3) == pytest.approx(math.exp(-0.3))
 
 
 def test_shell_density_is_distributional():
-    spec = SourceSpec(case=SourceCase.B_SHELL, tau=1.0, R=1.0)
-    with pytest.raises(DistributionalDensityError):
-        density(spec, 1.0, 0.0)
+    # B's delta shell and E's growing ball have no pointwise radial profile
+    for spec in (SourceSpec(case=SourceCase.B_SHELL, tau=1.0, R=1.0),
+                 spec_e()):
+        with pytest.raises(ValueError, match="no pointwise radial profile"):
+            radial_profile(spec)
 
 
 def test_density_nonnegative_everywhere():
     rng = np.random.default_rng(3)
     specs = [spec_a(), SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=1.0),
-             SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0),
-             spec_e()]
+             SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)]
     for spec in specs:
+        rho_t, _ = time_profile(spec)
+        rho_s, _ = radial_profile(spec)
         for _ in range(200):
             r, t = rng.uniform(0, 10), rng.uniform(-10, 10)
-            assert density(spec, r, t) >= 0.0
+            assert rho_t(t) >= 0.0
+            assert rho_s(r) >= 0.0
+    rho_t, _ = time_profile(spec_e())
+    for t in rng.uniform(-10, 10, 200):
+        assert rho_t(t) >= 0.0
 
 
 def test_sphere_support():
     spec = SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=2.0)
-    for t in [-5.0, 0.0, 5.9]:
-        assert radial_support(spec, t) == (0.0, 2.0)
+    rho_s, edge = radial_profile(spec)
+    assert edge == 2.0
+    assert rho_s(edge) == 1.0
+    assert rho_s(math.nextafter(edge, math.inf)) == 0.0
 
 
 def test_shock_support_empty_before_onset():
-    assert radial_support(spec_e(), -1.0) is None
-    assert radial_support(spec_e(), 0.0) is None
+    spec = spec_e()
+    rho_t, (t0, _) = time_profile(spec)
+    assert t0 == 0.0
+    assert shock_front(spec)(0.0) == 0.0
+    assert rho_t(-1.0) == 0.0
+    assert rho_t(-1e-9) == 0.0
+    assert rho_t(0.0) == 1.0
 
 
 def test_shock_support_grows_linearly():
-    spec = spec_e()
-    lo1, hi1 = radial_support(spec, 1.0)
-    lo2, hi2 = radial_support(spec, 2.0)
-    assert lo1 == lo2 == 0.0
-    assert hi2 == pytest.approx(2.0 * hi1, rel=1e-15)
+    front = shock_front(spec_e())
+    assert front(1.0) == 0.06
+    assert front(2.0) == pytest.approx(2.0 * front(1.0), rel=1e-15)
 
 
 def test_gaussian_support_cutoff():
-    spec = spec_a(R=1.0)
-    lo, hi = radial_support(spec, 0.0)
-    assert lo == 0.0
-    assert hi == pytest.approx(7.43, abs=0.01)
-    # density at the cutoff radius is at the 1e-12 level
-    assert density(spec, hi, 0.0) == pytest.approx(
-        1e-12, rel=1e-6)
+    rho_s, edge = radial_profile(spec_a(R=1.0))
+    assert edge == pytest.approx(7.43, abs=0.01)
+    # the profile at the cutoff radius is at the 1e-12 level
+    assert rho_s(edge) == pytest.approx(1e-12, rel=1e-6)
+    d = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=2.0)
+    rho_s, edge = radial_profile(d)
+    assert edge == pytest.approx(2.0 * 27.631, abs=1e-3)
+    assert rho_s(edge) == pytest.approx(1e-12, rel=1e-6)
 
 
-def test_time_supports():
+def test_time_profile_intervals():
     tau = 1.3
     # Gaussian lapse: below 1e-12 of peak beyond ~7.43 tau
-    lo, hi = time_support(spec_a(tau=tau))
+    rho_t, (lo, hi) = time_profile(spec_a(tau=tau))
     assert hi == pytest.approx(7.4338 * tau, abs=1e-3)
     assert lo == -hi
+    assert rho_t(hi) == pytest.approx(1e-12, rel=1e-6)
     d = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=tau, R=1.0)
-    assert time_support(d) == (-math.sqrt(3) * tau, math.sqrt(3) * tau)
-    e = spec_e(tau=tau)
-    assert time_support(e)[0] == 0.0
-    assert density(e, 0.0, -1e-9) == 0.0
+    rho_t, box = time_profile(d)
+    assert box == (-math.sqrt(3) * tau, math.sqrt(3) * tau)
+    assert rho_t(box[0]) == rho_t(box[1]) == 1.0
+    assert rho_t(math.nextafter(box[1], math.inf)) == 0.0
+    rho_t, (lo, hi) = time_profile(spec_e(tau=tau))
+    assert lo == 0.0
+    assert rho_t(hi) == pytest.approx(1e-12, rel=1e-6)
 
 
 def test_spec_validation():
@@ -121,10 +144,6 @@ def test_spec_validation():
             SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=bad)
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=bad, r_dot=0.06)
-    with pytest.raises(ValueError, match="r must be non-negative"):
-        density(spec_a(), -0.1, 0.0)
-    with pytest.raises(ValueError, match="r must be non-negative"):
-        density(spec_a(), math.nan, 0.0)
 
 
 def test_emission_default_is_chaotic():
