@@ -30,9 +30,9 @@ from .correlators import FACTORIZED_CASES, correlation, phi_of_X
 from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
 from .sources import Emission, SourceCase, SourceSpec
-from .synth import (UNITS, CannotRenormalizeError, GridSpec, NoiseSpec,
-                    format_value, generate, read_surface_csv, spec_metadata,
-                    write_metadata, write_surface_csv)
+from .synth import (UNITS, GridSpec, NoiseSpec, format_value, generate,
+                    read_surface_csv, spec_metadata, write_metadata,
+                    write_surface_csv)
 
 __all__ = ["main"]
 
@@ -278,8 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CannotRenormalizeError, InsufficientDataError,
-            ArithmeticError) as exc:
+    except (InsufficientDataError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -10,6 +10,8 @@ linear least squares does all the work:
     and the closed-form solution of the 2x2 normal equations;
   * factorization from the chi-square probability that all slice slopes
     share one value;
+  * the form factor Phi_hat(q) from the origin slice renormalized to its
+    smallest q, which cancels the q-independent <T> of a smeared surface;
   * kappa from an even-polynomial fit of Phi_hat near q = 0, R from the
     shape-dependent kappa -> R maps;
   * the shape from chi-square ranking of Phi_hat against the four
@@ -33,17 +35,18 @@ from scipy import special
 
 from .correlators import FACTORIZED_CASES, kappa_to_radius, phi_of_X
 from .sources import SourceCase
-from .synth import (CorrelationSurface, FormFactorSamples, origin_slice,
-                    renormalize_at_origin)
+from .synth import CorrelationSurface
 
 __all__ = [
     "SliceFit",
     "ShapeRanking",
     "Chaoticity",
     "FitReport",
+    "FormFactorSamples",
     "InsufficientDataError",
     "fit_tau_slices",
     "factorization_test",
+    "renormalize_at_origin",
     "estimate_kappa",
     "shape_discrimination",
     "chaoticity_test",
@@ -61,7 +64,7 @@ PHI_ERR_FLOOR = 1e-3
 
 
 class InsufficientDataError(ValueError):
-    pass
+    """Too few usable points to invert, or no origin excess to divide by."""
 
 
 class Chaoticity(str, Enum):
@@ -78,7 +81,6 @@ class SliceFit:
     slope: float
     intercept: float
     slope_err: float
-    intercept_err: float
     residual_rms: float
     n_points: int
 
@@ -104,8 +106,15 @@ class FitReport:
     kappa_err: Optional[float] = None
     radius_by_shape: Optional[Dict[SourceCase, float]] = None
     shape_ranking: Optional[ShapeRanking] = None
-    form_factor: Optional[FormFactorSamples] = None
-    form_factor_by_intercept: Optional[FormFactorSamples] = None
+
+
+@dataclass
+class FormFactorSamples:
+    """Renormalized form-factor points Phi_hat(q) with uncertainties."""
+
+    q: np.ndarray
+    phi_hat: np.ndarray
+    phi_err: np.ndarray
 
 
 def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
@@ -137,10 +146,10 @@ def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     groups that g labels, solved in closed form from each group's centered
     weighted sums.
 
-    Returns slope, intercept, their errors, the unweighted residual RMS and
-    the point count per group.  The errors are from the unscaled
-    (X' W X)^-1, and zero for a noiseless group (unit weights): residual-
-    scaled errors would conflate model curvature with statistical scatter,
+    Returns slope, intercept, the slope error, the unweighted residual RMS
+    and the point count per group.  The slope error is from the unscaled
+    (X' W X)^-1, and zero for a noiseless group (unit weights): a residual-
+    scaled error would conflate model curvature with statistical scatter,
     which is exactly what the parallelism test must not do.
     """
     sw = np.bincount(g, w, n)
@@ -154,8 +163,7 @@ def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     resid = y - (intercept[g] + slope[g] * x)
     rms = np.sqrt(np.bincount(g, resid * resid, n) / count)
     slope_err = np.sqrt(np.where(noisy, 1.0 / sxx, 0.0))
-    intercept_err = np.sqrt(np.where(noisy, 1.0 / sw + x_mean ** 2 / sxx, 0.0))
-    return slope, intercept, slope_err, intercept_err, rms, count
+    return slope, intercept, slope_err, rms, count
 
 
 def _floored_slope_err(slope_err: np.ndarray, scale: float) -> np.ndarray:
@@ -233,33 +241,64 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
     return float(special.chdtrc(len(tau_per_q) - 1, chi2))
 
 
-def estimate_kappa(samples: FormFactorSamples,
-                   window: float = 0.5) -> Tuple[float, float]:
+def origin_slice(surface: CorrelationSurface) -> np.ndarray:
+    """Indices of the rows at the smallest |d_omega| in the surface, ordered
+    by q."""
+    dw_abs = np.abs(surface.d_omega)
+    target = dw_abs.min()
+    idx = np.flatnonzero(dw_abs == target)
+    return idx[np.argsort(surface.q[idx])]
+
+
+def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
+    """Phi_hat(q) = (c_obs(q) - 1) / (c_obs(q0) - 1) along the smallest
+    |d_omega| slice, q0 the smallest q; the q-independent <T> (and the 1/2)
+    cancel in the ratio."""
+    idx = origin_slice(surface)
+    q = surface.q[idx]
+    excess = surface.c_obs[idx] - 1.0
+    sig = surface.sigma[idx]
+    e0, s0 = excess[0], sig[0]
+    if e0 <= 3.0 * s0:
+        raise InsufficientDataError(
+            "cannot renormalize: no significant correlation at origin")
+    phi_hat = excess / e0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(excess != 0.0, sig / excess, 0.0)
+    phi_err = np.abs(phi_hat) * np.sqrt(rel ** 2 + (s0 / e0) ** 2)
+    phi_err[0] = 0.0  # Phi_hat(q0) = 1 by construction
+    return FormFactorSamples(q=q, phi_hat=phi_hat, phi_err=phi_err)
+
+
+def estimate_kappa(samples: FormFactorSamples) -> Tuple[float, float]:
     """kappa = -Phi''(0) from a weighted fit of Phi_hat = 1 - (kappa/2) q^2
-    + c4 q^4 over points with sqrt(kappa/2) q <= window, iterated once."""
+    + c4 q^4 over q with X = sqrt(kappa/2) q <= window, iterated once.
+    Noiseless samples (all phi_err zero) are bias-limited: window = 0.25
+    keeps the neglected q^6 term below the statistical floors.  Noisy ones
+    are variance-limited: window = 0.5.  The window widens to the fourth
+    distinct q while that stays within X <= 0.5, and fails past it."""
     q = np.asarray(samples.q, dtype=float)
     phi = np.asarray(samples.phi_hat, dtype=float)
     err = np.asarray(samples.phi_err, dtype=float)
     pos = q > 0.0
-    if pos.sum() < 3:
-        raise InsufficientDataError("window too narrow: too few q points")
-    qp = q[pos][:3]
-    rough = np.median(2.0 * (1.0 - phi[pos][:3]) / qp ** 2)
-    kappa = max(0.0, float(rough))
-    result = (0.0, 0.0)
+    distinct = np.unique(q)
+    if distinct.size < 4 or pos.sum() < 3:
+        raise InsufficientDataError(f"window too narrow: {distinct.size} "
+                                    "distinct q points, the fit needs 4")
+    window = 0.5 if np.any(err > 0.0) else 0.25
+    kappa = max(0.0, float(np.median(2.0 * (1.0 - phi[pos][:3])
+                                     / q[pos][:3] ** 2)))
     for _ in range(2):
-        if kappa > 0.0:
-            sel = q * math.sqrt(kappa / 2.0) <= window
-        else:
-            sel = np.ones_like(q, dtype=bool)
-        if sel.sum() < 4:
-            raise InsufficientDataError("window too narrow")
+        scale = math.sqrt(kappa / 2.0)  # kappa = 0 selects every q
+        x_fourth = float(distinct[3]) * scale
+        if x_fourth > 0.5:
+            raise InsufficientDataError(
+                f"window too narrow: fourth q at X = {x_fourth:.3g} > 0.5")
+        sel = q * scale <= max(window, x_fourth)
         beta, cov = _fit_even_poly(q[sel], phi[sel] - 1.0, err[sel])
         kappa_hat = -2.0 * float(beta[0])
-        kappa_err = 2.0 * math.sqrt(max(0.0, cov[0, 0]))
-        result = (kappa_hat, kappa_err)
         kappa = max(0.0, kappa_hat)
-    return result
+    return kappa_hat, 2.0 * math.sqrt(max(0.0, cov[0, 0]))
 
 
 def shape_discrimination(samples: FormFactorSamples,
@@ -313,19 +352,6 @@ def chaoticity_test(surface: CorrelationSurface) -> Tuple[Chaoticity, float]:
     return Chaoticity.INDETERMINATE, significance
 
 
-def _phi_from_intercepts(fits: List[SliceFit]) -> FormFactorSamples:
-    """Cross-check route: Phi from the slice intercepts log((1/2) <T> Phi),
-    normalized to the smallest-q slice."""
-    fits = sorted(fits, key=lambda f: f.q)
-    q = np.asarray([f.q for f in fits])
-    logphi = np.asarray([f.intercept for f in fits])
-    errs = np.asarray([f.intercept_err for f in fits])
-    phi = np.exp(logphi - logphi[0])
-    err = phi * np.hypot(errs, errs[0])
-    err[0] = 0.0
-    return FormFactorSamples(q=q, phi_hat=phi, phi_err=err)
-
-
 def fit_surface(surface: CorrelationSurface) -> FitReport:
     """Full inversion pipeline: chaoticity, tau slices, factorization,
     renormalized form factor, curvature, radii, shape ranking."""
@@ -336,20 +362,14 @@ def fit_surface(surface: CorrelationSurface) -> FitReport:
     try:
         tau_hat, tau_err, fits = fit_tau_slices(surface)
     except InsufficientDataError:
-        fits = None
+        pass
     else:
         report.tau_hat = tau_hat
         report.tau_err = tau_err
         report.tau_per_q = fits
         report.factorization_score = factorization_test(fits)
-        report.form_factor_by_intercept = _phi_from_intercepts(fits)
     samples = renormalize_at_origin(surface)
-    report.form_factor = samples
-    # noiseless data is bias-limited: shrink the curvature window so the
-    # neglected q^6 term stays below the statistical floors; noisy data is
-    # variance-limited and keeps the default window
-    window = 0.5 if np.any(surface.sigma > 0.0) else 0.25
-    kappa_hat, kappa_err = estimate_kappa(samples, window=window)
+    kappa_hat, kappa_err = estimate_kappa(samples)
     report.kappa_hat = kappa_hat
     report.kappa_err = kappa_err
     if kappa_hat > 0.0:

@@ -6,10 +6,10 @@ a fixed expected denominator N per bin; the whole surface draws from one
 stream seeded by the noise seed, so generation is deterministic.
 
 Poor energy resolution is modeled as a box average of the time factor over
-a full width delta_omega, taken in closed form (`mean_time_factor`); since
-<T> is q-independent for factorized sources, the averaged excess still
-factorizes and can be renormalized away at the origin, which is what
-`renormalize_at_origin` does.
+a full width delta_omega, taken in closed form (`mean_time_factor`).
+
+Surfaces round-trip through a CSV format (`write_surface_csv`,
+`read_surface_csv`); the inversion of a surface is in `inference`.
 """
 
 import math
@@ -28,20 +28,12 @@ __all__ = [
     "GridSpec",
     "NoiseSpec",
     "CorrelationSurface",
-    "FormFactorSamples",
-    "CannotRenormalizeError",
     "generate",
     "mean_time_factor",
     "apply_energy_smearing",
-    "renormalize_at_origin",
     "write_surface_csv",
     "read_surface_csv",
 ]
-
-
-class CannotRenormalizeError(ValueError):
-    """No significant correlation excess at the origin (the coherent-source
-    signature, or noise-dominated data)."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +78,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.pairs_per_bin < 100:
             raise ValueError("pairs_per_bin must be at least 100")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -104,15 +98,6 @@ class CorrelationSurface:
     grid: GridSpec
     noise: Optional[NoiseSpec] = None
     smear_dw: Optional[float] = None
-
-
-@dataclass
-class FormFactorSamples:
-    """Renormalized form-factor points Phi_hat(q) with uncertainties."""
-
-    q: np.ndarray
-    phi_hat: np.ndarray
-    phi_err: np.ndarray
 
 
 def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
@@ -175,35 +160,6 @@ def generate(spec: SourceSpec, grid: GridSpec,
     return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec, grid=grid, noise=noise,
                               smear_dw=smear_dw)
-
-
-def origin_slice(surface: CorrelationSurface) -> np.ndarray:
-    """Indices of the rows at the smallest |d_omega| in the surface, ordered
-    by q."""
-    dw_abs = np.abs(surface.d_omega)
-    target = dw_abs.min()
-    idx = np.flatnonzero(dw_abs == target)
-    return idx[np.argsort(surface.q[idx])]
-
-
-def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
-    """Phi_hat(q) = (c_obs(q) - 1) / (c_obs(q0) - 1) along the smallest
-    |d_omega| slice, q0 the smallest q; the q-independent <T> (and the 1/2)
-    cancel in the ratio."""
-    idx = origin_slice(surface)
-    q = surface.q[idx]
-    excess = surface.c_obs[idx] - 1.0
-    sig = surface.sigma[idx]
-    e0, s0 = excess[0], sig[0]
-    if e0 <= 3.0 * s0:
-        raise CannotRenormalizeError(
-            "cannot renormalize: no significant correlation at origin")
-    phi_hat = excess / e0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(excess != 0.0, sig / excess, 0.0)
-    phi_err = np.abs(phi_hat) * np.sqrt(rel ** 2 + (s0 / e0) ** 2)
-    phi_err[0] = 0.0  # Phi_hat(q0) = 1 by construction
-    return FormFactorSamples(q=q, phi_hat=phi_hat, phi_err=phi_err)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 import bubblehbt
 from bubblehbt import oracle
 from bubblehbt.cli import main
+from bubblehbt.correlators import kappa_analytic
+from bubblehbt.sources import SourceCase
 
 
 def run(capsys, *argv):
@@ -116,6 +118,19 @@ def test_fit_noiseless_round_trip(capsys, tmp_path):
     assert "shape_rank_1 = B" in out
 
 
+def test_fit_noiseless_exponential_default_grid(capsys, tmp_path):
+    # kappa = 8 leaves three of the default q inside the noiseless
+    # curvature window; the window widens to the fourth, at X = 0.3
+    surf = tmp_path / "surf.csv"
+    run(capsys, "synth", "--case", "D", "--out", str(surf))
+    code, out, _ = run(capsys, "fit", str(surf))
+    assert code == 0
+    assert "shape_rank_1 = D" in out
+    kappa_hat = float(out.split("kappa_hat = ")[1].split()[0])
+    assert kappa_hat == pytest.approx(
+        kappa_analytic(SourceCase.D_EXPONENTIAL, 1.0), rel=1e-2)
+
+
 def test_figure1_columns_and_slopes(capsys, tmp_path):
     path = tmp_path / "fig1.csv"
     code, _, _ = run(capsys, "figure1", "--out", str(path))
@@ -200,14 +215,53 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
-def test_numerical_failure_exit_code(capsys, tmp_path):
-    # too few q points to fit the curvature: exit code 2
+def fit_sparse_surface(capsys, tmp_path, *grid):
     surf = tmp_path / "sparse.csv"
-    run(capsys, "synth", "--case", "A", "--q-grid", "0:3:4",
-        "--out", str(surf))
-    code, _, err = run(capsys, "fit", str(surf))
+    run(capsys, "synth", "--case", "A", *grid, "--out", str(surf))
+    return run(capsys, "fit", str(surf))
+
+
+def test_numerical_failure_exit_code(capsys, tmp_path):
+    # four q, but the fourth lies far outside the curvature window: exit 2
+    code, _, err = fit_sparse_surface(capsys, tmp_path, "--q-grid", "0:3:4")
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: window too narrow: fourth q at X = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", [
+    ("--q-grid", "0:3:3"),
+    # a symmetric d_omega grid lists each q twice in the origin slice
+    ("--q-grid", "0:3:3", "--dw-grid=-1:1:2"),
+], ids=["three-q", "three-q-symmetric-dw"])
+def test_too_few_distinct_q_exit_code(capsys, tmp_path, grid):
+    code, _, err = fit_sparse_surface(capsys, tmp_path, *grid)
+    assert code == 2
+    assert err == ("error: window too narrow: 3 distinct q points, the fit "
+                   "needs 4\n")
+
+
+def test_renormalization_failure_exit_code(capsys, tmp_path):
+    # smearing over 1e6 / ps washes the origin excess into the noise
+    surf = tmp_path / "smeared.csv"
+    code, _, _ = run(capsys, "synth", "--case", "A", "--smear-dw", "1e6",
+                     "--pairs-per-bin", "1000000", "--out", str(surf))
+    assert code == 0
+    code, out, err = run(capsys, "fit", str(surf))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot renormalize")
+
+
+def test_synth_rejects_negative_seed(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    code, out, err = run(capsys, "synth", "--pairs-per-bin", "1000",
+                         "--seed", "-1", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be non-negative\n"
+    assert not path.exists()
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
@@ -363,6 +417,15 @@ def test_fit_rejects_missing_metadata_keys(capsys, tmp_path):
         assert len(kept) == len(head) - 1
         path.write_text("".join(kept + rows))
         assert_rejected(capsys, path, f"metadata lacks {key}")
+
+
+def test_fit_rejects_negative_seed(capsys, tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    head = ["# seed = -1\n" if line.startswith("# seed =") else line
+            for line in head]
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, "seed must be non-negative")
 
 
 @pytest.mark.parametrize("key, message", [

@@ -8,14 +8,15 @@ import pytest
 
 from bubblehbt.correlators import form_factor, kappa_analytic
 from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
-                                 Chaoticity, InsufficientDataError, SliceFit,
+                                 Chaoticity, FormFactorSamples,
+                                 InsufficientDataError, SliceFit,
                                  chaoticity_test, estimate_kappa,
                                  factorization_test, fit_surface,
-                                 fit_tau_slices,
+                                 fit_tau_slices, renormalize_at_origin,
                                  report_to_text, shape_discrimination)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.synth import FormFactorSamples, GridSpec, NoiseSpec, generate
+from bubblehbt.synth import GridSpec, NoiseSpec, generate
 
 A, B, C, D, E = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
                  SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL,
@@ -105,8 +106,7 @@ def reference_tau_slices(surf):
         rms = math.sqrt(np.mean((y - beta[0] - beta[1] * x) ** 2))
         return SliceFit(q=float(surf.q[idx[0]]), slope=beta[1],
                         intercept=beta[0], slope_err=math.sqrt(cov[1, 1]),
-                        intercept_err=math.sqrt(cov[0, 0]), residual_rms=rms,
-                        n_points=idx.size)
+                        residual_rms=rms, n_points=idx.size)
 
     pooled = np.mean([fit(idx, math.inf).slope for idx in groups])
     if pooled >= 0.0:
@@ -152,8 +152,7 @@ def test_slice_fits_match_one_lstsq_per_slice():
         assert [(f.q, f.n_points) for f in fits] == [
             (f.q, f.n_points) for f in ref_fits]
         for f, ref in zip(fits, ref_fits):
-            for field in ("slope", "intercept", "slope_err", "intercept_err",
-                          "residual_rms"):
+            for field in ("slope", "intercept", "slope_err", "residual_rms"):
                 assert getattr(f, field) == pytest.approx(
                     getattr(ref, field), rel=1e-12, abs=1e-13)
     # the same InsufficientDataError, message and all
@@ -190,7 +189,7 @@ def test_factorization_score_shock_case():
 
 def test_factorization_needs_two_slices():
     lone = SliceFit(q=1.0, slope=-1.0, intercept=0.0, slope_err=0.0,
-                    intercept_err=0.0, residual_rms=0.0, n_points=6)
+                    residual_rms=0.0, n_points=6)
     with pytest.raises(InsufficientDataError):
         factorization_test([lone])
 
@@ -220,8 +219,59 @@ def test_kappa_flat_curve_is_zero():
 
 def test_kappa_window_too_narrow():
     samples = exact_phi_samples(A, (0.0, 1.0, 2.0))
-    with pytest.raises(InsufficientDataError, match="window too narrow"):
+    with pytest.raises(InsufficientDataError, match="window too narrow: "
+                       "3 distinct q points, the fit needs 4"):
         estimate_kappa(samples)
+
+
+def test_kappa_window_widens_to_fourth_q_up_to_half():
+    # case A has kappa = 2, so X = q: the noiseless window 0.25 holds three
+    # of these q and widens to the fourth only while X <= 0.5
+    kappa_hat, _ = estimate_kappa(exact_phi_samples(A, (0.0, 0.1, 0.2, 0.3)))
+    assert kappa_hat == pytest.approx(2.0, rel=1e-3)
+    # X = 0.594: the rough first-pass kappa is 1.96
+    with pytest.raises(InsufficientDataError,
+                       match="window too narrow: fourth q at X = 0.594 > 0.5"):
+        estimate_kappa(exact_phi_samples(A, (0.0, 0.1, 0.2, 0.6)))
+
+
+def test_kappa_window_follows_noise():
+    # noiseless samples take the window 0.25, noisy ones 0.5: a point at
+    # X = 0.4 enters the fit only when the samples carry errors
+    q = np.linspace(0.0, 0.4, 9)
+    exact = exact_phi_samples(A, q)
+    noisy = FormFactorSamples(q=q, phi_hat=exact.phi_hat,
+                              phi_err=np.full_like(q, 1e-3))
+    inner = exact_phi_samples(A, q[:6])
+    assert estimate_kappa(exact) == estimate_kappa(inner)
+    assert estimate_kappa(noisy)[0] != estimate_kappa(exact)[0]
+
+
+# --- renormalization at the origin ------------------------------------------
+
+def test_renormalization_cancels_smearing():
+    q = np.linspace(0.0, 2.5, 11)
+    for case in (A, D):
+        surf = surface(case, q, (0.0,), smear_dw=3.0)
+        samples = renormalize_at_origin(surf)
+        expected = np.array([form_factor(case, 1.0, qi) for qi in q])
+        np.testing.assert_allclose(samples.phi_hat, expected, rtol=1e-12)
+        assert samples.phi_hat[0] == 1.0
+
+
+def test_renormalization_rejects_coherent():
+    surf = surface(A, (0.0, 0.5, 1.0, 2.0), (0.0, 0.5, 1.0),
+                   emission=Emission.COHERENT)
+    with pytest.raises(InsufficientDataError, match="cannot renormalize"):
+        renormalize_at_origin(surf)
+
+
+def test_renormalization_error_propagation():
+    surf = surface(A, (0.0, 0.5, 1.0, 2.0), (0.0, 0.5, 1.0),
+                   noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=9))
+    samples = renormalize_at_origin(surf)
+    assert samples.phi_err[0] == 0.0
+    assert np.all(samples.phi_err[1:] > 0.0)
 
 
 # --- shape discrimination ---------------------------------------------------
@@ -351,18 +401,6 @@ def test_pipeline_coherent_stops_early():
     assert report.chaoticity is Chaoticity.COHERENT
     assert report.tau_hat is None
     assert report.kappa_hat is None
-
-
-def test_intercept_route_agrees_with_renormalization():
-    # two independent routes to the form factor: slice intercepts vs direct
-    # renormalization at the origin slice
-    surf = surface(A, np.linspace(0.0, 2.0, 41), np.linspace(0.0, 1.0, 6))
-    report = fit_surface(surf)
-    direct = report.form_factor
-    via_intercepts = report.form_factor_by_intercept
-    common = np.isin(direct.q, via_intercepts.q)
-    np.testing.assert_allclose(direct.phi_hat[common],
-                               via_intercepts.phi_hat, rtol=1e-8)
 
 
 def test_report_serialization():

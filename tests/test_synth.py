@@ -1,5 +1,5 @@
-"""Synthetic surfaces: determinism, noise statistics, smearing,
-renormalization, CSV round trip."""
+"""Synthetic surfaces: determinism, noise statistics, smearing, CSV round
+trip."""
 
 import math
 
@@ -8,15 +8,13 @@ import pytest
 from scipy import integrate
 from scipy.special import chdtri, ndtri
 
-from bubblehbt.correlators import (MU_SERIES_MAX, correlation, form_factor,
-                                   time_factor)
+from bubblehbt.correlators import MU_SERIES_MAX, correlation, time_factor
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real
-from bubblehbt.synth import (CannotRenormalizeError, CorrelationSurface,
-                             GridSpec, NoiseSpec, apply_energy_smearing,
-                             format_value, generate, mean_time_factor,
-                             read_surface_csv, renormalize_at_origin,
+from bubblehbt.synth import (CorrelationSurface, GridSpec, NoiseSpec,
+                             apply_energy_smearing, format_value, generate,
+                             mean_time_factor, read_surface_csv,
                              write_surface_csv)
 
 
@@ -35,6 +33,8 @@ def test_grid_validation():
         GridSpec(q_values=(-1.0, 0.5), d_omega_values=(0.0,))
     with pytest.raises(ValueError):
         NoiseSpec(pairs_per_bin=50, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        NoiseSpec(pairs_per_bin=1000, seed=-1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -206,34 +206,6 @@ def test_smearing_rejects_case_e():
     spec = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0, r_dot=0.06)
     with pytest.raises(ValueError):
         apply_energy_smearing(spec, 0.5, 1.0)
-
-
-# --- renormalization --------------------------------------------------------
-
-def test_renormalization_cancels_smearing():
-    q = tuple(np.linspace(0.0, 2.5, 11))
-    grid = GridSpec(q_values=q, d_omega_values=(0.0,))
-    for case in (SourceCase.A_GAUSSIAN, SourceCase.D_EXPONENTIAL):
-        spec = SourceSpec(case=case, tau=1.0, R=1.0)
-        surf = generate(spec, grid, smear_dw=3.0)
-        samples = renormalize_at_origin(surf)
-        expected = np.array([form_factor(case, 1.0, qi) for qi in q])
-        np.testing.assert_allclose(samples.phi_hat, expected, rtol=1e-12)
-        assert samples.phi_hat[0] == 1.0
-
-
-def test_renormalization_rejects_coherent():
-    surf = generate(spec_a(emission=Emission.COHERENT), GRID)
-    with pytest.raises(CannotRenormalizeError):
-        renormalize_at_origin(surf)
-
-
-def test_renormalization_error_propagation():
-    noise = NoiseSpec(pairs_per_bin=10 ** 6, seed=9)
-    surf = generate(spec_a(), GRID, noise=noise)
-    samples = renormalize_at_origin(surf)
-    assert samples.phi_err[0] == 0.0
-    assert np.all(samples.phi_err[1:] > 0.0)
 
 
 # --- CSV --------------------------------------------------------------------
