@@ -43,6 +43,7 @@ FIGURE2_X_MAX = 3.0
 FIGURE2_X_POINTS = 301
 DEFAULT_CASE = "A"
 DEFAULT_RDOT_FRACTION = 2e-4
+GRID_OPTIONS = ("--q-grid", "--dw-grid")
 
 
 class _UsageError(ValueError):
@@ -88,6 +89,18 @@ def _spec_from_args(args) -> SourceSpec:
         return SourceSpec(case=case, tau=args.tau,
                           r_dot=args.rdot * C_UM_PER_PS, emission=emission)
     return SourceSpec(case=case, tau=args.tau, R=args.R, emission=emission)
+
+
+def _attach_grid_values(argv: List[str]) -> List[str]:
+    """'--dw-grid -1:1:2' as '--dw-grid=-1:1:2': argparse reads a separate
+    value that starts with '-' and is not a plain number as an option."""
+    joined: List[str] = []
+    for token in argv:
+        if joined and joined[-1] in GRID_OPTIONS:
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -273,7 +286,8 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid_values(
+            sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

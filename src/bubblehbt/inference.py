@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .correlators import FACTORIZED_CASES, kappa_to_radius, phi_of_X
 from .sources import SourceCase
@@ -229,6 +228,8 @@ def fit_tau_slices(surface: CorrelationSurface
 def factorization_test(tau_per_q: List[SliceFit]) -> float:
     """Chi-square probability that all slice slopes share one value: near 1
     for factorized sources, near 0 for a non-factorized one."""
+    from scipy import special
+
     if len(tau_per_q) < 2:
         raise InsufficientDataError("need at least 2 slices")
     slopes = np.asarray([f.slope for f in tau_per_q])

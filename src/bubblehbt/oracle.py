@@ -3,16 +3,19 @@
 Ground truth for validating every closed form and series branch: the excess
 is computed as (1/2) |F(q, d_omega)|^2 / |F(0,0)|^2 with F the space-time
 Fourier transform of the source density, evaluated by adaptive quadrature.
-Oscillatory integrands are pre-subdivided at their half-periods before the
-adaptive scheme refines.
+Oscillatory integrands pass their bare density to QUADPACK's rule for a
+cos or sin weight (QAWO), which integrates the oscillation by modified
+Clenshaw-Curtis moments instead of sampling it.  F(0,0) depends on the
+source alone and is computed once per source.
 
 Every quadrature uses the module constants REL_TOL, ABS_TOL and
 MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError.
 """
 
+import functools
 import math
 import warnings
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from scipy import integrate
 
@@ -42,29 +45,18 @@ class OracleConvergenceError(ArithmeticError):
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
-          half_periods: Tuple[float, ...] = ()) -> float:
-    """Adaptive quadrature of f on [a, b], pre-split at oscillation
-    half-periods."""
-    # cap explicit breakpoints well below the subdivision budget; adaptive
-    # refinement handles the rest
-    max_pts = min(200, MAX_SUBDIVISIONS // 2)
-    pts = set()
-    for h in half_periods:
-        if h <= 0.0 or not math.isfinite(h):
-            continue
-        n = int((b - a) / h)
-        if n < 1:
-            continue
-        stride = max(1, n // max_pts + 1)
-        for k in range(stride, n + 1, stride):
-            pts.add(a + k * h)
-    points = sorted(p for p in pts if a < p < b) or None
+          weight: Optional[str] = None, omega: float = 0.0) -> float:
+    """Adaptive quadrature of f(x) on [a, b], or of f(x) cos(omega x) or
+    f(x) sin(omega x) for weight 'cos' or 'sin' (QAWO when omega != 0)."""
+    if weight == "sin" and omega == 0.0:
+        return 0.0
+    oscillation = {"weight": weight, "wvar": omega} if weight and omega else {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, abserr = integrate.quad(
-                f, a, b, points=points,
-                epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS)
+                f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,
+                limit=MAX_SUBDIVISIONS, **oscillation)
         except integrate.IntegrationWarning as exc:
             # quadpack's first line names the failure; the rest is advice
             raise OracleConvergenceError(
@@ -79,22 +71,20 @@ def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     rho, (t0, t1) = time_profile(spec)
-    f = lambda t: rho(t) * math.cos(d_omega * t)
-    hp = (math.pi / abs(d_omega),) if d_omega != 0.0 else ()
-    return _quad(f, t0, t1, hp)
+    return _quad(rho, t0, t1, "cos", d_omega)
 
 
 def _space_amplitude(spec: SourceSpec, q: float) -> float:
     """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support
     (constant prefactors cancel in the ratio).  For q > 0 the integrand is
-    written r rho_s(r) sin(q r) / q, which has no removable singularity."""
+    written r rho_s(r) / q with a sin(q r) weight, which has no removable
+    singularity."""
     if spec.case is SourceCase.B_SHELL:
         # delta shell: the radial measure picks out r = R
         return sinc(q * spec.R)
     rho, edge = radial_profile(spec)
     if q > 0.0:
-        return _quad(lambda r: r * rho(r) * math.sin(q * r) / q, 0.0, edge,
-                     (math.pi / q,))
+        return _quad(lambda r: r * rho(r) / q, 0.0, edge, "sin", q)
     return _quad(lambda r: r * r * rho(r), 0.0, edge)
 
 
@@ -115,11 +105,25 @@ def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
         env = lambda t: rho(t) * _shock_inner(q, front(t))
     else:
         env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
-    # half-periods of the cos/sin(d_omega t) and sin(q r_dot t) oscillations
-    hp = [math.pi / k for k in (abs(d_omega), q * spec.r_dot) if k > 0.0]
-    re = _quad(lambda t: env(t) * math.cos(d_omega * t), t0, t1, hp)
-    im = _quad(lambda t: env(t) * math.sin(d_omega * t), t0, t1, hp)
-    return complex(re, im)
+    return complex(_quad(env, t0, t1, "cos", d_omega),
+                   _quad(env, t0, t1, "sin", d_omega))
+
+
+def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
+    """F(q, d_omega) up to constant factors; for A-D the product of the
+    time and space amplitudes."""
+    if spec.case is SourceCase.E_EXPANDING_SHOCK:
+        return _case_e_transform(spec, q, d_omega)
+    return _time_amplitude(spec, d_omega) * _space_amplitude(spec, q)
+
+
+@functools.lru_cache(maxsize=32)
+def _origin_transform(spec: SourceSpec,
+                      tolerances: Tuple[float, float, int]) -> complex:
+    """F(0, 0), which depends on the source alone.  `tolerances` is
+    (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS), so a change to any of them
+    computes it again."""
+    return _transform(spec, 0.0, 0.0)
 
 
 def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
@@ -129,17 +133,9 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
         raise ValueError("the oracle applies to chaotic sources")
     if not q >= 0.0:
         raise ValueError("q must be non-negative")
-    if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        f = _case_e_transform(spec, q, d_omega)
-        f0 = _case_e_transform(spec, 0.0, 0.0)
-        ratio2 = abs(f / f0) ** 2
-    else:
-        ft = _time_amplitude(spec, d_omega)
-        ft0 = _time_amplitude(spec, 0.0)
-        fs = _space_amplitude(spec, q)
-        fs0 = _space_amplitude(spec, 0.0)
-        ratio2 = (ft / ft0) ** 2 * (fs / fs0) ** 2
-    excess = CHAOTICITY * ratio2
+    f = _transform(spec, q, d_omega)
+    f0 = _origin_transform(spec, (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS))
+    excess = CHAOTICITY * abs(f / f0) ** 2
     return CorrelationValue(c=1.0 + excess, excess=excess)
 
 

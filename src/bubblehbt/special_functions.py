@@ -10,7 +10,6 @@ return the same shape.
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 __all__ = ["faddeeva", "erfc_real", "sinc"]
 
@@ -26,6 +25,8 @@ def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     w(-z) = 2 exp(-z^2) - w(z), which produces the exponentially growing
     branch explicitly instead of trusting the asymptotic evaluation there.
     """
+    from scipy import special
+
     z = np.asarray(z, dtype=complex)
     w = np.asarray(special.wofz(z))
     lower = z.imag < 0.0
@@ -40,6 +41,8 @@ def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
 
 def erfc_real(x: float) -> float:
     """Complementary error function for real argument."""
+    from scipy import special
+
     return float(special.erfc(x))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values,
                           correlation, form_factor)
@@ -120,6 +119,8 @@ def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
         y = 0.5 * math.sqrt(3.0) * spec.tau * delta_omega_window
         if y < 1e-3:
             return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
+        from scipy import special
+
         si, _ = special.sici(2.0 * y)
         return float(si - math.sin(y) ** 2 / y) / y
     x = 0.5 * spec.tau * delta_omega_window

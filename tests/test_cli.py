@@ -70,6 +70,19 @@ def test_synth_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_negative_grid_value_after_a_space(capsys, tmp_path):
+    # '--dw-grid -1:1:2' reads the value as '--dw-grid=-1:1:2' does
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    code, _, err = run(capsys, "synth", "--case", "A", "--dw-grid", "-1:1:2",
+                       "--out", str(spaced))
+    assert (code, err) == (0, "")
+    code, _, _ = run(capsys, "synth", "--case", "A", "--dw-grid=-1:1:2",
+                     "--out", str(joined))
+    assert code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert read_csv_columns(spaced)[1][0][1] == "-1"
+
+
 def test_synth_metadata_header(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     code, _, _ = run(capsys, "synth", "--case", "C", "--R", "1.5",
@@ -270,16 +283,16 @@ def test_missing_file_exit_code(capsys, tmp_path):
 
 
 def test_oracle_nonconvergence_exit_code(capsys, monkeypatch, tmp_path):
-    # quadpack's warning runs to several lines; one reaches stderr.  The
-    # oracle fails mid-grid, after 8 of the 16 rows, and no partial CSV
-    # is left behind
-    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
+    # quadpack's warning runs to several lines; one reaches stderr.  With
+    # 6 subdivisions the oracle fails mid-grid, at q = 4 after 8 of the 16
+    # rows, and no partial CSV is left behind
+    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 6)
     path = tmp_path / "check.csv"
     code, out, err = run(capsys, "check", "--case", "D", "--q-grid", "0:6:4",
                          "--dw-grid", "0:6:4", "--out", str(path))
     assert code == 2
     assert err.count("\n") == 1
-    assert err.startswith("error: The maximum number of subdivisions (10)")
+    assert err.startswith("error: The maximum number of subdivisions (6)")
     assert not path.exists()
 
 
@@ -304,6 +317,25 @@ def test_cli_import_leaves_out_scipy_stats():
                                 env={**os.environ,
                                      "PYTHONPATH": os.path.dirname(package)})
         assert result.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--case", "A", "--q", "1"],
+    ["figure2", "--out", "{out}"],
+], ids=["eval-A", "figure2"])
+def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
+    # scipy.special loads inside the functions that need it, so a
+    # subcommand that calls none of them runs on numpy alone
+    argv = [a.format(out=tmp_path / "out.csv") for a in argv]
+    probe = ("import sys; from bubblehbt.cli import main; "
+             f"code = main({argv!r}); "
+             "print(code, [m for m in sys.modules if m.startswith('scipy')])")
+    package = os.path.dirname(bubblehbt.__file__)
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ,
+                                 "PYTHONPATH": os.path.dirname(package)})
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 # --- malformed surface CSVs: exit 1 with one line ---------------------------

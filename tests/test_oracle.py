@@ -99,6 +99,52 @@ def test_slow_shock_reduces_to_one_sided_gaussian():
         assert got == pytest.approx(expected, rel=1e-6)
 
 
+def test_high_frequency_matches_closed_forms():
+    # past the acceptance grids (q, d_omega <= 6): the oscillatory rule must
+    # converge everywhere and keep criterion 1's tolerance on the excess
+    from bubblehbt.correlators import correlation
+    for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
+                 SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL):
+        spec = SourceSpec(case=case, tau=1.0, R=1.0)
+        compared = 0
+        for q in np.linspace(0.0, 25.0, 11):
+            for dw in np.linspace(-7.0, 60.0, 35):
+                num = numeric_correlation(spec, q, dw).excess
+                if num > 1e-12:
+                    compared += 1
+                    assert num == pytest.approx(
+                        correlation(spec, q, dw).excess, rel=1e-6)
+        assert compared > 0
+
+
+def test_origin_cache_is_exact():
+    # a warm origin cache gives the same bits as a cold one
+    specs = [SourceSpec(case=case, tau=1.0, R=1.0)
+             for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
+                          SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)]
+    specs.append(SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                            r_dot=2e-4 * C_UM_PER_PS))
+    for spec in specs:
+        oracle._origin_transform.cache_clear()
+        cold = numeric_correlation(spec, 1.3, 0.7)
+        warm = numeric_correlation(spec, 1.3, 0.7)
+        assert (warm.c, warm.excess) == (cold.c, cold.excess)
+
+
+@pytest.mark.parametrize("name, value", [("REL_TOL", 1e-10),
+                                         ("ABS_TOL", 1e-13),
+                                         ("MAX_SUBDIVISIONS", 500)])
+def test_origin_recomputed_for_new_tolerances(monkeypatch, name, value):
+    spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
+    oracle._origin_transform.cache_clear()
+    numeric_correlation(spec, 1.0, 1.0)
+    numeric_correlation(spec, 2.0, 0.5)
+    assert oracle._origin_transform.cache_info().misses == 1
+    monkeypatch.setattr(oracle, name, value)
+    numeric_correlation(spec, 1.0, 1.0)
+    assert oracle._origin_transform.cache_info().misses == 2
+
+
 def test_nonconvergence_reported(monkeypatch):
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
     monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
