@@ -43,7 +43,9 @@ FIGURE2_X_MAX = 3.0
 FIGURE2_X_POINTS = 301
 DEFAULT_CASE = "A"
 DEFAULT_RDOT_FRACTION = 2e-4
-GRID_OPTIONS = ("--q-grid", "--dw-grid")
+# the options that take a number or a grid, whose value may start with '-'
+VALUE_OPTIONS = ("--q", "--dw", "--R", "--tau", "--rdot", "--smear-dw",
+                 "--pairs-per-bin", "--seed", "--q-grid", "--dw-grid")
 
 
 class _UsageError(ValueError):
@@ -91,12 +93,13 @@ def _spec_from_args(args) -> SourceSpec:
     return SourceSpec(case=case, tau=args.tau, R=args.R, emission=emission)
 
 
-def _attach_grid_values(argv: List[str]) -> List[str]:
-    """'--dw-grid -1:1:2' as '--dw-grid=-1:1:2': argparse reads a separate
-    value that starts with '-' and is not a plain number as an option."""
+def _attach_option_values(argv: List[str]) -> List[str]:
+    """'--dw -1e-3' as '--dw=-1e-3', '--dw-grid -1:1:2' as
+    '--dw-grid=-1:1:2': argparse reads a separate value that starts with
+    '-' and is not a plain decimal as an option."""
     joined: List[str] = []
     for token in argv:
-        if joined and joined[-1] in GRID_OPTIONS:
+        if joined and joined[-1] in VALUE_OPTIONS:
             joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
@@ -138,9 +141,9 @@ def _cmd_check(args) -> int:
     write_metadata(text, {**spec_metadata(spec), "units": UNITS})
     text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
     worst = 0.0
-    for q in q_values:
-        c_analytic = correlation(spec, q, dw_values).c
-        for dw, ca in zip(dw_values, c_analytic):
+    c_analytic = correlation(spec, q_values[:, None], dw_values).c
+    for q, ca_row in zip(q_values, c_analytic):
+        for dw, ca in zip(dw_values, ca_row):
             co = numeric_correlation(spec, q, dw).c
             rel = abs(ca - co) / abs(co)
             worst = max(worst, rel)
@@ -200,8 +203,11 @@ def _cmd_figure1(args) -> int:
             "q_values_per_um": " ".join(format_value(q)
                                         for q in FIGURE1_Q_VALUES),
             "units": UNITS}
-    curves = [(label, q, correlation(spec, q, dw).excess)
-              for label, spec in specs.items() for q in FIGURE1_Q_VALUES]
+    q_column = np.array(FIGURE1_Q_VALUES)[:, None]
+    curves = [(label, q, excess)
+              for label, spec in specs.items()
+              for q, excess in zip(FIGURE1_Q_VALUES,
+                                   correlation(spec, q_column, dw).excess)]
     for label, q, excess in curves:
         if (excess == 0.0).any():
             raise ValueError(f"case {label} excess is 0 at q = "
@@ -286,7 +292,7 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_grid_values(
+        args = parser.parse_args(_attach_option_values(
             sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except _UsageError as exc:

@@ -22,9 +22,11 @@ Below mu = 0.01 the 0/0 form is replaced by a series in mu^2 whose complex
 coefficients are one-sided Gaussian moments.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
-and `phi_of_X` a q or X array.  `correlation` and `case_e_excess` take one
-q and a d_omega array, a row at fixed q, because case E's choice between
-the direct form and the series depends on q alone.
+and `phi_of_X` a q or X array.  `excess`, `correlation` and
+`case_e_excess` broadcast q against d_omega (a `(nq, 1)` q column and an
+`(nw,)` d_omega row give the `(nq, nw)` grid), so a whole surface is one
+call; case E picks the direct form or the series per point by a mask on
+mu.  Scalars in give a scalar out.
 """
 
 import math
@@ -40,6 +42,7 @@ __all__ = [
     "CHAOTICITY",
     "CorrelationValue",
     "correlation",
+    "excess",
     "time_factor",
     "form_factor",
     "small_q_coefficient",
@@ -75,10 +78,17 @@ _SQRTPI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class CorrelationValue:
-    """C and C - 1, each a scalar or an array over d_omega."""
+    """C and C - 1, each a scalar or an array of q broadcast against
+    d_omega."""
 
     c: Values
     excess: Values
+
+
+def _check_q(q: Values) -> None:
+    # NaN fails q >= 0 as a negative q does
+    if (~(np.asarray(q) >= 0.0)).any():
+        raise ValueError("q must be non-negative")
 
 
 def _shape_constant(case: SourceCase) -> float:
@@ -117,8 +127,7 @@ def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")
 def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     """Phi(q): squared normalized spatial transform, Phi(0) = 1."""
-    if (~(np.asarray(q) >= 0.0)).any():
-        raise ValueError("q must be non-negative")
+    _check_q(q)
     x = q * R
     if case is SourceCase.A_GAUSSIAN:
         return np.exp(-x * x)
@@ -132,20 +141,26 @@ def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     raise ValueError("case E has no factorized form factor")
 
 
-def correlation(spec: SourceSpec, q: float, d_omega: Values
-                ) -> CorrelationValue:
-    """C(q, d_omega) at one q, for a scalar d_omega or an array of them;
-    coherent emission gives C = 1 exactly."""
-    if not q >= 0.0:
-        raise ValueError("q must be non-negative")
+def excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
+    """C - 1 with q broadcast against d_omega; coherent emission gives 0
+    exactly.  A negative or NaN q raises ValueError (for A-D and E in
+    `form_factor` and `case_e_excess`)."""
     if spec.emission is Emission.COHERENT:
-        excess = np.zeros(np.shape(d_omega))[()]
-    elif spec.case in FACTORIZED_CASES:
-        excess = (CHAOTICITY * time_factor(spec.case, spec.tau, d_omega)
-                  * form_factor(spec.case, spec.R, q))
-    else:
-        excess = case_e_excess(spec, q, d_omega)
-    return CorrelationValue(c=1.0 + excess, excess=excess)
+        _check_q(q)
+        return np.zeros(np.broadcast_shapes(np.shape(q),
+                                            np.shape(d_omega)))[()]
+    if spec.case in FACTORIZED_CASES:
+        return (CHAOTICITY * time_factor(spec.case, spec.tau, d_omega)
+                * form_factor(spec.case, spec.R, q))
+    return case_e_excess(spec, q, d_omega)
+
+
+def correlation(spec: SourceSpec, q: Values, d_omega: Values
+                ) -> CorrelationValue:
+    """C(q, d_omega) with q broadcast against d_omega, for scalars or
+    arrays; coherent emission gives C = 1 exactly."""
+    e = excess(spec, q, d_omega)
+    return CorrelationValue(c=1.0 + e, excess=e)
 
 
 def small_q_coefficient(case: SourceCase, R: float) -> float:
@@ -188,32 +203,63 @@ def _one_sided_gaussian_moments(tau: float, d_omega: Values,
     return m
 
 
-def case_e_excess(spec: SourceSpec, q: float, d_omega: Values) -> Values:
-    """C - 1 for case E at one q, with the small-mu series branch."""
-    if spec.case is not SourceCase.E_EXPANDING_SHOCK:
-        raise ValueError("case_e_excess is defined for case E only")
-    tau, r_dot = spec.tau, spec.r_dot
-    mu = r_dot * tau * q
-    mu2 = mu * mu
-    if mu > MU_SERIES_MAX:
+def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
+                   mu: Values) -> np.ndarray:
+    """9 |I|^2 / (8 mu^6) at points with mu > MU_SERIES_MAX."""
+    # far out on either axis mu^2, z± and mu z± overflow to inf, which is
+    # handled below; numpy would warn, so each of them is computed here
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu2 = mu * mu
         z_plus = (d_omega + r_dot * q) * tau / 2.0
         z_minus = (d_omega - r_dot * q) * tau / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            mz_plus, mz_minus = mu * z_plus, mu * z_minus
-            i_val = (-1j * _SQRTPI * ((1.0 + mz_plus) * faddeeva(z_plus)
-                                      - (1.0 - mz_minus) * faddeeva(z_minus))
-                     - 2.0 * mu)
-            mu6 = mu2 * mu2 * mu2
-            excess = 9.0 * np.square(np.abs(i_val)) / (8.0 * mu6)
-        # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu),
-        # the excess is below 1e-200, and the direct form gives 0 or NaN
-        # there: return its q, d_omega -> inf limit 0.
-        far = np.isinf(mu6) | np.isinf(mz_plus) | np.isinf(mz_minus)
-        return np.where(far, 0.0, excess)[()]
-    # F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6).
+        mz_plus, mz_minus = mu * z_plus, mu * z_minus
+        i_val = (-1j * _SQRTPI * ((1.0 + mz_plus) * faddeeva(z_plus)
+                                  - (1.0 - mz_minus) * faddeeva(z_minus))
+                 - 2.0 * mu)
+        mu6 = mu2 * mu2 * mu2
+        value = 9.0 * np.square(np.abs(i_val)) / (8.0 * mu6)
+    # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu), the
+    # excess is below 1e-200, and the direct form gives 0 or NaN there:
+    # return its q, d_omega -> inf limit 0.
+    far = np.isinf(mu6) | np.isinf(mz_plus) | np.isinf(mz_minus)
+    return np.where(far, 0.0, value)
+
+
+def _case_e_series(tau: float, mu: Values, d_omega: Values) -> Values:
+    """F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6)."""
+    mu2 = mu * mu
     m = _one_sided_gaussian_moments(tau, d_omega, 7)
     t4 = tau ** 4
     s = (2.0 * m[3] / t4
          - (mu2 / 5.0) * m[5] / (t4 * tau * tau)
          + (mu2 * mu2 / 140.0) * m[7] / (t4 * t4))
     return CHAOTICITY * np.square(np.abs(s))
+
+
+def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
+    """C - 1 for case E with q broadcast against d_omega: the direct
+    Faddeeva form where mu = r_dot tau q > MU_SERIES_MAX, the small-mu
+    series elsewhere.  Each branch is evaluated once, on the points the
+    mask on mu gives it, or on the inputs as they are when it has them
+    all.  A negative or NaN q raises ValueError."""
+    if spec.case is not SourceCase.E_EXPANDING_SHOCK:
+        raise ValueError("case_e_excess is defined for case E only")
+    tau, r_dot = spec.tau, spec.r_dot
+    # [()] keeps a scalar q a numpy scalar, whose arithmetic costs less
+    # than a 0-d array's
+    q = np.asarray(q, dtype=float)[()]
+    with np.errstate(over="ignore"):
+        mu = r_dot * tau * q
+    direct = mu > MU_SERIES_MAX
+    if direct.all():  # mu > MU_SERIES_MAX > 0, so every q is positive
+        return _case_e_direct(tau, r_dot, q, d_omega, mu)[()]
+    _check_q(q)
+    if not direct.any():
+        return _case_e_series(tau, mu, d_omega)[()]
+    q, d_omega, mu, direct = np.broadcast_arrays(q, d_omega, mu, direct)
+    series = ~direct
+    out = np.empty(mu.shape)
+    out[direct] = _case_e_direct(tau, r_dot, q[direct], d_omega[direct],
+                                 mu[direct])
+    out[series] = _case_e_series(tau, mu[series], d_omega[series])
+    return out

@@ -19,8 +19,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values,
-                          correlation, form_factor)
+from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values, excess,
+                          form_factor)
+# generate calls `excess`, not `correlation`; the name stays bound here
+# because perfbench/tracing.py wraps `synth.correlation` (retire it with
+# that wrapper, ROADMAP item 4)
+from .correlators import correlation  # noqa: F401
 from .sources import Emission, SourceCase, SourceSpec
 
 __all__ = [
@@ -140,16 +144,15 @@ def apply_energy_smearing(spec: SourceSpec, q: Values,
 def generate(spec: SourceSpec, grid: GridSpec,
              noise: Optional[NoiseSpec] = None,
              smear_dw: Optional[float] = None) -> CorrelationSurface:
-    """Tabulate c_true over the grid; with `noise`, draw c_obs = n/N with
-    n ~ Poisson(N c_true) and sigma = sqrt(c_true/N) per bin, all bins in
-    one call on a generator seeded by `noise.seed`, in row-major order."""
+    """Tabulate c_true over all of the grid's points in one call; with
+    `noise`, draw c_obs = n/N with n ~ Poisson(N c_true) and
+    sigma = sqrt(c_true/N) per bin, all bins in one call on a generator
+    seeded by `noise.seed`, in row-major order."""
     q, dw = grid.points()
     if smear_dw is not None and spec.emission is Emission.CHAOTIC:
         c_true = apply_energy_smearing(spec, q, smear_dw)
     else:
-        dw_row = np.asarray(grid.d_omega_values)
-        c_true = np.concatenate([correlation(spec, qi, dw_row).c
-                                 for qi in grid.q_values])
+        c_true = 1.0 + excess(spec, q, dw)
     if noise is None:
         c_obs = c_true.copy()
         sigma = np.zeros_like(c_true)

@@ -83,6 +83,21 @@ def test_negative_grid_value_after_a_space(capsys, tmp_path):
     assert read_csv_columns(spaced)[1][0][1] == "-1"
 
 
+def test_negative_exponent_value_after_a_space(capsys):
+    # argparse takes '-1e-3' for an option; every numeric option reads it
+    # as '--dw=-1e-3' does
+    spaced = run(capsys, "eval", "--q", "1", "--dw", "-1e-3")
+    joined = run(capsys, "eval", "--q", "1", "--dw=-1e-3")
+    assert spaced == joined == (0, "C = 1.1839395366460925\n", "")
+
+
+def test_negative_tau_after_a_space_is_a_value_error(capsys):
+    code, out, err = run(capsys, "eval", "--q", "1", "--tau", "-1e-3")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "expected one argument" not in err and "usage" not in err
+
+
 def test_synth_metadata_header(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     code, _, _ = run(capsys, "synth", "--case", "C", "--R", "1.5",

@@ -7,7 +7,8 @@ import pytest
 
 import bubblehbt.correlators as corr
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
-                                   case_e_excess, correlation, form_factor,
+                                   MU_SERIES_MAX, case_e_excess, correlation,
+                                   form_factor,
                                    kappa_analytic, kappa_to_radius, phi_of_X,
                                    small_q_coefficient, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
@@ -81,6 +82,15 @@ def test_q_checks_reject_nan():
     for call in calls:
         with pytest.raises(ValueError, match="q must be non-negative"):
             call()
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan])
+@pytest.mark.parametrize("case", [A, C, E])
+def test_array_q_with_a_bad_entry_is_rejected(case, bad):
+    q = np.array([[0.0], [0.5], [bad]])
+    for emission in Emission:
+        with pytest.raises(ValueError, match="q must be non-negative"):
+            correlation(spec(case, emission=emission), q, np.zeros(3))
 
 
 # --- factorized form --------------------------------------------------------
@@ -210,11 +220,15 @@ def test_case_e_series_faddeeva_continuity(monkeypatch):
         np.testing.assert_allclose(closed, series, rtol=1e-8, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_case_e_excess_at_huge_q():
     # mu^6 overflows: the direct form returns the q -> inf limit 0, not NaN
     for q in (1e100, 1e150):
         excess = case_e_excess(spec(E), q, np.array([0.0, 1.0, 1e100]))
         assert np.isfinite(excess).all() and (excess >= 0.0).all()
+    # at tau = 1e10 ps, mu = r_dot tau q and z± overflow themselves
+    np.testing.assert_array_equal(
+        case_e_excess(spec(E, tau=1e10), 1e300, np.array([0.0, 1.0])), 0.0)
 
 
 def test_case_e_against_oracle():
@@ -224,6 +238,69 @@ def test_case_e_against_oracle():
             a = correlation(s, q, dw).excess
             o = numeric_correlation(s, q, dw).excess
             assert a == pytest.approx(o, rel=1e-4)
+
+
+# --- q broadcast against d_omega ---------------------------------------------
+
+Q_SWITCH = MU_SERIES_MAX / REFERENCE_RDOT  # mu = MU_SERIES_MAX at tau = 1
+# the q = 0 row and rows on both sides of the branch switch; the series rows
+# keep |d_omega tau| <= 5 (ROADMAP item 6: the series fails beyond that)
+NEAR_Q = np.concatenate(([0.0], np.linspace(0.5, 2.0, 7) * Q_SWITCH))
+NEAR_DW = np.linspace(-5.0, 5.0, 11)
+# the direct branch far out: mu^6 and mu z± overflow there
+FAR_Q = np.geomspace(1.0, 1e200, 9)
+FAR_DW = np.array([-1e300, -1e100, -3.0, 0.0, 0.7, 1e10, 1e300])
+
+
+def assert_each_point_is_the_scalar_call(fn, q_col, dw_row):
+    grid = fn(q_col, dw_row)
+    assert grid.shape == (q_col.size, dw_row.size)
+    for i, q in enumerate(q_col[:, 0]):
+        for j, dw in enumerate(dw_row):
+            scalar = fn(q, dw)
+            assert np.ndim(scalar) == 0 and not isinstance(scalar,
+                                                           np.ndarray)
+            assert grid[i, j].tobytes() == np.float64(scalar).tobytes(), (
+                q, dw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_row, dw", [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW)],
+                         ids=["near_switch", "far"])
+def test_case_e_broadcasts_bit_for_bit(q_row, dw):
+    s = spec(E)
+    mu = s.r_dot * s.tau * q_row
+    if q_row is NEAR_Q:
+        assert (mu <= MU_SERIES_MAX).sum() > 1 and (mu > MU_SERIES_MAX).any()
+    assert_each_point_is_the_scalar_call(
+        lambda q, w: case_e_excess(s, q, w), q_row[:, None], dw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [A, B, C, D, E])
+@pytest.mark.parametrize("emission", list(Emission))
+def test_correlation_broadcasts_bit_for_bit(case, emission):
+    s = spec(case, emission=emission)
+    for q_row, dw in [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW)]:
+        for field in ("c", "excess"):
+            assert_each_point_is_the_scalar_call(
+                lambda q, w: getattr(correlation(s, q, w), field),
+                q_row[:, None], dw)
+
+
+@pytest.mark.filterwarnings("error")
+def test_case_e_mixed_points_bit_for_bit():
+    # q and d_omega of the same shape, as generate passes a grid's points:
+    # series points and far direct points in one call
+    s = spec(E)
+    q = np.array([0.0, 1e-6, 0.5 * Q_SWITCH, 2.0 * Q_SWITCH, 1.0, 1e100,
+                  1e200, 3.0])
+    dw = np.array([0.5, -3.0, 5.0, -1e300, 1e300, 1e10, -2.0, 0.0])
+    mixed = case_e_excess(s, q, dw)
+    assert mixed.shape == q.shape
+    for i in range(q.size):
+        assert mixed[i].tobytes() == np.float64(
+            case_e_excess(s, q[i], dw[i])).tobytes()
 
 
 # --- global invariants ------------------------------------------------------

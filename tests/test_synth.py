@@ -8,10 +8,11 @@ import pytest
 from scipy import integrate
 from scipy.special import chdtri, ndtri
 
+from bubblehbt import correlators
 from bubblehbt.correlators import MU_SERIES_MAX, correlation, time_factor
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.special_functions import erfc_real
+from bubblehbt.special_functions import erfc_real, faddeeva
 from bubblehbt.synth import (CorrelationSurface, GridSpec, NoiseSpec,
                              apply_energy_smearing, format_value, generate,
                              mean_time_factor, read_surface_csv,
@@ -53,9 +54,10 @@ def test_noiseless_truth():
     assert np.all(surf.sigma == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_c_true_equals_pointwise_correlation():
-    # generate evaluates one q row per call; every point must equal the
-    # call at that single point bit for bit
+    # generate evaluates every grid point in one call; each point must equal
+    # the call at that single point bit for bit, also far out on both axes
     cli_default = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
                            d_omega_values=tuple(np.linspace(0.0, 2.0, 9)))
     r_dot = 2e-4 * C_UM_PER_PS
@@ -67,16 +69,43 @@ def test_c_true_equals_pointwise_correlation():
         d_omega_values=tuple(np.linspace(-2.0, 2.0, 11)))
     mu = r_dot * np.asarray(around_switch.q_values)
     assert np.any(mu <= MU_SERIES_MAX) and np.any(mu > MU_SERIES_MAX)
-    runs = [(SourceSpec(case=case, tau=1.0, R=1.0), cli_default)
+    far = GridSpec(q_values=tuple(np.geomspace(1.0, 1e200, 7)),
+                   d_omega_values=tuple(np.linspace(-1e300, 1e300, 5)))
+    runs = [(SourceSpec(case=case, tau=1.0, R=1.0), grid)
             for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
-                         SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)]
-    runs += [(shock, cli_default), (shock, around_switch),
+                         SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)
+            for grid in (cli_default, far)]
+    runs += [(shock, cli_default), (shock, around_switch), (shock, far),
              (spec_a(emission=Emission.COHERENT), cli_default)]
     for spec, grid in runs:
         surf = generate(spec, grid)
         for i in range(surf.c_true.size):
             assert surf.c_true[i] == correlation(spec, surf.q[i],
                                                  surf.d_omega[i]).c
+
+
+def test_case_e_surface_is_one_evaluation(monkeypatch):
+    # the first rows take the series, the others the direct form: one
+    # Faddeeva call for the series moments and two (z+ and z-) for the
+    # direct form, each on all of its branch's points
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return faddeeva(z)
+
+    monkeypatch.setattr(correlators, "faddeeva", counted)
+    shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                       r_dot=2e-4 * C_UM_PER_PS)
+    grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
+                    d_omega_values=tuple(np.linspace(0.0, 2.0, 9)))
+    generate(shock, grid, noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=1))
+    series_rows = int(np.sum(shock.r_dot * np.asarray(grid.q_values)
+                             <= MU_SERIES_MAX))
+    assert 0 < series_rows < 61
+    assert len(calls) <= 3
+    assert sum(math.prod(shape) for shape in calls) == 9 * (
+        series_rows + 2 * (61 - series_rows))
 
 
 def test_coherent_surface_is_flat():
