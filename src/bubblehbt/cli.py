@@ -43,6 +43,8 @@ FIGURE2_X_MAX = 3.0
 FIGURE2_X_POINTS = 301
 DEFAULT_CASE = "A"
 DEFAULT_RDOT_FRACTION = 2e-4
+# `check` compares the excess where the oracle's is above this floor
+CHECK_EXCESS_FLOOR = 1e-12
 # the options that take a number or a grid, whose value may start with '-'
 VALUE_OPTIONS = ("--q", "--dw", "--R", "--tau", "--rdot", "--smear-dw",
                  "--pairs-per-bin", "--seed", "--q-grid", "--dw-grid")
@@ -53,6 +55,13 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Every option has one spelling: with abbreviations off, '--d' is not
+    '--dw', so `_attach_option_values` sees each option by its whole
+    name.  Subparsers are made by this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -140,17 +149,29 @@ def _cmd_check(args) -> int:
     text = io.StringIO()
     write_metadata(text, {**spec_metadata(spec), "units": UNITS})
     text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
-    worst = 0.0
-    c_analytic = correlation(spec, q_values[:, None], dw_values).c
-    for q, ca_row in zip(q_values, c_analytic):
-        for dw, ca in zip(dw_values, ca_row):
-            co = numeric_correlation(spec, q, dw).c
-            rel = abs(ca - co) / abs(co)
-            worst = max(worst, rel)
+    analytic = correlation(spec, q_values[:, None], dw_values)
+    # (relative deviation of C, q, d_omega) per point, and the relative
+    # deviation of the excess where the oracle's is above the floor
+    deviations, excess_deviations = [], []
+    for q, ca_row, ea_row in zip(q_values, analytic.c, analytic.excess):
+        for dw, ca, ea in zip(dw_values, ca_row, ea_row):
+            num = numeric_correlation(spec, q, dw)
+            rel = abs(ca - num.c) / abs(num.c)
+            deviations.append((rel, q, dw))
+            if num.excess > CHECK_EXCESS_FLOOR:
+                excess_deviations.append(abs(ea - num.excess) / num.excess)
             text.write(f"{format_value(q)},{format_value(dw)},"
-                       f"{format_value(ca)},{format_value(co)},"
+                       f"{format_value(ca)},{format_value(num.c)},"
                        f"{rel:.3e}\n")
-    text.write(f"# max_relative_deviation = {worst:.6e}\n")
+    # the first point of the largest deviation; nan when no excess is
+    # above the floor
+    worst, worst_q, worst_dw = max(deviations, key=lambda d: d[0])
+    worst_excess = max(excess_deviations, default=math.nan)
+    write_metadata(text, {
+        "max_relative_deviation": f"{worst:.6e}",
+        "max_deviation_q_per_um": format_value(worst_q),
+        "max_deviation_d_omega_per_ps": format_value(worst_dw),
+        "max_relative_excess_deviation": f"{worst_excess:.6e}"})
     summary = f"max relative deviation = {worst:.6e}"
     if args.out:
         with open(args.out, "w") as fh:

@@ -5,11 +5,17 @@ is computed as (1/2) |F(q, d_omega)|^2 / |F(0,0)|^2 with F the space-time
 Fourier transform of the source density, evaluated by adaptive quadrature.
 Oscillatory integrands pass their bare density to QUADPACK's rule for a
 cos or sin weight (QAWO), which integrates the oscillation by modified
-Clenshaw-Curtis moments instead of sampling it.  F(0,0) depends on the
-source alone and is computed once per source.
+Clenshaw-Curtis moments instead of sampling it.
+
+For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
+and each factor is computed once per (source, argument, tolerances): a grid
+of nq x nw points costs nq + nw quadratures.  Case E does not factorize and
+costs two quadratures per point.  F(0,0) is computed once per source and
+tolerances.
 
 Every quadrature uses the module constants REL_TOL, ABS_TOL and
-MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError.
+MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError,
+again on every call, since a failure is not cached.
 """
 
 import functools
@@ -37,6 +43,13 @@ __all__ = [
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 2000
+# entries of each factor cache, a bound on its memory: the acceptance grids
+# of A-D fill 80 time and 60 space entries
+FACTOR_CACHE_SIZE = 4096
+
+# (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS), the part of every cache key that
+# makes a change of tolerance compute afresh
+Tolerances = Tuple[float, float, int]
 
 
 class OracleConvergenceError(ArithmeticError):
@@ -67,25 +80,38 @@ def _quad(f: Callable[[float], float], a: float, b: float,
     return val
 
 
-def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
+def _tolerances() -> Tolerances:
+    return (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS)
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _time_amplitude(spec: SourceSpec, d_omega: float,
+                    tolerances: Tolerances) -> float:
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     rho, (t0, t1) = time_profile(spec)
     return _quad(rho, t0, t1, "cos", d_omega)
 
 
-def _space_amplitude(spec: SourceSpec, q: float) -> float:
-    """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support
-    (constant prefactors cancel in the ratio).  For q > 0 the integrand is
-    written r rho_s(r) / q with a sin(q r) weight, which has no removable
-    singularity."""
-    if spec.case is SourceCase.B_SHELL:
-        # delta shell: the radial measure picks out r = R
-        return sinc(q * spec.R)
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _radial_transform(spec: SourceSpec, q: float,
+                      tolerances: Tolerances) -> float:
+    """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support of
+    a source with a radial density (constant prefactors cancel in the
+    ratio).  For q > 0 the integrand is written r rho_s(r) / q with a
+    sin(q r) weight, which has no removable singularity."""
     rho, edge = radial_profile(spec)
     if q > 0.0:
         return _quad(lambda r: r * rho(r) / q, 0.0, edge, "sin", q)
     return _quad(lambda r: r * r * rho(r), 0.0, edge)
+
+
+def _space_amplitude(spec: SourceSpec, q: float) -> float:
+    """The space factor of F: a quadrature for A, C and D, and for the
+    delta shell B, whose radial measure picks out r = R, sinc(q R)."""
+    if spec.case is SourceCase.B_SHELL:
+        return sinc(q * spec.R)
+    return _radial_transform(spec, float(q), _tolerances())
 
 
 def _shock_inner(q: float, a: float) -> float:
@@ -114,15 +140,14 @@ def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
     time and space amplitudes."""
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
         return _case_e_transform(spec, q, d_omega)
-    return _time_amplitude(spec, d_omega) * _space_amplitude(spec, q)
+    return (_time_amplitude(spec, float(d_omega), _tolerances())
+            * _space_amplitude(spec, q))
 
 
 @functools.lru_cache(maxsize=32)
-def _origin_transform(spec: SourceSpec,
-                      tolerances: Tuple[float, float, int]) -> complex:
-    """F(0, 0), which depends on the source alone.  `tolerances` is
-    (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS), so a change to any of them
-    computes it again."""
+def _origin_transform(spec: SourceSpec, tolerances: Tolerances) -> complex:
+    """F(0, 0), which depends on the source alone; for A-D a product of
+    two cached factors."""
     return _transform(spec, 0.0, 0.0)
 
 
@@ -134,7 +159,7 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
     if not q >= 0.0:
         raise ValueError("q must be non-negative")
     f = _transform(spec, q, d_omega)
-    f0 = _origin_transform(spec, (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS))
+    f0 = _origin_transform(spec, _tolerances())
     excess = CHAOTICITY * abs(f / f0) ** 2
     return CorrelationValue(c=1.0 + excess, excess=excess)
 

@@ -60,6 +60,42 @@ def test_check_exponential_matches_oracle(capsys, tmp_path):
     assert f"# max_relative_deviation" in out_path.read_text()
 
 
+def check_metadata(text):
+    return dict(line[2:].split(" = ") for line in text.splitlines()
+                if line.startswith("# "))
+
+
+def test_check_locates_its_worst_deviation(capsys, tmp_path):
+    # the q and d_omega of the largest relative deviation of C (the first
+    # such row), and the largest of the excess where the oracle's is
+    # above 1e-12
+    path = tmp_path / "check.csv"
+    code, _, _ = run(capsys, "check", "--case", "C", "--q-grid", "0:6:5",
+                     "--dw-grid", "0:6:4", "--out", str(path))
+    assert code == 0
+    meta = check_metadata(path.read_text())
+    _, rows = read_csv_columns(path)
+    rel = [abs(float(ca) - float(co)) / float(co)
+           for _, _, ca, co, _ in rows]
+    worst = rows[int(np.argmax(rel))]
+    assert meta["max_relative_deviation"] == f"{max(rel):.6e}"
+    assert (meta["max_deviation_q_per_um"],
+            meta["max_deviation_d_omega_per_ps"]) == (worst[0], worst[1])
+    assert 0.0 < float(meta["max_relative_excess_deviation"]) < 1e-6
+
+
+def test_check_without_excess_above_floor(capsys):
+    # far from the origin every oracle excess is below 1e-12: the excess
+    # deviation is undefined, and C's is located at the first point
+    code, out, _ = run(capsys, "check", "--case", "A", "--q-grid", "50:60:2",
+                       "--dw-grid", "50:60:2")
+    assert code == 0
+    meta = check_metadata(out)
+    assert meta["max_relative_excess_deviation"] == "nan"
+    assert (meta["max_deviation_q_per_um"],
+            meta["max_deviation_d_omega_per_ps"]) == ("50", "50")
+
+
 def test_synth_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -89,6 +125,15 @@ def test_negative_exponent_value_after_a_space(capsys):
     spaced = run(capsys, "eval", "--q", "1", "--dw", "-1e-3")
     joined = run(capsys, "eval", "--q", "1", "--dw=-1e-3")
     assert spaced == joined == (0, "C = 1.1839395366460925\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--d", "-1e-3"], ["--d=-1e-3"]])
+def test_abbreviated_option_is_rejected(capsys, argv):
+    # every option has one spelling, so '--d' is not '--dw' after a space
+    # or an '=' alike
+    code, out, err = run(capsys, "eval", "--q", "1", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
 
 
 def test_negative_tau_after_a_space_is_a_value_error(capsys):

@@ -117,6 +117,26 @@ def test_high_frequency_matches_closed_forms():
         assert compared > 0
 
 
+def clear_caches():
+    for cached in (oracle._origin_transform, oracle._time_amplitude,
+                   oracle._radial_transform):
+        cached.cache_clear()
+
+
+def count_quadratures(monkeypatch):
+    """Wrap the oracle's quadrature; the returned list grows by one entry
+    per call."""
+    calls = []
+    real_quad = oracle.integrate.quad
+
+    def quad(*args, **kwargs):
+        calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(oracle.integrate, "quad", quad)
+    return calls
+
+
 def test_origin_cache_is_exact():
     # a warm origin cache gives the same bits as a cold one
     specs = [SourceSpec(case=case, tau=1.0, R=1.0)
@@ -125,7 +145,7 @@ def test_origin_cache_is_exact():
     specs.append(SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                             r_dot=2e-4 * C_UM_PER_PS))
     for spec in specs:
-        oracle._origin_transform.cache_clear()
+        clear_caches()
         cold = numeric_correlation(spec, 1.3, 0.7)
         warm = numeric_correlation(spec, 1.3, 0.7)
         assert (warm.c, warm.excess) == (cold.c, cold.excess)
@@ -135,23 +155,74 @@ def test_origin_cache_is_exact():
                                          ("ABS_TOL", 1e-13),
                                          ("MAX_SUBDIVISIONS", 500)])
 def test_origin_recomputed_for_new_tolerances(monkeypatch, name, value):
+    # so are the factors: d_omega 1, 0.5 and 0 (the origin's) for time, q
+    # 1, 2 and 0 for space; a new tolerance recomputes 1 and 0 of each
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    oracle._origin_transform.cache_clear()
+    clear_caches()
     numeric_correlation(spec, 1.0, 1.0)
     numeric_correlation(spec, 2.0, 0.5)
-    assert oracle._origin_transform.cache_info().misses == 1
+    numeric_correlation(spec, 1.0, 1.0)
+    misses = [cached.cache_info().misses for cached in (
+        oracle._origin_transform, oracle._time_amplitude,
+        oracle._radial_transform)]
+    assert misses == [1, 3, 3]
     monkeypatch.setattr(oracle, name, value)
     numeric_correlation(spec, 1.0, 1.0)
-    assert oracle._origin_transform.cache_info().misses == 2
+    misses = [cached.cache_info().misses for cached in (
+        oracle._origin_transform, oracle._time_amplitude,
+        oracle._radial_transform)]
+    assert misses == [2, 5, 5]
+
+
+FACTOR_GRID_Q = (0.0, 0.4, 2.5, 6.0)
+# 0.0 and -0.0 share a cache entry; both take the non-oscillatory rule
+FACTOR_GRID_DW = (0.0, -0.0, -1.3, 0.7, 6.0)
+
+
+@pytest.mark.parametrize("case", [SourceCase.A_GAUSSIAN, SourceCase.C_SPHERE,
+                                  SourceCase.D_EXPONENTIAL])
+def test_factor_cache_is_exact(case):
+    # each point computed from empty caches has the same bits as the point
+    # read from caches the whole grid has filled
+    spec = SourceSpec(case=case, tau=1.0, R=1.0)
+    cold = {}
+    for q in FACTOR_GRID_Q:
+        for dw in FACTOR_GRID_DW:
+            clear_caches()
+            v = numeric_correlation(spec, q, dw)
+            cold[q, dw] = (v.c, v.excess)
+    for q, dw in cold:
+        v = numeric_correlation(spec, q, dw)
+        assert (v.c, v.excess) == cold[q, dw]
+    assert oracle._time_amplitude.cache_info().currsize == 4
+    assert oracle._radial_transform.cache_info().currsize == 4
+
+
+def test_grid_check_makes_one_quadrature_per_factor(capsys, monkeypatch):
+    # a 5 x 4 grid of case A needs 5 space and 4 time factors, and at most
+    # two more for F(0, 0), not two quadratures per point
+    from bubblehbt.cli import main
+    clear_caches()
+    calls = count_quadratures(monkeypatch)
+    assert main(["check", "--case", "A", "--q-grid", "0:6:5",
+                 "--dw-grid", "0:6:4"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 5 + 4 + 2
 
 
 def test_nonconvergence_reported(monkeypatch):
+    # a failure is not cached: the second call runs the quadrature again
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
     monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
     monkeypatch.setattr(oracle, "ABS_TOL", 1e-16)
     monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
+    calls = count_quadratures(monkeypatch)
     with pytest.raises(OracleConvergenceError):
         numeric_correlation(spec, 5.7, 3.3)
+    first = len(calls)
+    with pytest.raises(OracleConvergenceError):
+        numeric_correlation(spec, 5.7, 3.3)
+    assert len(calls) > first
 
 
 # --- curvature --------------------------------------------------------------
