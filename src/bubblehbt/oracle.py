@@ -10,8 +10,13 @@ Clenshaw-Curtis moments instead of sampling it.
 For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
 and each factor is computed once per (source, argument, tolerances): a grid
 of nq x nw points costs nq + nw quadratures.  Case E does not factorize and
-costs two quadratures per point.  F(0,0) is computed once per source and
-tolerances.
+costs two quadratures per point, over one integrand closure per point that
+writes the ball's space integral in closed form.  F(0,0) is computed once
+per source and tolerances.
+
+numeric_correlation converts q and d_omega to Python floats once, so each
+point is evaluated in Python floats, also when the caller passes numpy
+scalars; a non-finite q or d_omega is rejected there.
 
 Every quadrature uses the module constants REL_TOL, ABS_TOL and
 MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError,
@@ -110,25 +115,29 @@ def _space_amplitude(spec: SourceSpec, q: float) -> float:
     """The space factor of F: a quadrature for A, C and D, and for the
     delta shell B, whose radial measure picks out r = R, sinc(q R)."""
     if spec.case is SourceCase.B_SHELL:
-        return sinc(q * spec.R)
-    return _radial_transform(spec, float(q), _tolerances())
-
-
-def _shock_inner(q: float, a: float) -> float:
-    """integral_0^a r^2 sinc(q r) dr in closed form."""
-    x = q * a
-    if x < 1e-3:
-        # a^3/3 - a^5 q^2/30 + a^7 q^4/840
-        return a ** 3 * (1.0 / 3.0 + x * x * (-1.0 / 30.0 + x * x / 840.0))
-    return (math.sin(x) - x * math.cos(x)) / (q * q * q)
+        return float(sinc(q * spec.R))
+    return _radial_transform(spec, q, _tolerances())
 
 
 def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
-    """F(q, d_omega) for the expanding shock (up to constant factors)."""
+    """F(q, d_omega) for the expanding shock (up to constant factors): the
+    time integral of rho_t(t) times the ball's space integral
+    integral_0^a r^2 sinc(q r) dr, a = front(t), in closed form."""
     rho, (t0, t1) = time_profile(spec)
     front = shock_front(spec)
     if q > 0.0:
-        env = lambda t: rho(t) * _shock_inner(q, front(t))
+        q3 = q * q * q
+
+        def env(t: float) -> float:
+            a = front(t)
+            x = q * a
+            if x < 1e-3:
+                # a^3/3 - a^5 q^2/30 + a^7 q^4/840
+                inner = a ** 3 * (1.0 / 3.0
+                                  + x * x * (-1.0 / 30.0 + x * x / 840.0))
+            else:
+                inner = (math.sin(x) - x * math.cos(x)) / q3
+            return rho(t) * inner
     else:
         env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
     return complex(_quad(env, t0, t1, "cos", d_omega),
@@ -140,7 +149,7 @@ def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
     time and space amplitudes."""
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
         return _case_e_transform(spec, q, d_omega)
-    return (_time_amplitude(spec, float(d_omega), _tolerances())
+    return (_time_amplitude(spec, d_omega, _tolerances())
             * _space_amplitude(spec, q))
 
 
@@ -158,6 +167,11 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
         raise ValueError("the oracle applies to chaotic sources")
     if not q >= 0.0:
         raise ValueError("q must be non-negative")
+    # the quadratures' integrands then compute in Python floats, not in
+    # the caller's numpy scalars
+    q, d_omega = float(q), float(d_omega)
+    if not (math.isfinite(q) and math.isfinite(d_omega)):
+        raise ValueError("q and d_omega must be finite")
     f = _transform(spec, q, d_omega)
     f0 = _origin_transform(spec, _tolerances())
     excess = CHAOTICITY * abs(f / f0) ** 2

@@ -137,14 +137,17 @@ def count_quadratures(monkeypatch):
     return calls
 
 
+ORACLE_SPECS = [SourceSpec(case=case, tau=1.0, R=1.0)
+                for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
+                             SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)]
+ORACLE_SPECS.append(SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                               r_dot=2e-4 * C_UM_PER_PS))
+CASE_IDS = [spec.case.value for spec in ORACLE_SPECS]
+
+
 def test_origin_cache_is_exact():
     # a warm origin cache gives the same bits as a cold one
-    specs = [SourceSpec(case=case, tau=1.0, R=1.0)
-             for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
-                          SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL)]
-    specs.append(SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
-                            r_dot=2e-4 * C_UM_PER_PS))
-    for spec in specs:
+    for spec in ORACLE_SPECS:
         clear_caches()
         cold = numeric_correlation(spec, 1.3, 0.7)
         warm = numeric_correlation(spec, 1.3, 0.7)
@@ -223,6 +226,41 @@ def test_nonconvergence_reported(monkeypatch):
     with pytest.raises(OracleConvergenceError):
         numeric_correlation(spec, 5.7, 3.3)
     assert len(calls) > first
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=CASE_IDS)
+@pytest.mark.parametrize("q, dw", [(math.inf, 0.5), (1.0, math.nan),
+                                   (1.0, math.inf), (1.0, -math.inf)])
+def test_rejects_non_finite_input(spec, q, dw):
+    with pytest.raises(ValueError, match="q and d_omega must be finite"):
+        numeric_correlation(spec, q, dw)
+    with pytest.raises(ValueError, match="q and d_omega must be finite"):
+        numeric_correlation(spec, np.float64(q), np.float64(dw))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=CASE_IDS)
+def test_integrands_compute_in_python_floats(spec, monkeypatch):
+    # numpy-scalar arguments are converted once, so every integrand
+    # QUADPACK samples returns a Python float
+    clear_caches()
+    calls = count_quadratures(monkeypatch)
+    numeric_correlation(spec, np.float64(1.3), np.float64(0.7))
+    assert calls
+    for f, a, b in (args[:3] for args in calls):
+        assert type(f(0.5 * (a + b))) is float
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=CASE_IDS)
+def test_numpy_and_python_floats_give_same_bits(spec):
+    for q, dw in [(0.0, 0.0), (0.0, -1.3), (2.5, 0.0), (1.3, 0.7),
+                  (0.4, -2.0)]:
+        values = []
+        for arg in (np.float64, float):
+            clear_caches()
+            v = numeric_correlation(spec, arg(q), arg(dw))
+            assert type(v.c) is float and type(v.excess) is float
+            values.append((v.c, v.excess))
+        assert values[0] == values[1]
 
 
 # --- curvature --------------------------------------------------------------
