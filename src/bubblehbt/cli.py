@@ -50,20 +50,17 @@ VALUE_OPTIONS = ("--q", "--dw", "--R", "--tau", "--rdot", "--smear-dw",
                  "--pairs-per-bin", "--seed", "--q-grid", "--dw-grid")
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Every option has one spelling: with abbreviations off, '--d' is not
     '--dw', so `_attach_option_values` sees each option by its whole
-    name.  Subparsers are made by this class too."""
+    name.  Subparsers are made by this class too.  A usage error is a
+    ValueError, which `main` reports with exit code 1."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _finite_float(text: str) -> float:
@@ -79,9 +76,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_source_args(p: argparse.ArgumentParser):
-    p.add_argument("--case", choices=["A", "B", "C", "D", "E"],
-                   default=DEFAULT_CASE, help="source case (Table of shapes)")
+def _add_parameter_args(p: argparse.ArgumentParser):
     p.add_argument("--R", type=_finite_float, default=1.0,
                    help="spatial extension in um (cases A-D)")
     p.add_argument("--tau", type=_finite_float, default=1.0,
@@ -89,6 +84,12 @@ def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--rdot", type=_finite_float,
                    default=DEFAULT_RDOT_FRACTION,
                    help="shock-front speed as a fraction of c (case E)")
+
+
+def _add_source_args(p: argparse.ArgumentParser):
+    p.add_argument("--case", choices=["A", "B", "C", "D", "E"],
+                   default=DEFAULT_CASE, help="source case (Table of shapes)")
+    _add_parameter_args(p)
     p.add_argument("--coherent", action="store_true",
                    help="coherent emission (C identically 1)")
 
@@ -120,11 +121,11 @@ def _parse_grid(text: str) -> np.ndarray:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = _finite_float(lo_s), _finite_float(hi_s), int(n_s)
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"bad grid '{text}': {exc}") from exc
+        raise ValueError(f"bad grid '{text}': {exc}") from exc
     except ValueError as exc:
-        raise _UsageError(f"bad grid '{text}', expected min:max:n") from exc
+        raise ValueError(f"bad grid '{text}', expected min:max:n") from exc
     if n < 1 or hi < lo:
-        raise _UsageError(f"bad grid '{text}'")
+        raise ValueError(f"bad grid '{text}'")
     return np.linspace(lo, hi, n)
 
 
@@ -141,7 +142,7 @@ def _cmd_check(args) -> int:
 
     spec = _spec_from_args(args)
     if spec.emission is Emission.COHERENT:
-        raise _UsageError("check compares chaotic closed forms to the oracle")
+        raise ValueError("check compares chaotic closed forms to the oracle")
     q_values = _parse_grid(args.q_grid)
     dw_values = _parse_grid(args.dw_grid)
     # every row is computed before --out is opened, so an oracle failure
@@ -184,7 +185,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_synth(args) -> int:
     if not args.out:
-        raise _UsageError("synth requires --out")
+        raise ValueError("synth requires --out")
     spec = _spec_from_args(args)
     grid = GridSpec(q_values=_parse_grid(args.q_grid),
                     d_omega_values=_parse_grid(args.dw_grid))
@@ -209,7 +210,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_figure1(args) -> int:
     if not args.out:
-        raise _UsageError("figure1 requires --out")
+        raise ValueError("figure1 requires --out")
     dw = np.linspace(0.0, FIGURE1_DW_MAX, FIGURE1_DW_POINTS)
     specs = {
         "A": SourceSpec(case=SourceCase.A_GAUSSIAN, tau=args.tau, R=args.R),
@@ -247,7 +248,7 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_figure2(args) -> int:
     if not args.out:
-        raise _UsageError("figure2 requires --out")
+        raise ValueError("figure2 requires --out")
     xs = np.linspace(0.0, FIGURE2_X_MAX, FIGURE2_X_POINTS)
     with open(args.out, "w") as fh:
         write_metadata(fh, {"artifact": "figure2",
@@ -296,10 +297,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("figure1", help="log10(C-1) vs (d_omega)^2 plot data")
-    p.add_argument("--R", type=_finite_float, default=1.0)
-    p.add_argument("--tau", type=_finite_float, default=1.0)
-    p.add_argument("--rdot", type=_finite_float,
-                   default=DEFAULT_RDOT_FRACTION)
+    _add_parameter_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_figure1)
 
@@ -316,9 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(_attach_option_values(
             sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (InsufficientDataError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -186,20 +186,19 @@ def phi_of_X(case: SourceCase, X: Values) -> Values:
     return form_factor(case, 1.0, X / math.sqrt(_shape_constant(case)))
 
 
-def _one_sided_gaussian_moments(tau: float, d_omega: Values,
-                                nmax: int) -> List[Values]:
-    """M_n = integral_0^inf t^n exp(-t^2/tau^2 + i d_omega t) dt, n = 0..nmax.
+def _one_sided_gaussian_moments(tau: float, d_omega: Values) -> List[Values]:
+    """M_n = integral_0^inf t^n exp(-t^2/tau^2 + i d_omega t) dt, n = 0..7,
+    the moments `_case_e_series` uses.
 
     M_0 = (sqrt(pi) tau / 2) w(d_omega tau / 2); higher moments by the
     integration-by-parts recurrence M_n = (tau^2/2)(i d_omega M_{n-1}
     + (n-1) M_{n-2}), with the n = 1 boundary term contributing tau^2/2.
     """
-    m: List[Values] = [0j] * (nmax + 1)
-    m[0] = 0.5 * _SQRTPI * tau * faddeeva(0.5 * d_omega * tau)
-    if nmax >= 1:
-        m[1] = 0.5 * tau * tau * (1j * d_omega * m[0] + 1.0)
-    for n in range(2, nmax + 1):
-        m[n] = 0.5 * tau * tau * (1j * d_omega * m[n - 1] + (n - 1) * m[n - 2])
+    m0 = 0.5 * _SQRTPI * tau * faddeeva(0.5 * d_omega * tau)
+    m = [m0, 0.5 * tau * tau * (1j * d_omega * m0 + 1.0)]
+    for n in range(2, 8):
+        m.append(0.5 * tau * tau * (1j * d_omega * m[n - 1]
+                                    + (n - 1) * m[n - 2]))
     return m
 
 
@@ -228,7 +227,7 @@ def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
 def _case_e_series(tau: float, mu: Values, d_omega: Values) -> Values:
     """F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6)."""
     mu2 = mu * mu
-    m = _one_sided_gaussian_moments(tau, d_omega, 7)
+    m = _one_sided_gaussian_moments(tau, d_omega)
     t4 = tau ** 4
     s = (2.0 * m[3] / t4
          - (mu2 / 5.0) * m[5] / (t4 * tau * tau)

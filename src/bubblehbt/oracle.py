@@ -9,7 +9,8 @@ Clenshaw-Curtis moments instead of sampling it.
 
 For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
 and each factor is computed once per (source, argument, tolerances): a grid
-of nq x nw points costs nq + nw quadratures.  Case E does not factorize and
+of nq x nw points costs nq + nw quadratures.  B's space factor, sinc(q R)
+in closed form, is cached the same way.  Case E does not factorize and
 costs two quadratures per point, over one integrand closure per point that
 writes the ball's space integral in closed form.  F(0,0) is computed once
 per source and tolerances.
@@ -18,8 +19,10 @@ numeric_correlation converts q and d_omega to Python floats once, so each
 point is evaluated in Python floats, also when the caller passes numpy
 scalars; a non-finite q or d_omega is rejected there.
 
-Every quadrature uses the module constants REL_TOL, ABS_TOL and
-MAX_SUBDIVISIONS; a result that misses them raises OracleConvergenceError,
+numeric_correlation reads the module constants REL_TOL, ABS_TOL and
+MAX_SUBDIVISIONS once per call and passes them down as one tuple, so every
+quadrature uses them and every cache entry is keyed on the values its
+quadrature used.  A result that misses them raises OracleConvergenceError,
 again on every call, since a failure is not cached.
 """
 
@@ -49,11 +52,12 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 2000
 # entries of each factor cache, a bound on its memory: the acceptance grids
-# of A-D fill 80 time and 60 space entries
+# of A-D fill 80 time and 80 space entries
 FACTOR_CACHE_SIZE = 4096
 
-# (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS), the part of every cache key that
-# makes a change of tolerance compute afresh
+# (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS) as numeric_correlation reads them:
+# every quadrature takes its settings from this tuple, and every cache
+# keys on it, so a change of tolerance computes afresh
 Tolerances = Tuple[float, float, int]
 
 
@@ -63,30 +67,28 @@ class OracleConvergenceError(ArithmeticError):
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
-          weight: Optional[str] = None, omega: float = 0.0) -> float:
+          tolerances: Tolerances, weight: Optional[str] = None,
+          omega: float = 0.0) -> float:
     """Adaptive quadrature of f(x) on [a, b], or of f(x) cos(omega x) or
     f(x) sin(omega x) for weight 'cos' or 'sin' (QAWO when omega != 0)."""
     if weight == "sin" and omega == 0.0:
         return 0.0
+    rel_tol, abs_tol, max_subdivisions = tolerances
     oscillation = {"weight": weight, "wvar": omega} if weight and omega else {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, abserr = integrate.quad(
-                f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,
-                limit=MAX_SUBDIVISIONS, **oscillation)
+                f, a, b, epsabs=abs_tol, epsrel=rel_tol,
+                limit=max_subdivisions, **oscillation)
         except integrate.IntegrationWarning as exc:
             # quadpack's first line names the failure; the rest is advice
             raise OracleConvergenceError(
                 str(exc).strip().splitlines()[0]) from exc
-    if abserr > 100.0 * max(ABS_TOL, REL_TOL * abs(val)):
+    if abserr > 100.0 * max(abs_tol, rel_tol * abs(val)):
         raise OracleConvergenceError(
             f"estimated error {abserr:g} exceeds tolerance for value {val:g}")
     return val
-
-
-def _tolerances() -> Tolerances:
-    return (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS)
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -95,31 +97,28 @@ def _time_amplitude(spec: SourceSpec, d_omega: float,
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     rho, (t0, t1) = time_profile(spec)
-    return _quad(rho, t0, t1, "cos", d_omega)
+    return _quad(rho, t0, t1, tolerances, "cos", d_omega)
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _radial_transform(spec: SourceSpec, q: float,
-                      tolerances: Tolerances) -> float:
-    """4 pi integral r^2 rho_s(r) sinc(q r) dr over the radial support of
-    a source with a radial density (constant prefactors cancel in the
-    ratio).  For q > 0 the integrand is written r rho_s(r) / q with a
+def _space_amplitude(spec: SourceSpec, q: float,
+                     tolerances: Tolerances) -> float:
+    """The space factor of F, 4 pi integral r^2 rho_s(r) sinc(q r) dr up to
+    constant factors.  For the delta shell B, whose radial measure picks
+    out r = R, it is sinc(q R); for A, C and D a quadrature over the radial
+    support.  For q > 0 that integrand is written r rho_s(r) / q with a
     sin(q r) weight, which has no removable singularity."""
-    rho, edge = radial_profile(spec)
-    if q > 0.0:
-        return _quad(lambda r: r * rho(r) / q, 0.0, edge, "sin", q)
-    return _quad(lambda r: r * r * rho(r), 0.0, edge)
-
-
-def _space_amplitude(spec: SourceSpec, q: float) -> float:
-    """The space factor of F: a quadrature for A, C and D, and for the
-    delta shell B, whose radial measure picks out r = R, sinc(q R)."""
     if spec.case is SourceCase.B_SHELL:
         return float(sinc(q * spec.R))
-    return _radial_transform(spec, q, _tolerances())
+    rho, edge = radial_profile(spec)
+    if q > 0.0:
+        return _quad(lambda r: r * rho(r) / q, 0.0, edge, tolerances,
+                     "sin", q)
+    return _quad(lambda r: r * r * rho(r), 0.0, edge, tolerances)
 
 
-def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
+def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
+                      tolerances: Tolerances) -> complex:
     """F(q, d_omega) for the expanding shock (up to constant factors): the
     time integral of rho_t(t) times the ball's space integral
     integral_0^a r^2 sinc(q r) dr, a = front(t), in closed form."""
@@ -140,24 +139,25 @@ def _case_e_transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
             return rho(t) * inner
     else:
         env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
-    return complex(_quad(env, t0, t1, "cos", d_omega),
-                   _quad(env, t0, t1, "sin", d_omega))
+    return complex(_quad(env, t0, t1, tolerances, "cos", d_omega),
+                   _quad(env, t0, t1, tolerances, "sin", d_omega))
 
 
-def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
+def _transform(spec: SourceSpec, q: float, d_omega: float,
+               tolerances: Tolerances) -> complex:
     """F(q, d_omega) up to constant factors; for A-D the product of the
     time and space amplitudes."""
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        return _case_e_transform(spec, q, d_omega)
-    return (_time_amplitude(spec, d_omega, _tolerances())
-            * _space_amplitude(spec, q))
+        return _case_e_transform(spec, q, d_omega, tolerances)
+    return (_time_amplitude(spec, d_omega, tolerances)
+            * _space_amplitude(spec, q, tolerances))
 
 
 @functools.lru_cache(maxsize=32)
 def _origin_transform(spec: SourceSpec, tolerances: Tolerances) -> complex:
     """F(0, 0), which depends on the source alone; for A-D a product of
     two cached factors."""
-    return _transform(spec, 0.0, 0.0)
+    return _transform(spec, 0.0, 0.0, tolerances)
 
 
 def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
@@ -172,8 +172,9 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
     q, d_omega = float(q), float(d_omega)
     if not (math.isfinite(q) and math.isfinite(d_omega)):
         raise ValueError("q and d_omega must be finite")
-    f = _transform(spec, q, d_omega)
-    f0 = _origin_transform(spec, _tolerances())
+    tolerances = (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS)
+    f = _transform(spec, q, d_omega, tolerances)
+    f0 = _origin_transform(spec, tolerances)
     excess = CHAOTICITY * abs(f / f0) ** 2
     return CorrelationValue(c=1.0 + excess, excess=excess)
 

@@ -4,7 +4,8 @@ These are the numerical bedrock for the expanding-shock correlator and the
 space/time form factors: the Faddeeva function w(z) = exp(-z^2) erfc(-iz),
 the real complementary error function, and sin(x)/x with its removable
 singularity handled.  `faddeeva` and `sinc` take a scalar or an array and
-return the same shape.
+return the same shape; where w(z) overflows, in the lower half-plane, its
+parts are +-inf.
 """
 
 from typing import Union
@@ -21,22 +22,13 @@ _SINC_SMALL = 1e-4
 def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz), whole complex plane.
 
-    The lower half-plane is routed through the reflection identity
-    w(-z) = 2 exp(-z^2) - w(z), which produces the exponentially growing
-    branch explicitly instead of trusting the asymptotic evaluation there.
+    scipy's wofz (S. G. Johnson's Faddeeva Package) covers the lower
+    half-plane itself, where w grows like exp(Im(z)^2); a part too large
+    for double precision is +-inf.
     """
     from scipy import special
 
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(special.wofz(z))
-    lower = z.imag < 0.0
-    if lower.any():
-        # exp(-z^2) grows like exp(Im(z)^2) here; this overflows to inf only
-        # when the function value itself is not representable in double
-        # precision.
-        zl = z[lower]
-        w[lower] = 2.0 * np.exp(-zl * zl) - special.wofz(-zl)
-    return w[()]
+    return special.wofz(np.asarray(z, dtype=complex))
 
 
 def erfc_real(x: float) -> float:

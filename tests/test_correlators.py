@@ -240,6 +240,50 @@ def test_case_e_against_oracle():
             assert a == pytest.approx(o, rel=1e-4)
 
 
+# Case E excess at tau = 1 ps and r_dot = REFERENCE_RDOT, computed once with
+# mpmath at 80 digits (140 digits agree to 4e-35 relative): for mu > 0 the
+# direct form with w(x) = exp(-x^2) erfc(-ix), at mu = 0 its limit
+# (1/2) |2 M_3 / tau^4|^2, with M_n from the recurrence on M_0.  Q_E puts
+# mu = 0.0101 just above MU_SERIES_MAX, the direct form's worst point.
+Q_E = 0.0101 / REFERENCE_RDOT
+CASE_E_REFERENCES = [
+    (0.0, 0.0, 0.5),
+    (0.0, 1.0, 0.39624269501593279),
+    (0.0, 3.0, 0.063108938868263392),
+    (0.05, 0.0, 0.49999820249298896),
+    (0.05, 1.0, 0.39624135324664124),
+    (0.05, 3.0, 0.063108827630796079),
+    (Q_E, 0.0, 0.49997959843110114),
+    (Q_E, 1.0, 0.39622746602311874),
+    (Q_E, 3.0, 0.063107676321684383),
+    (0.5, 0.0, 0.49982028242436832),
+    (0.5, 1.0, 0.39610854174931728),
+    (0.5, 3.0, 0.063097816352370501),
+    (2.0, 0.0, 0.49713253287220373),
+    (2.0, 1.0, 0.39410196782244485),
+    (2.0, 3.0, 0.062931276552101398),
+    (20.0, 0.0, 0.28301616217246834),
+    (20.0, 1.0, 0.23230743876552985),
+    (20.0, 3.0, 0.048072492812957108),
+]
+# both branches fail at large d_omega (ROADMAP item 6): the closed form gives
+# 1.8e14, 0.125 and 1.3e-23 here
+CASE_E_FAILING_REFERENCES = [
+    (0.1, 1e6, 7.200000000288001e-47),
+    (0.0, 1e8, 7.2000000000000288e-63),
+    (Q_E, 1e4, 7.2000028800302717e-31),
+]
+
+
+@pytest.mark.parametrize("q, dw, reference", CASE_E_REFERENCES + [
+    pytest.param(*point, marks=pytest.mark.xfail(
+        strict=True, reason="case E loses accuracy at large d_omega"))
+    for point in CASE_E_FAILING_REFERENCES], ids="{:g}".format)
+def test_case_e_matches_pinned_references(q, dw, reference):
+    got = correlation(spec(E), q, dw).excess
+    assert abs(got - reference) <= 1e-8 * reference
+
+
 # --- q broadcast against d_omega ---------------------------------------------
 
 Q_SWITCH = MU_SERIES_MAX / REFERENCE_RDOT  # mu = MU_SERIES_MAX at tau = 1

@@ -119,7 +119,7 @@ def test_high_frequency_matches_closed_forms():
 
 def clear_caches():
     for cached in (oracle._origin_transform, oracle._time_amplitude,
-                   oracle._radial_transform):
+                   oracle._space_amplitude):
         cached.cache_clear()
 
 
@@ -167,13 +167,13 @@ def test_origin_recomputed_for_new_tolerances(monkeypatch, name, value):
     numeric_correlation(spec, 1.0, 1.0)
     misses = [cached.cache_info().misses for cached in (
         oracle._origin_transform, oracle._time_amplitude,
-        oracle._radial_transform)]
+        oracle._space_amplitude)]
     assert misses == [1, 3, 3]
     monkeypatch.setattr(oracle, name, value)
     numeric_correlation(spec, 1.0, 1.0)
     misses = [cached.cache_info().misses for cached in (
         oracle._origin_transform, oracle._time_amplitude,
-        oracle._radial_transform)]
+        oracle._space_amplitude)]
     assert misses == [2, 5, 5]
 
 
@@ -198,7 +198,7 @@ def test_factor_cache_is_exact(case):
         v = numeric_correlation(spec, q, dw)
         assert (v.c, v.excess) == cold[q, dw]
     assert oracle._time_amplitude.cache_info().currsize == 4
-    assert oracle._radial_transform.cache_info().currsize == 4
+    assert oracle._space_amplitude.cache_info().currsize == 4
 
 
 def test_grid_check_makes_one_quadrature_per_factor(capsys, monkeypatch):

@@ -79,10 +79,15 @@ def test_faddeeva_real_axis_identity():
 
 def test_faddeeva_reflection_identity():
     rng = np.random.default_rng(1234)
+    zs = []
     for _ in range(100):
         r = 10.0 * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, math.pi)
-        z = r * complex(math.cos(phi), math.sin(phi))
+        zs.append(r * complex(math.cos(phi), math.sin(phi)))
+    # -z deep in the lower half-plane too, where |w(-z)| reaches 1e293
+    zs += [complex(x, y) for y in (12.0, 20.0, 26.0)
+           for x in (-4.0, -0.5, 0.0, 1.0, 3.0)]
+    for z in zs:
         lhs = faddeeva(-z) + faddeeva(z)
         rhs = 2.0 * np.exp(-z * z)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs) + 1e-14
@@ -92,6 +97,11 @@ def test_faddeeva_lower_half_plane_finite():
     for z in [0.5 - 2.0j, -1.0 - 3.0j, 3.0 - 0.5j]:
         w = faddeeva(z)
         assert math.isfinite(w.real) and math.isfinite(w.imag)
+    # past Im z = -26.6, exp(Im(z)^2) overflows: w is +-inf, never NaN
+    for z in [0.5 - 28.0j, 3.0 - 27.0j, -28.0j]:
+        w = faddeeva(z)
+        assert not (math.isnan(w.real) or math.isnan(w.imag))
+        assert math.isinf(abs(w))
 
 
 def test_faddeeva_asymptotic_imaginary_axis():
