@@ -8,13 +8,14 @@ stream seeded by the noise seed, so generation is deterministic.
 Poor energy resolution is modeled as a box average of the time factor over
 a full width delta_omega, taken in closed form (`mean_time_factor`).
 
-Surfaces round-trip through a CSV format (`write_surface_csv`,
-`read_surface_csv`); the inversion of a surface is in `inference`.
+Surfaces round-trip through a CSV format of `q,d_omega,c_obs` rows
+(`write_surface_csv`, `read_surface_csv`), whose reader recomputes c_true
+and sigma from its metadata; the inversion of a surface is in `inference`.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,7 +90,8 @@ class NoiseSpec:
 class CorrelationSurface:
     """Tabulated correlation data, truth and observed channels.
 
-    Flat arrays in row-major (q outer, d_omega inner) order.
+    Flat arrays in row-major (q outer, d_omega inner) order.  A CSV file
+    holds q, d_omega and c_obs; c_true and sigma follow from its metadata.
     """
 
     q: np.ndarray
@@ -141,6 +143,16 @@ def apply_energy_smearing(spec: SourceSpec, q: Values,
     return 1.0 + CHAOTICITY * mean_t * form_factor(spec.case, spec.R, q)
 
 
+def _counting_sigma(c_true: np.ndarray,
+                    noise: Optional[NoiseSpec]) -> np.ndarray:
+    """Poisson error sqrt(c_true/N) per bin; zeros without noise."""
+    if noise is None:
+        return np.zeros_like(c_true)
+    return np.sqrt(c_true / noise.pairs_per_bin)
+
+
+# a closed form that overflows ends in the one error below, not in warnings
+@np.errstate(all="ignore")
 def generate(spec: SourceSpec, grid: GridSpec,
              noise: Optional[NoiseSpec] = None,
              smear_dw: Optional[float] = None) -> CorrelationSurface:
@@ -153,14 +165,17 @@ def generate(spec: SourceSpec, grid: GridSpec,
         c_true = apply_energy_smearing(spec, q, smear_dw)
     else:
         c_true = 1.0 + excess(spec, q, dw)
+    if not np.isfinite(c_true).all():
+        i = np.argmin(np.isfinite(c_true))  # the first non-finite point
+        raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "
+                              f"d_omega = {format_value(dw[i])}")
     if noise is None:
         c_obs = c_true.copy()
-        sigma = np.zeros_like(c_true)
     else:
         n_exp = noise.pairs_per_bin
         rng = np.random.default_rng(noise.seed)
         c_obs = rng.poisson(n_exp * c_true) / n_exp
-        sigma = np.sqrt(c_true / n_exp)
+    sigma = _counting_sigma(c_true, noise)
     return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec, grid=grid, noise=noise,
                               smear_dw=smear_dw)
@@ -172,7 +187,7 @@ def generate(spec: SourceSpec, grid: GridSpec,
 # writes its other CSV outputs with the same formatter and metadata writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
-_COLUMNS = ["q", "d_omega", "c_true", "c_obs", "sigma"]
+_COLUMNS = ["q", "d_omega", "c_obs"]
 _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 
@@ -217,16 +232,15 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
 
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
     # each distinct q and d_omega (by bits: 0.0 and -0.0 stay apart) is
-    # formatted once; c_true, c_obs and sigma are formatted per point
+    # formatted once; c_obs is formatted per point
     table = np.empty((surface.q.size, len(_COLUMNS)), dtype=object)
     for col, values in enumerate((surface.q, surface.d_omega)):
         bits, inverse = np.unique(np.asarray(values, np.float64).view(
             np.uint64), return_inverse=True)
         text = [_VALUE_FORMAT % v for v in bits.view(np.float64).tolist()]
         table[:, col] = np.array(text, dtype=object)[inverse]
-    table[:, 2:] = np.column_stack((surface.c_true, surface.c_obs,
-                                    surface.sigma))
-    row_format = ",".join(["%s", "%s"] + [_VALUE_FORMAT] * 3) + "\n"
+    table[:, 2] = surface.c_obs
+    row_format = f"%s,%s,{_VALUE_FORMAT}\n"
     with open(path, "w") as fh:
         write_metadata(fh, surface_metadata(surface))
         fh.write(",".join(_COLUMNS) + "\n")
@@ -267,7 +281,8 @@ def _row_fault(path: str, first_row: int, width: int) -> str:
 
 def read_surface_csv(path: str) -> CorrelationSurface:
     """Read a surface CSV; its rows may come in any order and are returned
-    in the grid's row-major order.  Malformed input raises ValueError."""
+    in the grid's row-major order, c_true and sigma recomputed from its
+    metadata.  Malformed input raises ValueError."""
     header_lines = []
     columns = None
     with open(path) as fh:
@@ -288,7 +303,7 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         except ValueError:
             arr = None  # the fault is named after the metadata checks
     if columns != _COLUMNS:
-        raise ValueError(f"unexpected surface CSV columns: {columns}")
+        raise ValueError(f"surface CSV columns {columns} are not {_COLUMNS}")
     meta = _parse_metadata(header_lines)
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
@@ -306,15 +321,11 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         r_dot=float(meta["rdot_um_per_ps"]) if "rdot_um_per_ps" in meta else None,
         emission=Emission(meta["emission"]),
     )
-    grid = GridSpec(
-        q_values=tuple(float(v) for v in meta["q_values_per_um"].split()),
-        d_omega_values=tuple(
-            float(v) for v in meta["d_omega_values_per_ps"].split()),
-    )
-    noise = None
-    if "pairs_per_bin" in meta:
-        noise = NoiseSpec(pairs_per_bin=int(meta["pairs_per_bin"]),
-                          seed=int(meta["seed"]))
+    grid = GridSpec(q_values=meta["q_values_per_um"].split(),
+                    d_omega_values=meta["d_omega_values_per_ps"].split())
+    noise = (NoiseSpec(pairs_per_bin=int(meta["pairs_per_bin"]),
+                       seed=int(meta["seed"]))
+             if "pairs_per_bin" in meta else None)
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
     if arr is not None and arr.size == 0:
         raise ValueError("surface CSV has no data rows")
@@ -322,21 +333,9 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         raise ValueError(_row_fault(path, n_header + 1, len(columns)))
     if not np.isfinite(arr).all():
         raise ValueError("surface CSV holds non-finite values")
-    if (arr[:, 4] < 0.0).any():
-        raise ValueError("surface CSV holds a negative sigma")
-    # a surface is either noiseless or noisy in every bin; a zero sigma
-    # among positive ones would be an infinite weight in the fits
-    zero_sigma = arr[:, 4] == 0.0
-    if zero_sigma.any() and not zero_sigma.all():
-        raise ValueError("surface CSV mixes zero and positive sigma")
-    # rows may come in any order, but must cover the grid point for point;
-    # they are returned in the grid's row-major order
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    grid_q, grid_dw = grid.points()
-    if arr.shape[0] != grid_q.size or not (
-            np.array_equal(arr[:, 0], grid_q)
-            and np.array_equal(arr[:, 1], grid_dw)):
+    if not np.array_equal(arr[:, :2], np.column_stack(grid.points())):
         raise ValueError("surface CSV rows do not match its metadata grid")
-    return CorrelationSurface(q=arr[:, 0], d_omega=arr[:, 1], c_true=arr[:, 2],
-                              c_obs=arr[:, 3], sigma=arr[:, 4], spec=spec,
-                              grid=grid, noise=noise, smear_dw=smear_dw)
+    truth = generate(spec, grid, smear_dw=smear_dw)
+    return replace(truth, c_obs=arr[:, 2], noise=noise,
+                   sigma=_counting_sigma(truth.c_true, noise))

@@ -152,7 +152,7 @@ def test_synth_metadata_header(capsys, tmp_path):
     assert "# case = C" in text
     assert "# R_um = 1.5" in text
     assert "# tau_ps = 2" in text
-    assert "q,d_omega,c_true,c_obs,sigma" in text
+    assert "\nq,d_omega,c_obs\n" in text
 
 
 def test_synth_fit_end_to_end(capsys, tmp_path):
@@ -294,12 +294,47 @@ def fit_sparse_surface(capsys, tmp_path, *grid):
     return run(capsys, "fit", str(surf))
 
 
+def fit_window_too_narrow(capsys, tmp_path):
+    # four q, but the fourth lies far outside the curvature window
+    return fit_sparse_surface(capsys, tmp_path, "--q-grid", "0:3:4")
+
+
+def synth_case_e_at_huge_d_omega(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    result = run(capsys, "synth", "--case", "E", "--q-grid", "0:1:3",
+                 "--dw-grid", "0:1e200:3", "--out", str(path))
+    assert not path.exists()
+    return result
+
+
+def fit_case_e_at_huge_d_omega(capsys, tmp_path):
+    # a hand-written surface whose metadata grid takes case E's forward
+    # model past its range, where c_true is recomputed on reading
+    path = tmp_path / "hand.csv"
+    rows = "".join(f"{q},{dw},1\n" for q in ("0", "0.5", "1")
+                   for dw in ("0", "5e199", "1e200"))
+    path.write_text("# artifact = correlation_surface\n# case = E\n"
+                    "# emission = chaotic\n# tau_ps = 1\n"
+                    "# rdot_um_per_ps = 0.06\n# q_values_per_um = 0 0.5 1\n"
+                    "# d_omega_values_per_ps = 0 5e199 1e200\n"
+                    "q,d_omega,c_obs\n" + rows)
+    return run(capsys, "fit", str(path))
+
+
+NOT_FINITE = ("error: C is not finite at q = 0, "
+              "d_omega = 4.9999999999999998e+199\n")
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path):
-    # four q, but the fourth lies far outside the curvature window: exit 2
-    code, _, err = fit_sparse_surface(capsys, tmp_path, "--q-grid", "0:3:4")
-    assert code == 2
-    assert err.startswith("error: window too narrow: fourth q at X = ")
-    assert err.count("\n") == 1
+    for failing_run, message in [
+            (fit_window_too_narrow,
+             "error: window too narrow: fourth q at X = "),
+            (synth_case_e_at_huge_d_omega, NOT_FINITE),
+            (fit_case_e_at_huge_d_omega, NOT_FINITE)]:
+        code, out, err = failing_run(capsys, tmp_path)
+        assert (code, out) == (2, ""), failing_run.__name__
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", [
@@ -406,7 +441,7 @@ def write_default_surface(capsys, path):
     assert code == 0
     lines = path.read_text().splitlines(keepends=True)
     head = [line for line in lines if line.startswith("#")] + [
-        "q,d_omega,c_true,c_obs,sigma\n"]
+        "q,d_omega,c_obs\n"]
     return head, lines[len(head):]
 
 
@@ -467,29 +502,21 @@ def test_fit_rejects_rows_off_the_grid(capsys, tmp_path):
 def test_fit_rejects_non_finite_values(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    q, dw, c_true, _, sigma = rows[10].split(",")
-    rows[10] = ",".join([q, dw, c_true, "nan", sigma])
+    q, dw, _ = rows[10].split(",")
+    rows[10] = ",".join([q, dw, "nan\n"])
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, "non-finite")
 
 
-def test_fit_rejects_negative_sigma(capsys, tmp_path):
+def test_fit_rejects_five_column_surface(capsys, tmp_path):
+    # the earlier format, q,d_omega,c_true,c_obs,sigma, is not read
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    q, dw, c_true, c_obs, sigma = rows[10].split(",")
-    rows[10] = ",".join([q, dw, c_true, c_obs, "-" + sigma])
+    head[-1] = "q,d_omega,c_true,c_obs,sigma\n"
+    rows = [f"{row.rstrip()},{row.split(',')[2].rstrip()},0.001\n"
+            for row in rows]
     path.write_text("".join(head + rows))
-    assert_rejected(capsys, path, "negative sigma")
-
-
-def test_fit_rejects_mixed_zero_and_positive_sigma(capfd, tmp_path):
-    # capfd, not capsys: LAPACK would print to file descriptor 1
-    path = tmp_path / "surf.csv"
-    head, rows = write_default_surface(capfd, path)
-    q, dw, c_true, c_obs, _ = rows[10].split(",")
-    rows[10] = ",".join([q, dw, c_true, c_obs, "0"]) + "\n"
-    path.write_text("".join(head + rows))
-    assert_rejected(capfd, path, "mixes zero and positive sigma")
+    assert_rejected(capsys, path, "are not ['q', 'd_omega', 'c_obs']")
 
 
 def test_fit_rejects_short_rows(capsys, tmp_path):
@@ -497,7 +524,7 @@ def test_fit_rejects_short_rows(capsys, tmp_path):
     head, rows = write_default_surface(capsys, path)
     path.write_text("".join(head + [row.rsplit(",", 1)[0] + "\n"
                                     for row in rows]))
-    assert_rejected(capsys, path, "need 5 values")
+    assert_rejected(capsys, path, "need 3 values")
 
 
 def test_fit_rejects_missing_metadata_keys(capsys, tmp_path):
@@ -542,8 +569,8 @@ def test_fit_rejects_non_finite_metadata(capsys, tmp_path, key, message,
 def test_fit_rejects_non_numeric_field(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    q, dw, c_true, _, sigma = rows[10].split(",")
-    rows[10] = ",".join([q, dw, c_true, "1.0x", sigma])
+    q, dw, _ = rows[10].split(",")
+    rows[10] = ",".join([q, dw, "1.0x\n"])
     path.write_text("".join(head + rows))
     # rows[10] is the 11th line after the head
     assert_rejected(capsys, path,

@@ -1,6 +1,7 @@
 """Synthetic surfaces: determinism, noise statistics, smearing, CSV round
 trip."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy import integrate
 from scipy.special import chdtri, ndtri
 
 from bubblehbt import correlators
-from bubblehbt.correlators import MU_SERIES_MAX, correlation, time_factor
+from bubblehbt.correlators import (FACTORIZED_CASES, MU_SERIES_MAX,
+                                   correlation, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real, faddeeva
@@ -239,18 +241,40 @@ def test_smearing_rejects_case_e():
 
 # --- CSV --------------------------------------------------------------------
 
+def source(case, **kw):
+    if case is SourceCase.E_EXPANDING_SHOCK:
+        return SourceSpec(case=case, tau=1.0, r_dot=2e-4 * C_UM_PER_PS, **kw)
+    return SourceSpec(case=case, tau=1.0, R=1.0, **kw)
+
+
+# the CLI's default grid; for case E it holds both the series (q < 0.17)
+# and the direct branch
+CLI_GRID = GridSpec(q_values=np.linspace(0.0, 3.0, 61),
+                    d_omega_values=np.linspace(0.0, 2.0, 9))
+ROUND_TRIP_SURFACES = (
+    [(source(case), NoiseSpec(pairs_per_bin=10 ** 6, seed=70 + i), None)
+     for i, case in enumerate(SourceCase)]
+    + [(source(case), None, 1.5) for case in FACTORIZED_CASES]
+    + [(source(SourceCase.A_GAUSSIAN), None, None),
+       (source(SourceCase.E_EXPANDING_SHOCK), None, None),
+       (source(SourceCase.A_GAUSSIAN, emission=Emission.COHERENT), None,
+        None)])
+
+
 def test_csv_round_trip(tmp_path):
-    noise = NoiseSpec(pairs_per_bin=10 ** 4, seed=77)
-    surf = generate(spec_a(), GRID, noise=noise, smear_dw=None)
+    # the file holds q, d_omega and c_obs; c_true and sigma come back from
+    # its metadata, all five bit for bit: noisy A-E, smeared A-D,
+    # noiseless A and E, coherent A
     path = tmp_path / "surface.csv"
-    write_surface_csv(surf, str(path))
-    back = read_surface_csv(str(path))
-    np.testing.assert_array_equal(back.q, surf.q)
-    np.testing.assert_array_equal(back.c_obs, surf.c_obs)
-    np.testing.assert_array_equal(back.sigma, surf.sigma)
-    assert back.spec == surf.spec
-    assert back.grid == surf.grid
-    assert back.noise == surf.noise
+    for spec, noise, smear_dw in ROUND_TRIP_SURFACES:
+        surf = generate(spec, CLI_GRID, noise=noise, smear_dw=smear_dw)
+        write_surface_csv(surf, str(path))
+        back = read_surface_csv(str(path))
+        for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
+            assert (getattr(back, name).tobytes()
+                    == getattr(surf, name).tobytes()), (spec, noise, name)
+        assert (back.spec, back.grid, back.noise, back.smear_dw) == (
+            surf.spec, surf.grid, surf.noise, surf.smear_dw)
 
 
 def test_csv_metadata_header(tmp_path):
@@ -260,7 +284,7 @@ def test_csv_metadata_header(tmp_path):
     text = path.read_text()
     assert text.startswith("# artifact = correlation_surface")
     assert "# smear_dw_per_ps = 2" in text
-    assert "q,d_omega,c_true,c_obs,sigma" in text
+    assert "\nq,d_omega,c_obs\n" in text
 
 
 def test_csv_edge_values_bytes_and_round_trip(tmp_path):
@@ -268,21 +292,19 @@ def test_csv_edge_values_bytes_and_round_trip(tmp_path):
     # both must agree with the per-value formatter to the last bit
     edges = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
     grid = GridSpec(q_values=edges, d_omega_values=[-1e308] + edges[:3])
-    q, dw = grid.points()
     rng = np.random.default_rng(11)
-    c_obs = 1.0 + rng.random(q.size)
+    c_obs = 1.0 + rng.random(grid.points()[0].size)
+    c_obs[::4] = [-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
     assert sum(float("%.16g" % v) != v for v in c_obs) > 4
-    c_true = np.resize([-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308, 0.1], q.size)
-    # a surface's sigma is zero in every bin or in none
-    sigma = np.resize(edges[1:] + [0.1], q.size)
-    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
-                              sigma=sigma, spec=spec_a(), grid=grid)
+    surf = dataclasses.replace(
+        generate(spec_a(), grid, noise=NoiseSpec(pairs_per_bin=10 ** 6,
+                                                 seed=1)), c_obs=c_obs)
     path = tmp_path / "surface.csv"
     write_surface_csv(surf, str(path))
-    header = b"q,d_omega,c_true,c_obs,sigma\n"
+    header = b"q,d_omega,c_obs\n"
     reference = "".join(
         ",".join(format_value(v) for v in row) + "\n"
-        for row in zip(q, dw, c_true, c_obs, sigma)).encode()
+        for row in zip(surf.q, surf.d_omega, c_obs)).encode()
     text = path.read_bytes()
     assert text.count(header) == 1
     assert text.partition(header)[2] == reference
@@ -298,15 +320,15 @@ def test_csv_writer_formats_each_distinct_value_once(tmp_path):
     rng = np.random.default_rng(12)
     q = rng.choice([0.0, -0.0, 0.1, 1e308], 40)
     dw = rng.choice([-0.0, 0.0, 5e-324, -2.5], 40)
-    c_true = 1.0 + rng.random(40)
-    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_true,
+    c_obs = 1.0 + rng.random(40)
+    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_obs, c_obs=c_obs,
                               sigma=np.zeros(40), spec=spec_a(), grid=GRID)
     path = tmp_path / "surface.csv"
     write_surface_csv(surf, str(path))
     reference = "".join(
         ",".join(format_value(v) for v in row) + "\n"
-        for row in zip(q, dw, c_true, c_true, np.zeros(40))).encode()
-    header = b"q,d_omega,c_true,c_obs,sigma\n"
+        for row in zip(q, dw, c_obs)).encode()
+    header = b"q,d_omega,c_obs\n"
     assert path.read_bytes().partition(header)[2] == reference
 
 
