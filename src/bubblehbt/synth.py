@@ -8,14 +8,14 @@ stream seeded by the noise seed, so generation is deterministic.
 Poor energy resolution is modeled as a box average of the time factor over
 a full width delta_omega, taken in closed form (`mean_time_factor`).
 
-Surfaces round-trip through a CSV format of `q,d_omega,c_obs` rows
-(`write_surface_csv`, `read_surface_csv`), whose reader recomputes c_true
-and sigma from its metadata; the inversion of a surface is in `inference`.
+Surfaces round-trip through a CSV format of the c_obs matrix, one line per
+q (`write_surface_csv`, `read_surface_csv`), whose reader takes the grid and
+recomputes c_true and sigma from its metadata; `inference` inverts them.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,7 +91,7 @@ class CorrelationSurface:
     """Tabulated correlation data, truth and observed channels.
 
     Flat arrays in row-major (q outer, d_omega inner) order.  A CSV file
-    holds q, d_omega and c_obs; c_true and sigma follow from its metadata.
+    holds c_obs; the grid, c_true and sigma follow from its metadata.
     """
 
     q: np.ndarray
@@ -143,23 +143,12 @@ def apply_energy_smearing(spec: SourceSpec, q: Values,
     return 1.0 + CHAOTICITY * mean_t * form_factor(spec.case, spec.R, q)
 
 
-def _counting_sigma(c_true: np.ndarray,
-                    noise: Optional[NoiseSpec]) -> np.ndarray:
-    """Poisson error sqrt(c_true/N) per bin; zeros without noise."""
-    if noise is None:
-        return np.zeros_like(c_true)
-    return np.sqrt(c_true / noise.pairs_per_bin)
-
-
 # a closed form that overflows ends in the one error below, not in warnings
 @np.errstate(all="ignore")
-def generate(spec: SourceSpec, grid: GridSpec,
-             noise: Optional[NoiseSpec] = None,
-             smear_dw: Optional[float] = None) -> CorrelationSurface:
-    """Tabulate c_true over all of the grid's points in one call; with
-    `noise`, draw c_obs = n/N with n ~ Poisson(N c_true) and
-    sigma = sqrt(c_true/N) per bin, all bins in one call on a generator
-    seeded by `noise.seed`, in row-major order."""
+def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
+           smear_dw: Optional[float]) -> Tuple[np.ndarray, ...]:
+    """q, d_omega, c_true and sigma = sqrt(c_true/N) (zeros without noise)
+    of every grid point in row-major order, c_true in one call."""
     q, dw = grid.points()
     if smear_dw is not None and spec.emission is Emission.CHAOTIC:
         c_true = apply_energy_smearing(spec, q, smear_dw)
@@ -169,13 +158,25 @@ def generate(spec: SourceSpec, grid: GridSpec,
         i = np.argmin(np.isfinite(c_true))  # the first non-finite point
         raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "
                               f"d_omega = {format_value(dw[i])}")
+    sigma = (np.zeros_like(c_true) if noise is None
+             else np.sqrt(c_true / noise.pairs_per_bin))
+    return q, dw, c_true, sigma
+
+
+def generate(spec: SourceSpec, grid: GridSpec,
+             noise: Optional[NoiseSpec] = None,
+             smear_dw: Optional[float] = None) -> CorrelationSurface:
+    """Tabulate c_true over all of the grid's points in one call; with
+    `noise`, draw c_obs = n/N with n ~ Poisson(N c_true) and
+    sigma = sqrt(c_true/N) per bin, all bins in one call on a generator
+    seeded by `noise.seed`, in row-major order."""
+    q, dw, c_true, sigma = _truth(spec, grid, noise, smear_dw)
     if noise is None:
         c_obs = c_true.copy()
     else:
         n_exp = noise.pairs_per_bin
         rng = np.random.default_rng(noise.seed)
         c_obs = rng.poisson(n_exp * c_true) / n_exp
-    sigma = _counting_sigma(c_true, noise)
     return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec, grid=grid, noise=noise,
                               smear_dw=smear_dw)
@@ -183,11 +184,13 @@ def generate(spec: SourceSpec, grid: GridSpec,
 
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key = value metadata, then a header line,
-# then data rows with 17 significant digits and no '#' lines.  The CLI
-# writes its other CSV outputs with the same formatter and metadata writer.
+# then data rows with 17 significant digits and no '#' lines.  A surface's
+# grid is in its metadata, and its rows hold c_obs: one line per q, one
+# value per d_omega, both in metadata order.  The CLI writes its other CSV
+# outputs with the same formatter and metadata writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
-_COLUMNS = ["q", "d_omega", "c_obs"]
+_HEADER = "c_obs"
 _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 
@@ -231,20 +234,12 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
 
 
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
-    # each distinct q and d_omega (by bits: 0.0 and -0.0 stay apart) is
-    # formatted once; c_obs is formatted per point
-    table = np.empty((surface.q.size, len(_COLUMNS)), dtype=object)
-    for col, values in enumerate((surface.q, surface.d_omega)):
-        bits, inverse = np.unique(np.asarray(values, np.float64).view(
-            np.uint64), return_inverse=True)
-        text = [_VALUE_FORMAT % v for v in bits.view(np.float64).tolist()]
-        table[:, col] = np.array(text, dtype=object)[inverse]
-    table[:, 2] = surface.c_obs
-    row_format = f"%s,%s,{_VALUE_FORMAT}\n"
+    nq, nw = len(surface.grid.q_values), len(surface.grid.d_omega_values)
+    row_format = ",".join([_VALUE_FORMAT] * nw) + "\n"
     with open(path, "w") as fh:
         write_metadata(fh, surface_metadata(surface))
-        fh.write(",".join(_COLUMNS) + "\n")
-        fh.write((row_format * len(table)) % tuple(table.ravel().tolist()))
+        fh.write(_HEADER + "\n")
+        fh.write((row_format * nq) % tuple(surface.c_obs.tolist()))
 
 
 def _parse_metadata(lines: Sequence[str]) -> dict:
@@ -280,18 +275,18 @@ def _row_fault(path: str, first_row: int, width: int) -> str:
 
 
 def read_surface_csv(path: str) -> CorrelationSurface:
-    """Read a surface CSV; its rows may come in any order and are returned
-    in the grid's row-major order, c_true and sigma recomputed from its
-    metadata.  Malformed input raises ValueError."""
+    """Read a surface CSV: c_obs from its rows, the grid and the rest from
+    its metadata, c_true and sigma recomputed from that metadata.
+    Malformed input raises ValueError."""
     header_lines = []
-    columns = None
+    header = None
     with open(path) as fh:
         # '#' metadata and blank lines, then the header; one np.loadtxt
         # parses the non-blank lines after it straight from the file
         for n_header, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                columns = line.split(",")
+                header = line
                 break
             header_lines.append(line)
         try:
@@ -302,8 +297,8 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                                  delimiter=",", ndmin=2, comments=None)
         except ValueError:
             arr = None  # the fault is named after the metadata checks
-    if columns != _COLUMNS:
-        raise ValueError(f"surface CSV columns {columns} are not {_COLUMNS}")
+    if header != _HEADER:
+        raise ValueError(f"surface CSV header {header!r} is not {_HEADER!r}")
     meta = _parse_metadata(header_lines)
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
@@ -329,13 +324,15 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
     if arr is not None and arr.size == 0:
         raise ValueError("surface CSV has no data rows")
-    if arr is None or arr.shape[1] != len(columns):
-        raise ValueError(_row_fault(path, n_header + 1, len(columns)))
+    nq, nw = len(grid.q_values), len(grid.d_omega_values)
+    if arr is None or arr.shape[1] != nw:
+        raise ValueError(_row_fault(path, n_header + 1, nw))
+    if len(arr) != nq:
+        raise ValueError(f"surface CSV has {len(arr)} rows, its metadata "
+                         f"grid {nq} q values")
     if not np.isfinite(arr).all():
         raise ValueError("surface CSV holds non-finite values")
-    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    if not np.array_equal(arr[:, :2], np.column_stack(grid.points())):
-        raise ValueError("surface CSV rows do not match its metadata grid")
-    truth = generate(spec, grid, smear_dw=smear_dw)
-    return replace(truth, c_obs=arr[:, 2], noise=noise,
-                   sigma=_counting_sigma(truth.c_true, noise))
+    q, dw, c_true, sigma = _truth(spec, grid, noise, smear_dw)
+    return CorrelationSurface(q=q, d_omega=dw, c_true=c_true,
+                              c_obs=arr.ravel(), sigma=sigma, spec=spec,
+                              grid=grid, noise=noise, smear_dw=smear_dw)

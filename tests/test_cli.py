@@ -116,7 +116,7 @@ def test_negative_grid_value_after_a_space(capsys, tmp_path):
                      "--out", str(joined))
     assert code == 0
     assert spaced.read_bytes() == joined.read_bytes()
-    assert read_csv_columns(spaced)[1][0][1] == "-1"
+    assert "# d_omega_values_per_ps = -1 1\n" in spaced.read_text()
 
 
 def test_negative_exponent_value_after_a_space(capsys):
@@ -152,7 +152,7 @@ def test_synth_metadata_header(capsys, tmp_path):
     assert "# case = C" in text
     assert "# R_um = 1.5" in text
     assert "# tau_ps = 2" in text
-    assert "\nq,d_omega,c_obs\n" in text
+    assert "\nc_obs\n" in text
 
 
 def test_synth_fit_end_to_end(capsys, tmp_path):
@@ -259,9 +259,11 @@ def test_synth_at_huge_d_omega_is_quiet(capsys, tmp_path):
     code, out, err = run(capsys, "synth", "--case", "A", "--dw-grid",
                          "0:1e200:3", "--out", str(path))
     assert (code, out, err) == (0, "", "")
+    # each row holds one q's c_obs in d_omega order, the last at 1e200
+    meta = check_metadata(path.read_text())
+    assert float(meta["d_omega_values_per_ps"].split()[-1]) == 1e200
     _, rows = read_csv_columns(path)
-    far = [row for row in rows if float(row[1]) == 1e200]
-    assert far and all(float(row[2]) == 1.0 for row in far)
+    assert rows and all(float(row[-1]) == 1.0 for row in rows)
 
 
 def test_usage_error_exit_code(capsys):
@@ -311,13 +313,11 @@ def fit_case_e_at_huge_d_omega(capsys, tmp_path):
     # a hand-written surface whose metadata grid takes case E's forward
     # model past its range, where c_true is recomputed on reading
     path = tmp_path / "hand.csv"
-    rows = "".join(f"{q},{dw},1\n" for q in ("0", "0.5", "1")
-                   for dw in ("0", "5e199", "1e200"))
     path.write_text("# artifact = correlation_surface\n# case = E\n"
                     "# emission = chaotic\n# tau_ps = 1\n"
                     "# rdot_um_per_ps = 0.06\n# q_values_per_um = 0 0.5 1\n"
                     "# d_omega_values_per_ps = 0 5e199 1e200\n"
-                    "q,d_omega,c_obs\n" + rows)
+                    "c_obs\n" + "1,1,1\n" * 3)
     return run(capsys, "fit", str(path))
 
 
@@ -440,8 +440,7 @@ def write_default_surface(capsys, path):
                      "1000000", "--seed", "5", "--out", str(path))
     assert code == 0
     lines = path.read_text().splitlines(keepends=True)
-    head = [line for line in lines if line.startswith("#")] + [
-        "q,d_omega,c_obs\n"]
+    head = [line for line in lines if line.startswith("#")] + ["c_obs\n"]
     return head, lines[len(head):]
 
 
@@ -479,52 +478,60 @@ def test_fit_rejects_comment_among_rows(capsys, tmp_path):
                     "'#' line among the data rows")
 
 
-def test_fit_rejects_rows_off_the_grid(capsys, tmp_path):
+def test_fit_rejects_a_missing_or_an_extra_row(capsys, tmp_path):
+    # one row per q of the metadata grid
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    assert len(rows) == 61 * 9
-    code, ordered, _ = run(capsys, "fit", str(path))
-    assert code == 0
-    # row order is free, and the reader restores the grid's order, so the
-    # report is the same to the last digit
-    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(
-        len(rows))]
-    path.write_text("".join(head + shuffled))
-    code, out, _ = run(capsys, "fit", str(path))
-    assert code == 0
-    assert out == ordered
-    path.write_text("".join(head + rows[:276]))
-    assert_rejected(capsys, path, "do not match its metadata grid")
-    path.write_text("".join(head + rows[:-1] + rows[:1]))
-    assert_rejected(capsys, path, "do not match its metadata grid")
+    assert len(rows) == 61
+    path.write_text("".join(head + rows[:-1]))
+    assert_rejected(capsys, path,
+                    "surface CSV has 60 rows, its metadata grid 61 q values")
+    path.write_text("".join(head + rows + rows[:1]))
+    assert_rejected(capsys, path,
+                    "surface CSV has 62 rows, its metadata grid 61 q values")
 
 
 def test_fit_rejects_non_finite_values(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    q, dw, _ = rows[10].split(",")
-    rows[10] = ",".join([q, dw, "nan\n"])
+    rows[10] = "nan," + rows[10].split(",", 1)[1]
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, "non-finite")
 
 
+def grid_rows(head, rows, fields):
+    """One `q,d_omega,...` row per grid point, the earlier surface formats;
+    `fields(c)` gives the columns after q and d_omega."""
+    meta = check_metadata("".join(head))
+    return [f"{q},{dw},{fields(c)}\n"
+            for q, row in zip(meta["q_values_per_um"].split(), rows)
+            for dw, c in zip(meta["d_omega_values_per_ps"].split(),
+                             row.rstrip("\n").split(","))]
+
+
 def test_fit_rejects_five_column_surface(capsys, tmp_path):
-    # the earlier format, q,d_omega,c_true,c_obs,sigma, is not read
+    # the earlier formats, q,d_omega,c_true,c_obs,sigma and then
+    # q,d_omega,c_obs, are not read
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    head[-1] = "q,d_omega,c_true,c_obs,sigma\n"
-    rows = [f"{row.rstrip()},{row.split(',')[2].rstrip()},0.001\n"
-            for row in rows]
-    path.write_text("".join(head + rows))
-    assert_rejected(capsys, path, "are not ['q', 'd_omega', 'c_obs']")
+    for header, fields in [("q,d_omega,c_true,c_obs,sigma",
+                            lambda c: f"{c},{c},0.001"),
+                           ("q,d_omega,c_obs", lambda c: c)]:
+        path.write_text("".join(head[:-1] + [header + "\n"]
+                                + grid_rows(head, rows, fields)))
+        assert_rejected(capsys, path,
+                        f"surface CSV header '{header}' is not 'c_obs'")
 
 
 def test_fit_rejects_short_rows(capsys, tmp_path):
+    # every row short or one row short; a long row is rejected the same way
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    path.write_text("".join(head + [row.rsplit(",", 1)[0] + "\n"
-                                    for row in rows]))
-    assert_rejected(capsys, path, "need 3 values")
+    for edited in ([row.rsplit(",", 1)[0] + "\n" for row in rows],
+                   [row.rstrip("\n") + ",1\n" for row in rows]):
+        for body in (edited, rows[:10] + edited[10:11] + rows[11:]):
+            path.write_text("".join(head + body))
+            assert_rejected(capsys, path, "surface CSV rows need 9 values")
 
 
 def test_fit_rejects_missing_metadata_keys(capsys, tmp_path):
@@ -569,8 +576,7 @@ def test_fit_rejects_non_finite_metadata(capsys, tmp_path, key, message,
 def test_fit_rejects_non_numeric_field(capsys, tmp_path):
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
-    q, dw, _ = rows[10].split(",")
-    rows[10] = ",".join([q, dw, "1.0x\n"])
+    rows[10] = rows[10].rsplit(",", 1)[0] + ",1.0x\n"
     path.write_text("".join(head + rows))
     # rows[10] is the 11th line after the head
     assert_rejected(capsys, path,

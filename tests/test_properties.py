@@ -164,8 +164,7 @@ def test_fuzzed_surface_starts_from_a_fittable_file():
 def test_fit_of_an_edited_surface_exits_with_one_line(byte_edits):
     # the edits fall in the data rows, after the metadata and the header
     data = bytearray(_surface_csv())
-    start = data.index(b"\nq,") + 1
-    start = data.index(b"\n", start) + 1
+    start = data.index(b"\nc_obs\n") + len(b"\nc_obs\n")
     for kind, pos, byte in byte_edits:
         pos = start + pos % (len(data) - start)
         if kind == "replace":

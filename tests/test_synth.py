@@ -15,10 +15,9 @@ from bubblehbt.correlators import (FACTORIZED_CASES, MU_SERIES_MAX,
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real, faddeeva
-from bubblehbt.synth import (CorrelationSurface, GridSpec, NoiseSpec,
-                             apply_energy_smearing, format_value, generate,
-                             mean_time_factor, read_surface_csv,
-                             write_surface_csv)
+from bubblehbt.synth import (GridSpec, NoiseSpec, apply_energy_smearing,
+                             format_value, generate, mean_time_factor,
+                             read_surface_csv, write_surface_csv)
 
 
 def spec_a(**kw):
@@ -247,10 +246,18 @@ def source(case, **kw):
     return SourceSpec(case=case, tau=1.0, R=1.0, **kw)
 
 
-# the CLI's default grid; for case E it holds both the series (q < 0.17)
-# and the direct branch
+# the CLI's default grid, for case E with both the series (q < 0.17) and
+# the direct branch; grids of one q, one d_omega and one point; and a
+# d_omega axis through -0.0
 CLI_GRID = GridSpec(q_values=np.linspace(0.0, 3.0, 61),
                     d_omega_values=np.linspace(0.0, 2.0, 9))
+ROUND_TRIP_GRIDS = [
+    CLI_GRID,
+    GridSpec(q_values=(0.0,), d_omega_values=CLI_GRID.d_omega_values),
+    GridSpec(q_values=CLI_GRID.q_values, d_omega_values=(0.0,)),
+    GridSpec(q_values=(0.5,), d_omega_values=(0.25,)),
+    GridSpec(q_values=CLI_GRID.q_values, d_omega_values=(-1.0, -0.0, 1.0)),
+]
 ROUND_TRIP_SURFACES = (
     [(source(case), NoiseSpec(pairs_per_bin=10 ** 6, seed=70 + i), None)
      for i, case in enumerate(SourceCase)]
@@ -262,19 +269,21 @@ ROUND_TRIP_SURFACES = (
 
 
 def test_csv_round_trip(tmp_path):
-    # the file holds q, d_omega and c_obs; c_true and sigma come back from
-    # its metadata, all five bit for bit: noisy A-E, smeared A-D,
-    # noiseless A and E, coherent A
+    # the file holds c_obs; the grid, c_true and sigma come back from its
+    # metadata, all five fields bit for bit: noisy A-E, smeared A-D,
+    # noiseless A and E, coherent A, on each grid
     path = tmp_path / "surface.csv"
-    for spec, noise, smear_dw in ROUND_TRIP_SURFACES:
-        surf = generate(spec, CLI_GRID, noise=noise, smear_dw=smear_dw)
-        write_surface_csv(surf, str(path))
-        back = read_surface_csv(str(path))
-        for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
-            assert (getattr(back, name).tobytes()
-                    == getattr(surf, name).tobytes()), (spec, noise, name)
-        assert (back.spec, back.grid, back.noise, back.smear_dw) == (
-            surf.spec, surf.grid, surf.noise, surf.smear_dw)
+    for grid in ROUND_TRIP_GRIDS:
+        for spec, noise, smear_dw in ROUND_TRIP_SURFACES:
+            surf = generate(spec, grid, noise=noise, smear_dw=smear_dw)
+            write_surface_csv(surf, str(path))
+            back = read_surface_csv(str(path))
+            for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
+                assert (getattr(back, name).tobytes()
+                        == getattr(surf, name).tobytes()), (
+                            grid, spec, noise, name)
+            assert (back.spec, back.grid, back.noise, back.smear_dw) == (
+                surf.spec, surf.grid, surf.noise, surf.smear_dw)
 
 
 def test_csv_metadata_header(tmp_path):
@@ -284,12 +293,13 @@ def test_csv_metadata_header(tmp_path):
     text = path.read_text()
     assert text.startswith("# artifact = correlation_surface")
     assert "# smear_dw_per_ps = 2" in text
-    assert "\nq,d_omega,c_obs\n" in text
+    assert "\nc_obs\n" in text
 
 
 def test_csv_edge_values_bytes_and_round_trip(tmp_path):
     # every row is written by one format pass and read by numpy's parser;
-    # both must agree with the per-value formatter to the last bit
+    # both must agree with the per-value formatter to the last bit, with
+    # the edge values in the c_obs matrix
     edges = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
     grid = GridSpec(q_values=edges, d_omega_values=[-1e308] + edges[:3])
     rng = np.random.default_rng(11)
@@ -301,35 +311,16 @@ def test_csv_edge_values_bytes_and_round_trip(tmp_path):
                                                  seed=1)), c_obs=c_obs)
     path = tmp_path / "surface.csv"
     write_surface_csv(surf, str(path))
-    header = b"q,d_omega,c_obs\n"
+    header = b"\nc_obs\n"
     reference = "".join(
         ",".join(format_value(v) for v in row) + "\n"
-        for row in zip(surf.q, surf.d_omega, c_obs)).encode()
+        for row in c_obs.reshape(4, 4)).encode()
     text = path.read_bytes()
     assert text.count(header) == 1
     assert text.partition(header)[2] == reference
     back = read_surface_csv(str(path))
     for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
         assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
-
-
-def test_csv_writer_formats_each_distinct_value_once(tmp_path):
-    # q and d_omega are formatted once per distinct value (by bits, so 0.0
-    # and -0.0 stay apart); the rows must still read as if every value were
-    # formatted in place, whatever order the columns hold them in
-    rng = np.random.default_rng(12)
-    q = rng.choice([0.0, -0.0, 0.1, 1e308], 40)
-    dw = rng.choice([-0.0, 0.0, 5e-324, -2.5], 40)
-    c_obs = 1.0 + rng.random(40)
-    surf = CorrelationSurface(q=q, d_omega=dw, c_true=c_obs, c_obs=c_obs,
-                              sigma=np.zeros(40), spec=spec_a(), grid=GRID)
-    path = tmp_path / "surface.csv"
-    write_surface_csv(surf, str(path))
-    reference = "".join(
-        ",".join(format_value(v) for v in row) + "\n"
-        for row in zip(q, dw, c_obs)).encode()
-    header = b"q,d_omega,c_obs\n"
-    assert path.read_bytes().partition(header)[2] == reference
 
 
 def test_csv_crlf_and_blank_lines_read_back(tmp_path):
