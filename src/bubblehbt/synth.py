@@ -8,9 +8,11 @@ stream seeded by the noise seed, so generation is deterministic.
 Poor energy resolution is modeled as a box average of the time factor over
 a full width delta_omega, taken in closed form (`mean_time_factor`).
 
-Surfaces round-trip through a CSV format of the c_obs matrix, one line per
-q (`write_surface_csv`, `read_surface_csv`), whose reader takes the grid and
-recomputes c_true and sigma from its metadata; `inference` inverts them.
+Surfaces round-trip through a CSV format of the observation, one line per
+q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
+counts n = N c_obs, a noiseless surface's c_obs.  The reader takes the grid
+and recomputes c_true and sigma from its metadata; `inference` inverts
+them.
 """
 
 import math
@@ -91,7 +93,8 @@ class CorrelationSurface:
     """Tabulated correlation data, truth and observed channels.
 
     Flat arrays in row-major (q outer, d_omega inner) order.  A CSV file
-    holds c_obs; the grid, c_true and sigma follow from its metadata.
+    holds the observation (counts or c_obs); the grid, c_true and sigma
+    follow from its metadata.
     """
 
     q: np.ndarray
@@ -184,13 +187,15 @@ def generate(spec: SourceSpec, grid: GridSpec,
 
 # ---------------------------------------------------------------------------
 # CSV serialization: '#'-prefixed key = value metadata, then a header line,
-# then data rows with 17 significant digits and no '#' lines.  A surface's
-# grid is in its metadata, and its rows hold c_obs: one line per q, one
-# value per d_omega, both in metadata order.  The CLI writes its other CSV
-# outputs with the same formatter and metadata writer.
+# then data rows and no '#' lines.  A surface's grid is in its metadata,
+# and its rows hold the observation: one line per q, one value per d_omega,
+# both in metadata order.  With `pairs_per_bin` in the metadata the header
+# is `counts` and each value the integer count n = N c_obs; without it the
+# header is `c_obs` and each value c_obs with 17 significant digits.  The
+# CLI writes its other CSV outputs with the same formatter and metadata
+# writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
-_HEADER = "c_obs"
 _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 
@@ -233,13 +238,46 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
     return meta
 
 
+def _is_count(values: np.ndarray) -> np.ndarray:
+    """Where `values` is a non-negative integer (not -0, not inf)."""
+    return (np.isfinite(values) & ~np.signbit(values)
+            & (values == np.rint(values)))
+
+
+def _counts(c_obs: np.ndarray, pairs_per_bin) -> np.ndarray:
+    """The counts n = N c_obs, as integral floats; a ValueError unless
+    every c_obs is n/N, the value read back."""
+    with np.errstate(all="ignore"):  # NaN and overflow fail the check
+        n = np.rint(c_obs * pairs_per_bin)
+        # c_obs N can round to the next count up or down (at and past
+        # 2**53 the next float, a step of 2 or more)
+        up = np.maximum(n + 1.0, np.nextafter(n, np.inf))
+        down = np.minimum(n - 1.0, np.nextafter(n, -np.inf))
+        for neighbour in (up, down):
+            n = np.where(n / pairs_per_bin == c_obs, n, neighbour)
+        exact = _is_count(n) & (n / pairs_per_bin == c_obs)
+    if not exact.all():
+        raise ValueError("a noisy surface's c_obs must be counts / "
+                         f"pairs_per_bin = {pairs_per_bin}")
+    return n
+
+
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
+    """Write a surface: its counts if it is noisy, else its c_obs.  A noisy
+    surface whose c_obs is not counts/N raises ValueError and leaves no
+    file."""
     nq, nw = len(surface.grid.q_values), len(surface.grid.d_omega_values)
-    row_format = ",".join([_VALUE_FORMAT] * nw) + "\n"
+    if surface.noise is None:
+        header, value_format, values = "c_obs", _VALUE_FORMAT, surface.c_obs
+    else:
+        header, value_format, values = "counts", "%d", _counts(
+            surface.c_obs, surface.noise.pairs_per_bin)
+    row_format = ",".join([value_format] * nw) + "\n"
+    rows = (row_format * nq) % tuple(values.tolist())
     with open(path, "w") as fh:
         write_metadata(fh, surface_metadata(surface))
-        fh.write(_HEADER + "\n")
-        fh.write((row_format * nq) % tuple(surface.c_obs.tolist()))
+        fh.write(header + "\n")
+        fh.write(rows)
 
 
 def _parse_metadata(lines: Sequence[str]) -> dict:
@@ -252,10 +290,11 @@ def _parse_metadata(lines: Sequence[str]) -> dict:
     return meta
 
 
-def _row_fault(path: str, first_row: int, width: int) -> str:
+def _row_fault(path: str, first_row: int, width: int, counts: bool) -> str:
     """Name the first fault in a surface CSV's data rows, which start at
-    1-based file line `first_row`; for when the one np.loadtxt over them
-    has failed, so a good file is parsed once."""
+    1-based file line `first_row` and hold counts if `counts`; for when the
+    one np.loadtxt over them has failed or given a value that is not a
+    count, so a good file is parsed once."""
     with open(path) as fh:
         rows = [(n, line.strip()) for n, line in enumerate(fh, 1)
                 if n >= first_row and not line.isspace()]
@@ -264,20 +303,24 @@ def _row_fault(path: str, first_row: int, width: int) -> str:
             return f"surface CSV line {n}: '#' line among the data rows"
         for field in line.split(","):
             try:
-                if field.strip():
-                    np.loadtxt([field], delimiter=",", comments=None)
-                    continue
+                value = (np.loadtxt([field], delimiter=",", comments=None)
+                         if field.strip() else None)
             except ValueError:
-                pass
-            return f"surface CSV line {n}: '{field}' is not a number"
+                value = None
+            if value is None:
+                return f"surface CSV line {n}: '{field}' is not a number"
+            if counts and not _is_count(value):
+                return f"surface CSV line {n}: '{field}' is not a count"
     # every field is a number, so the rows differ in width
     return f"surface CSV rows need {width} values"
 
 
 def read_surface_csv(path: str) -> CorrelationSurface:
-    """Read a surface CSV: c_obs from its rows, the grid and the rest from
-    its metadata, c_true and sigma recomputed from that metadata.
-    Malformed input raises ValueError."""
+    """Read a surface CSV: the observation from its rows (c_obs = n/N from
+    the counts of a noisy file, as `generate` divides), the grid and the
+    rest from its metadata, c_true and sigma recomputed from that
+    metadata.  Malformed input raises ValueError; the metadata is checked
+    first, then the header it implies, then the rows."""
     header_lines = []
     header = None
     with open(path) as fh:
@@ -297,8 +340,6 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                                  delimiter=",", ndmin=2, comments=None)
         except ValueError:
             arr = None  # the fault is named after the metadata checks
-    if header != _HEADER:
-        raise ValueError(f"surface CSV header {header!r} is not {_HEADER!r}")
     meta = _parse_metadata(header_lines)
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
@@ -322,17 +363,27 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                        seed=int(meta["seed"]))
              if "pairs_per_bin" in meta else None)
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
+    counts = noise is not None
+    expected = "counts" if counts else "c_obs"
+    if header != expected:
+        raise ValueError(f"surface CSV header {header!r} is not {expected!r}")
     if arr is not None and arr.size == 0:
         raise ValueError("surface CSV has no data rows")
     nq, nw = len(grid.q_values), len(grid.d_omega_values)
     if arr is None or arr.shape[1] != nw:
-        raise ValueError(_row_fault(path, n_header + 1, nw))
+        raise ValueError(_row_fault(path, n_header + 1, nw, counts))
     if len(arr) != nq:
         raise ValueError(f"surface CSV has {len(arr)} rows, its metadata "
                          f"grid {nq} q values")
-    if not np.isfinite(arr).all():
+    if counts:
+        if not _is_count(arr).all():
+            raise ValueError(_row_fault(path, n_header + 1, nw, counts))
+        c_obs = arr.ravel() / noise.pairs_per_bin
+    elif np.isfinite(arr).all():
+        c_obs = arr.ravel()
+    else:
         raise ValueError("surface CSV holds non-finite values")
     q, dw, c_true, sigma = _truth(spec, grid, noise, smear_dw)
-    return CorrelationSurface(q=q, d_omega=dw, c_true=c_true,
-                              c_obs=arr.ravel(), sigma=sigma, spec=spec,
-                              grid=grid, noise=noise, smear_dw=smear_dw)
+    return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
+                              sigma=sigma, spec=spec, grid=grid, noise=noise,
+                              smear_dw=smear_dw)

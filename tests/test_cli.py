@@ -435,12 +435,17 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
 
 # --- malformed surface CSVs: exit 1 with one line ---------------------------
 
-def write_default_surface(capsys, path):
-    code, _, _ = run(capsys, "synth", "--case", "A", "--pairs-per-bin",
-                     "1000000", "--seed", "5", "--out", str(path))
+def write_default_surface(capsys, path, noisy=True):
+    """The metadata and header lines, and the data rows, of a CLI-default
+    case A surface: counts at 10^6 pairs per bin, or noiseless c_obs."""
+    noise = ["--pairs-per-bin", "1000000", "--seed", "5"] if noisy else []
+    code, _, _ = run(capsys, "synth", "--case", "A", *noise, "--out",
+                     str(path))
     assert code == 0
     lines = path.read_text().splitlines(keepends=True)
-    head = [line for line in lines if line.startswith("#")] + ["c_obs\n"]
+    head = [line for line in lines if line.startswith("#")]
+    head.append(lines[len(head)])
+    assert head[-1] == ("counts\n" if noisy else "c_obs\n")
     return head, lines[len(head):]
 
 
@@ -492,11 +497,46 @@ def test_fit_rejects_a_missing_or_an_extra_row(capsys, tmp_path):
 
 
 def test_fit_rejects_non_finite_values(capsys, tmp_path):
+    # in c_obs rows; in count rows it is not a count (below)
     path = tmp_path / "surf.csv"
-    head, rows = write_default_surface(capsys, path)
+    head, rows = write_default_surface(capsys, path, noisy=False)
     rows[10] = "nan," + rows[10].split(",", 1)[1]
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, "non-finite")
+
+
+@pytest.mark.parametrize("value", ["1.5", "-3", "inf", "nan", "-0"])
+def test_fit_rejects_a_value_that_is_not_a_count(capsys, tmp_path, value):
+    # a noisy file holds counts n = N c_obs: non-negative integers
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    rows[10] = rows[10].rsplit(",", 1)[0] + f",{value}\n"
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, f"surface CSV line {len(head) + 11}: "
+                    f"'{value}' is not a count")
+
+
+def test_fit_reads_a_huge_count_without_a_traceback(capsys, tmp_path):
+    # a 25-digit count parses to a float; the fit may take it or refuse
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    rows[10] = "1" * 25 + "," + rows[10].split(",", 1)[1]
+    path.write_text("".join(head + rows))
+    code, _, err = run(capsys, "fit", str(path))
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["counts", "c_obs"])
+def test_fit_rejects_the_header_its_metadata_does_not_imply(capsys, tmp_path,
+                                                           noisy):
+    # pairs_per_bin in the metadata makes the rows counts, its absence c_obs
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path, noisy)
+    header, wrong = ("counts", "c_obs") if noisy else ("c_obs", "counts")
+    path.write_text("".join(head[:-1] + [wrong + "\n"] + rows))
+    assert_rejected(capsys, path,
+                    f"surface CSV header '{wrong}' is not '{header}'")
 
 
 def grid_rows(head, rows, fields):
@@ -511,7 +551,7 @@ def grid_rows(head, rows, fields):
 
 def test_fit_rejects_five_column_surface(capsys, tmp_path):
     # the earlier formats, q,d_omega,c_true,c_obs,sigma and then
-    # q,d_omega,c_obs, are not read
+    # q,d_omega,c_obs, are not read; a noisy file's header is 'counts'
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
     for header, fields in [("q,d_omega,c_true,c_obs,sigma",
@@ -520,7 +560,7 @@ def test_fit_rejects_five_column_surface(capsys, tmp_path):
         path.write_text("".join(head[:-1] + [header + "\n"]
                                 + grid_rows(head, rows, fields)))
         assert_rejected(capsys, path,
-                        f"surface CSV header '{header}' is not 'c_obs'")
+                        f"surface CSV header '{header}' is not 'counts'")
 
 
 def test_fit_rejects_short_rows(capsys, tmp_path):

@@ -162,9 +162,9 @@ def test_fuzzed_surface_starts_from_a_fittable_file():
 @PROPERTY_SETTINGS
 @given(edits)
 def test_fit_of_an_edited_surface_exits_with_one_line(byte_edits):
-    # the edits fall in the data rows, after the metadata and the header
+    # the edits fall in the rows of counts, after the metadata and header
     data = bytearray(_surface_csv())
-    start = data.index(b"\nc_obs\n") + len(b"\nc_obs\n")
+    start = data.index(b"\ncounts\n") + len(b"\ncounts\n")
     for kind, pos, byte in byte_edits:
         pos = start + pos % (len(data) - start)
         if kind == "replace":

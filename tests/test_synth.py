@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 from scipy.special import chdtri, ndtri
 
-from bubblehbt import correlators
+from bubblehbt import correlators, synth
 from bubblehbt.correlators import (FACTORIZED_CASES, MU_SERIES_MAX,
                                    correlation, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
@@ -258,9 +258,14 @@ ROUND_TRIP_GRIDS = [
     GridSpec(q_values=(0.5,), d_omega_values=(0.25,)),
     GridSpec(q_values=CLI_GRID.q_values, d_omega_values=(-1.0, -0.0, 1.0)),
 ]
+# counts n = N c_obs from N = 100 to past 2**62; near 2**52 (N = 3e15) and
+# past 2**53 (N = 1e16) c_obs N rounds to a neighbour of some counts
 ROUND_TRIP_SURFACES = (
     [(source(case), NoiseSpec(pairs_per_bin=10 ** 6, seed=70 + i), None)
      for i, case in enumerate(SourceCase)]
+    + [(source(SourceCase.A_GAUSSIAN), NoiseSpec(pairs_per_bin=n, seed=80),
+        None) for n in (100, 999983, 10 ** 15, 3 * 10 ** 15, 10 ** 16,
+                           6 * 10 ** 18)]
     + [(source(case), None, 1.5) for case in FACTORIZED_CASES]
     + [(source(SourceCase.A_GAUSSIAN), None, None),
        (source(SourceCase.E_EXPANDING_SHOCK), None, None),
@@ -269,9 +274,9 @@ ROUND_TRIP_SURFACES = (
 
 
 def test_csv_round_trip(tmp_path):
-    # the file holds c_obs; the grid, c_true and sigma come back from its
-    # metadata, all five fields bit for bit: noisy A-E, smeared A-D,
-    # noiseless A and E, coherent A, on each grid
+    # the file holds counts or c_obs; the grid, c_true and sigma come back
+    # from its metadata, all five fields bit for bit: noisy A-E, noisy A
+    # at six N, smeared A-D, noiseless A and E, coherent A, on each grid
     path = tmp_path / "surface.csv"
     for grid in ROUND_TRIP_GRIDS:
         for spec, noise, smear_dw in ROUND_TRIP_SURFACES:
@@ -296,19 +301,74 @@ def test_csv_metadata_header(tmp_path):
     assert "\nc_obs\n" in text
 
 
+def test_csv_noisy_surface_holds_its_counts(tmp_path):
+    # one line of integer counts per q, which divide by N to c_obs
+    n = 10 ** 6
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(pairs_per_bin=n, seed=2))
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    head, _, body = path.read_text().partition("\ncounts\n")
+    assert "# pairs_per_bin = 1000000" in head
+    counts = np.random.default_rng(2).poisson(n * surf.c_true)
+    assert body == "".join(",".join(map(str, row)) + "\n"
+                           for row in counts.reshape(4, 3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e308, math.nan, math.inf, 0.5 + 1e-9,
+                                   -1e-6, -0.0])
+def test_csv_writer_refuses_c_obs_that_is_not_counts(tmp_path, value):
+    # a noisy file holds counts, so c_obs must be n/N with n >= 0 in every
+    # bin: no file is written, and numpy's overflow is not a warning
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(pairs_per_bin=10 ** 6,
+                                                    seed=1))
+    c_obs = surf.c_obs.copy()
+    c_obs[5] = value
+    path = tmp_path / "surface.csv"
+    with pytest.raises(ValueError, match="c_obs must be counts"):
+        write_surface_csv(dataclasses.replace(surf, c_obs=c_obs), str(path))
+    assert not path.exists()
+
+
+def test_csv_writer_finds_each_count_back():
+    # c_obs N can miss n by one count, or past 2**53 by one float step (2
+    # or more, half as much below a power of two); every n comes back
+    rng = np.random.default_rng(12)
+    n = np.floor(np.exp(rng.uniform(0.0, math.log(2.0 ** 63), 10 ** 5)))
+    powers = 2.0 ** np.arange(64)
+    n = np.concatenate([n, powers, np.nextafter(powers, 0.0).round()])
+    pairs = np.floor(np.exp(rng.uniform(0.0, math.log(2.0 ** 63), n.size)))
+    c_obs = n / pairs
+    assert (synth._counts(c_obs, pairs) / pairs == c_obs).all()
+
+
+def test_csv_round_trip_of_a_count_past_2_53(tmp_path):
+    # at N = 49 2**56, n = 2**62 gives c_obs N = 2**62 - 512, a float step
+    # from n, where n - 1 and n + 1 round back to c_obs N
+    n_exp = 49 * 2 ** 56
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(pairs_per_bin=n_exp,
+                                                    seed=1))
+    c_obs = surf.c_obs.copy()
+    c_obs[4] = 2.0 ** 62 / n_exp
+    assert c_obs[4] * n_exp == 2 ** 62 - 512
+    surf = dataclasses.replace(surf, c_obs=c_obs)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    assert read_surface_csv(str(path)).c_obs.tobytes() == c_obs.tobytes()
+
+
 def test_csv_edge_values_bytes_and_round_trip(tmp_path):
     # every row is written by one format pass and read by numpy's parser;
     # both must agree with the per-value formatter to the last bit, with
-    # the edge values in the c_obs matrix
+    # the edge values in the c_obs matrix of a noiseless surface (a noisy
+    # one holds counts)
     edges = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
     grid = GridSpec(q_values=edges, d_omega_values=[-1e308] + edges[:3])
     rng = np.random.default_rng(11)
     c_obs = 1.0 + rng.random(grid.points()[0].size)
     c_obs[::4] = [-0.0, 5e-324, 1.0 - 2.0 ** -53, 1e308]
     assert sum(float("%.16g" % v) != v for v in c_obs) > 4
-    surf = dataclasses.replace(
-        generate(spec_a(), grid, noise=NoiseSpec(pairs_per_bin=10 ** 6,
-                                                 seed=1)), c_obs=c_obs)
+    surf = dataclasses.replace(generate(spec_a(), grid), c_obs=c_obs)
     path = tmp_path / "surface.csv"
     write_surface_csv(surf, str(path))
     header = b"\nc_obs\n"
@@ -337,3 +397,4 @@ def test_csv_crlf_and_blank_lines_read_back(tmp_path):
     for name in ("q", "d_omega", "c_true", "c_obs", "sigma"):
         assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
     assert back.spec == surf.spec and back.grid == surf.grid
+
