@@ -10,13 +10,13 @@ a full width delta_omega, taken in closed form (`mean_time_factor`).
 
 Surfaces round-trip through a CSV format of the observation, one line per
 q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
-counts n = N c_obs, a noiseless surface's c_obs.  The reader takes the grid
-and recomputes c_true and sigma from its metadata; `inference` inverts
-them.
+counts n = N c_obs, exact for the accepted 100 <= N <= 2**49, or a
+noiseless surface's c_obs.  The reader takes the grid and recomputes c_true
+and sigma from its metadata; `inference` inverts them.
 """
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -74,16 +74,31 @@ class GridSpec:
         return np.repeat(self.q_values, nw), np.tile(self.d_omega_values, nq)
 
 
+# Every surface has C <= 3/2, so its counts stay below 2**50; for such a
+# count n and N <= 2**49, fl(fl(n/N) N) lies within 0.25 of n, so
+# rint(c_obs N) gives back the count drawn.
+_MAX_PAIRS_PER_BIN = 2 ** 49
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Expected coincidence counts per bin at C = 1, and the RNG seed."""
+    """Expected coincidence counts per bin at C = 1, an integer from 100 to
+    2**49, and the RNG seed, a non-negative integer."""
 
     pairs_per_bin: int
     seed: int
 
     def __post_init__(self):
+        for name in ("pairs_per_bin", "seed"):
+            try:  # a float 1e6 would be written as 1000000.0
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            object.__setattr__(self, name, value)
         if self.pairs_per_bin < 100:
             raise ValueError("pairs_per_bin must be at least 100")
+        if self.pairs_per_bin > _MAX_PAIRS_PER_BIN:
+            raise ValueError("pairs_per_bin must be at most 2**49")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -190,10 +205,10 @@ def generate(spec: SourceSpec, grid: GridSpec,
 # then data rows and no '#' lines.  A surface's grid is in its metadata,
 # and its rows hold the observation: one line per q, one value per d_omega,
 # both in metadata order.  With `pairs_per_bin` in the metadata the header
-# is `counts` and each value the integer count n = N c_obs; without it the
-# header is `c_obs` and each value c_obs with 17 significant digits.  The
-# CLI writes its other CSV outputs with the same formatter and metadata
-# writer.
+# is `counts` and each value an integer count n = N c_obs below 2**53;
+# without it the header is `c_obs` and each value c_obs with 17 significant
+# digits.  The CLI writes its other CSV outputs with the same formatter and
+# metadata writer.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
 _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
@@ -239,22 +254,16 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
 
 
 def _is_count(values: np.ndarray) -> np.ndarray:
-    """Where `values` is a non-negative integer (not -0, not inf)."""
-    return (np.isfinite(values) & ~np.signbit(values)
+    """Where `values` is an integer from 0 (not -0) to 2**53 - 1."""
+    return (~np.signbit(values) & (values < 2.0 ** 53)
             & (values == np.rint(values)))
 
 
-def _counts(c_obs: np.ndarray, pairs_per_bin) -> np.ndarray:
-    """The counts n = N c_obs, as integral floats; a ValueError unless
-    every c_obs is n/N, the value read back."""
+def _counts(c_obs: np.ndarray, pairs_per_bin: int) -> np.ndarray:
+    """The counts rint(c_obs N) as integral floats; a ValueError unless each
+    is a count n whose n/N is c_obs (see _MAX_PAIRS_PER_BIN)."""
     with np.errstate(all="ignore"):  # NaN and overflow fail the check
         n = np.rint(c_obs * pairs_per_bin)
-        # c_obs N can round to the next count up or down (at and past
-        # 2**53 the next float, a step of 2 or more)
-        up = np.maximum(n + 1.0, np.nextafter(n, np.inf))
-        down = np.minimum(n - 1.0, np.nextafter(n, -np.inf))
-        for neighbour in (up, down):
-            n = np.where(n / pairs_per_bin == c_obs, n, neighbour)
         exact = _is_count(n) & (n / pairs_per_bin == c_obs)
     if not exact.all():
         raise ValueError("a noisy surface's c_obs must be counts / "
@@ -290,14 +299,10 @@ def _parse_metadata(lines: Sequence[str]) -> dict:
     return meta
 
 
-def _row_fault(path: str, first_row: int, width: int, counts: bool) -> str:
-    """Name the first fault in a surface CSV's data rows, which start at
-    1-based file line `first_row` and hold counts if `counts`; for when the
-    one np.loadtxt over them has failed or given a value that is not a
-    count, so a good file is parsed once."""
-    with open(path) as fh:
-        rows = [(n, line.strip()) for n, line in enumerate(fh, 1)
-                if n >= first_row and not line.isspace()]
+def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
+    """Name the first fault in a surface CSV's data rows, (1-based file
+    line, stripped text) pairs that hold counts if `counts`, once the one
+    np.loadtxt over them has failed or given a value that is not a count."""
     for n, line in rows:
         if line.startswith("#"):
             return f"surface CSV line {n}: '#' line among the data rows"
@@ -316,31 +321,17 @@ def _row_fault(path: str, first_row: int, width: int, counts: bool) -> str:
 
 
 def read_surface_csv(path: str) -> CorrelationSurface:
-    """Read a surface CSV: the observation from its rows (c_obs = n/N from
-    the counts of a noisy file, as `generate` divides), the grid and the
-    rest from its metadata, c_true and sigma recomputed from that
+    """Read a surface CSV, once: the observation from its rows (c_obs = n/N
+    from the counts of a noisy file, as `generate` divides), the grid and
+    the rest from its metadata, c_true and sigma recomputed from that
     metadata.  Malformed input raises ValueError; the metadata is checked
     first, then the header it implies, then the rows."""
-    header_lines = []
-    header = None
     with open(path) as fh:
-        # '#' metadata and blank lines, then the header; one np.loadtxt
-        # parses the non-blank lines after it straight from the file
-        for n_header, line in enumerate(fh, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                header = line
-                break
-            header_lines.append(line)
-        try:
-            with warnings.catch_warnings():
-                # numpy warns on input without rows; that is checked below
-                warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt((line for line in fh if not line.isspace()),
-                                 delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            arr = None  # the fault is named after the metadata checks
-    meta = _parse_metadata(header_lines)
+        lines = [line.strip() for line in fh]
+    # '#' metadata and blank lines, then the header, then the data rows
+    i_header = next((i for i, line in enumerate(lines)
+                     if line and not line.startswith("#")), len(lines))
+    meta = _parse_metadata(lines[:i_header])
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
     required = ["case", "tau_ps", "emission", "q_values_per_um",
@@ -365,19 +356,27 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
     counts = noise is not None
     expected = "counts" if counts else "c_obs"
+    header = lines[i_header] if i_header < len(lines) else None
     if header != expected:
         raise ValueError(f"surface CSV header {header!r} is not {expected!r}")
-    if arr is not None and arr.size == 0:
+    rows = [(n, line) for n, line in enumerate(lines[i_header + 1:],
+                                               i_header + 2) if line]
+    if not rows:
         raise ValueError("surface CSV has no data rows")
     nq, nw = len(grid.q_values), len(grid.d_omega_values)
-    if arr is None or arr.shape[1] != nw:
-        raise ValueError(_row_fault(path, n_header + 1, nw, counts))
+    try:
+        arr = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2,
+                         comments=None)
+    except ValueError:
+        raise ValueError(_row_fault(rows, nw, counts)) from None
+    if arr.shape[1] != nw:
+        raise ValueError(_row_fault(rows, nw, counts))
     if len(arr) != nq:
         raise ValueError(f"surface CSV has {len(arr)} rows, its metadata "
                          f"grid {nq} q values")
     if counts:
         if not _is_count(arr).all():
-            raise ValueError(_row_fault(path, n_header + 1, nw, counts))
+            raise ValueError(_row_fault(rows, nw, counts))
         c_obs = arr.ravel() / noise.pairs_per_bin
     elif np.isfinite(arr).all():
         c_obs = arr.ravel()
