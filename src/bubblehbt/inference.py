@@ -16,13 +16,16 @@ linear least squares does all the work:
     shape-dependent kappa -> R maps;
   * the shape from chi-square ranking of Phi_hat against the four
     rescaled form-factor curves Phi(X);
-  * chaotic vs coherent from the significance of the origin excess, with
-    heavy energy smearing (delta_omega * tau >= 1) downgrading the verdict
-    to indeterminate.
+  * chaotic vs coherent from the significance of the excess at the
+    smallest q and |d_omega|; a recorded energy-smearing window makes the
+    verdict indeterminate, and a coherent call needs the origin bin.
 
-Noiseless data carry zero statistical errors; chi-square style scores then
-use small floors (1e-6 relative on slopes, 1e-3 absolute on Phi_hat) so
-that exact agreement scores as agreement instead of 0/0.
+The inversion reads only what an instrument records: the grid, c_obs, the
+pairs per bin N and the smearing window W, never the source's truth.  The
+errors of c_obs come from the data, sqrt(max(c_obs, 1/N)/N).  Noiseless
+data carry zero statistical errors; chi-square style scores then use small
+floors (1e-6 relative on slopes, 1e-3 absolute on Phi_hat) so that exact
+agreement scores as agreement instead of 0/0.
 """
 
 import math
@@ -138,16 +141,25 @@ def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
     return beta, cov
 
 
-def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-               noisy: np.ndarray, g: np.ndarray, n: int
-               ) -> Tuple[np.ndarray, ...]:
+def _errors(surface: CorrelationSurface) -> np.ndarray:
+    """Poisson errors of c_obs from the data, sqrt(max(c_obs, 1/N)/N), with
+    an empty bin taken as one pair (in the spirit of Baker & Cousins, NIM
+    221 (1984) 437); zeros without noise."""
+    if surface.noise is None:
+        return np.zeros_like(surface.c_obs)
+    pairs = surface.noise.pairs_per_bin
+    return np.sqrt(np.maximum(surface.c_obs, 1.0 / pairs) / pairs)
+
+
+def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray, noisy: bool,
+               g: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
     """Weighted least squares of y = intercept + slope x in each of the n
     groups that g labels, solved in closed form from each group's centered
     weighted sums.
 
     Returns slope, intercept, the slope error, the unweighted residual RMS
     and the point count per group.  The slope error is from the unscaled
-    (X' W X)^-1, and zero for a noiseless group (unit weights): a residual-
+    (X' W X)^-1, and zero for noiseless data (unit weights): a residual-
     scaled error would conflate model curvature with statistical scatter,
     which is exactly what the parallelism test must not do.
     """
@@ -161,7 +173,7 @@ def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     count = np.bincount(g, minlength=n)
     resid = y - (intercept[g] + slope[g] * x)
     rms = np.sqrt(np.bincount(g, resid * resid, n) / count)
-    slope_err = np.sqrt(np.where(noisy, 1.0 / sxx, 0.0))
+    slope_err = np.sqrt(1.0 / sxx) if noisy else np.zeros(n)
     return slope, intercept, slope_err, rms, count
 
 
@@ -182,7 +194,8 @@ def fit_tau_slices(surface: CorrelationSurface
     fits every slice at once.
     """
     excess = surface.c_obs - 1.0
-    usable = excess > 3.0 * surface.sigma
+    sig = _errors(surface)
+    usable = excess > 3.0 * sig
     _, g, count = np.unique(surface.q[usable], return_inverse=True,
                             return_counts=True)
     usable[usable] = count[g] >= 3
@@ -193,9 +206,8 @@ def fit_tau_slices(surface: CorrelationSurface
     excess = excess[usable]
     x = np.square(surface.d_omega[usable])
     y = np.log(excess)
-    sig = surface.sigma[usable] / excess
-    noisy = np.bincount(g, sig > 0.0, n) > 0
-    w = np.divide(1.0, np.square(sig), out=np.ones_like(sig), where=sig > 0.0)
+    noisy = surface.noise is not None
+    w = np.square(excess / sig[usable]) if noisy else np.ones_like(excess)
     pooled = float(np.mean(_line_fits(x, y, w, noisy, g, n)[0]))
     if pooled >= 0.0:
         raise InsufficientDataError(
@@ -258,7 +270,7 @@ def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
     idx = origin_slice(surface)
     q = surface.q[idx]
     excess = surface.c_obs[idx] - 1.0
-    sig = surface.sigma[idx]
+    sig = _errors(surface)[idx]
     e0, s0 = excess[0], sig[0]
     if e0 <= 3.0 * s0:
         raise InsufficientDataError(
@@ -326,31 +338,33 @@ def shape_discrimination(samples: FormFactorSamples,
 
 
 def chaoticity_test(surface: CorrelationSurface) -> Tuple[Chaoticity, float]:
-    """Verdict on the emission mechanism from the origin excess.
+    """Verdict on the emission mechanism from the excess at the smallest q
+    and |d_omega|.
 
-    Chaotic needs > 5 sigma excess; coherent needs the excess within 3 sigma
-    of zero; heavy recorded smearing (delta_omega * tau >= 1) makes any
-    verdict indeterminate since <T> can suppress a chaotic excess below the
-    discrimination floor.
+    A recorded smearing window makes any verdict indeterminate: the excess
+    is then lambda <T>, and with tau unknown the data fix only that
+    product.  Chaotic needs > 5 sigma excess, which proves bunching wherever
+    it is seen.  Coherent needs the excess within 3 sigma of zero at the
+    origin bin, q = 0 and d_omega = 0, since a chaotic excess can fade to
+    nothing away from it; without that bin a null excess raises
+    InsufficientDataError.
     """
-    spec = surface.spec
-    if spec.R is not None and surface.q.min() * spec.R > 0.5:
-        raise InsufficientDataError("no origin coverage")
     idx = origin_slice(surface)[0]
     excess = float(surface.c_obs[idx] - 1.0)
-    sig = float(surface.sigma[idx])
+    sig = float(_errors(surface)[idx])
     if sig > 0.0:
         significance = excess / sig
     else:
         significance = math.inf if excess > 0.0 else 0.0
-    smear = surface.smear_dw or 0.0
-    if smear * spec.tau >= 1.0:
+    if surface.smear_dw is not None:
         return Chaoticity.INDETERMINATE, significance
     if significance > 5.0:
         return Chaoticity.CHAOTIC, significance
-    if abs(excess) <= 3.0 * sig:
-        return Chaoticity.COHERENT, significance
-    return Chaoticity.INDETERMINATE, significance
+    if abs(excess) > 3.0 * sig:
+        return Chaoticity.INDETERMINATE, significance
+    if surface.q[idx] != 0.0 or surface.d_omega[idx] != 0.0:
+        raise InsufficientDataError("no origin coverage")
+    return Chaoticity.COHERENT, significance
 
 
 def fit_surface(surface: CorrelationSurface) -> FitReport:

@@ -12,7 +12,8 @@ Surfaces round-trip through a CSV format of the observation, one line per
 q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
 counts n = N c_obs, exact for the accepted 100 <= N <= 2**49, or a
 noiseless surface's c_obs.  The reader takes the grid and recomputes c_true
-and sigma from its metadata; `inference` inverts them.
+and sigma from its metadata.  `inference` reads only the observation: the
+grid, c_obs, N and the smearing window, never c_true, sigma or the source.
 """
 
 import math
@@ -290,13 +291,37 @@ def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
 
 
 def _parse_metadata(lines: Sequence[str]) -> dict:
+    """key -> (1-based file line, value text) of the metadata lines."""
     meta = {}
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         body = line.lstrip("#").strip()
         if "=" in body:
             key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
+            meta[key.strip()] = (n, val.strip())
     return meta
+
+
+_GRID_KEYS = ("q_values_per_um", "d_omega_values_per_ps")
+
+
+def _metadata_number(meta: dict, key: str, kind=float):
+    """The value of numeric metadata `key` parsed by `kind`, float or int,
+    or the list of the whitespace-separated floats of a grid key; None if
+    the key is absent.  A value that does not parse raises ValueError,
+    naming the key and its file line."""
+    if key not in meta:
+        return None
+    n, text = meta[key]
+    grid = key in _GRID_KEYS
+    values = []
+    for field in text.split() if grid else [text]:
+        try:
+            values.append(kind(field))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"surface CSV line {n}: {key} value '{field}' "
+                             f"is not {noun}") from None
+    return values if grid else values[0]
 
 
 def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
@@ -332,7 +357,8 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     i_header = next((i for i, line in enumerate(lines)
                      if line and not line.startswith("#")), len(lines))
     meta = _parse_metadata(lines[:i_header])
-    if meta.get("artifact") != "correlation_surface":
+    _, artifact = meta.get("artifact", (0, None))
+    if artifact != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
     required = ["case", "tau_ps", "emission", "q_values_per_um",
                 "d_omega_values_per_ps"]
@@ -342,18 +368,19 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     if missing:
         raise ValueError("surface CSV metadata lacks " + ", ".join(missing))
     spec = SourceSpec(
-        case=SourceCase(meta["case"]),
-        tau=float(meta["tau_ps"]),
-        R=float(meta["R_um"]) if "R_um" in meta else None,
-        r_dot=float(meta["rdot_um_per_ps"]) if "rdot_um_per_ps" in meta else None,
-        emission=Emission(meta["emission"]),
+        case=SourceCase(meta["case"][1]),
+        tau=_metadata_number(meta, "tau_ps"),
+        R=_metadata_number(meta, "R_um"),
+        r_dot=_metadata_number(meta, "rdot_um_per_ps"),
+        emission=Emission(meta["emission"][1]),
     )
-    grid = GridSpec(q_values=meta["q_values_per_um"].split(),
-                    d_omega_values=meta["d_omega_values_per_ps"].split())
-    noise = (NoiseSpec(pairs_per_bin=int(meta["pairs_per_bin"]),
-                       seed=int(meta["seed"]))
-             if "pairs_per_bin" in meta else None)
-    smear_dw = float(meta["smear_dw_per_ps"]) if "smear_dw_per_ps" in meta else None
+    grid = GridSpec(q_values=_metadata_number(meta, "q_values_per_um"),
+                    d_omega_values=_metadata_number(meta,
+                                                    "d_omega_values_per_ps"))
+    pairs = _metadata_number(meta, "pairs_per_bin", int)
+    noise = (None if pairs is None
+             else NoiseSpec(pairs, _metadata_number(meta, "seed", int)))
+    smear_dw = _metadata_number(meta, "smear_dw_per_ps")
     counts = noise is not None
     expected = "counts" if counts else "c_obs"
     header = lines[i_header] if i_header < len(lines) else None

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -622,6 +623,48 @@ def test_fit_rejects_non_finite_metadata(capsys, tmp_path, key, message,
     head[line] = f"# {key} = {' '.join([bad] + values[1:])}\n"
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, message)
+
+
+@pytest.mark.parametrize("key, bad, noun", [
+    ("tau_ps", "1ps", "a number"),
+    ("R_um", "1 2", "a number"),
+    ("q_values_per_um", "0x", "a number"),
+    ("pairs_per_bin", "1000000.0", "an integer"),
+    ("seed", "5.0", "an integer"),
+])
+def test_fit_names_the_metadata_value_that_does_not_parse(capsys, tmp_path,
+                                                          key, bad, noun):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    line = next(i for i, text in enumerate(head)
+                if text.startswith(f"# {key} ="))
+    values = head[line].split("=")[1].split()
+    head[line] = f"# {key} = {' '.join([bad] + values[1:])}\n"
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, f"surface CSV line {line + 1}: "
+                    f"{key} value '{bad}' is not {noun}")
+
+
+@pytest.mark.parametrize("case, edits", [
+    ("A", {"tau_ps": "3", "R_um": "2.5"}),
+    ("E", {"tau_ps": "2", "rdot_um_per_ps": "0.2"}),
+])
+def test_fit_reads_no_truth_from_the_metadata(capsys, tmp_path, case, edits):
+    # an instrument records the grid, the counts, N and W, not the source:
+    # editing the source's parameters leaves the fit's output unchanged
+    path = tmp_path / "surf.csv"
+    code, _, _ = run(capsys, "synth", "--case", case, "--pairs-per-bin",
+                     "1000000", "--seed", "5", "--out", str(path))
+    assert code == 0
+    before = run(capsys, "fit", str(path))
+    assert before[0] == 0
+    text = path.read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^# {key} = .*$", f"# {key} = {value}", text,
+                              flags=re.M)
+        assert count == 1
+    path.write_text(text)
+    assert run(capsys, "fit", str(path)) == before
 
 
 def test_fit_rejects_non_numeric_field(capsys, tmp_path):

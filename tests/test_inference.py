@@ -83,9 +83,15 @@ def test_insufficient_data_errors():
 
 
 def reference_tau_slices(surf):
-    """fit_tau_slices with one np.linalg.lstsq per slice and pass."""
+    """fit_tau_slices with one np.linalg.lstsq per slice and pass, the error
+    of each count n = N c_obs taken as sqrt(max(n, 1))."""
     excess = surf.c_obs - 1.0
-    usable = excess > 3.0 * surf.sigma
+    if surf.noise is None:
+        sigma = np.zeros_like(excess)
+    else:
+        pairs = surf.noise.pairs_per_bin
+        sigma = np.sqrt(np.maximum(surf.c_obs * pairs, 1.0)) / pairs
+    usable = excess > 3.0 * sigma
     groups = [np.flatnonzero((surf.q == q) & usable) for q in np.unique(surf.q)]
     groups = [idx for idx in groups if idx.size >= 3]
     if len(groups) < 2:
@@ -97,7 +103,7 @@ def reference_tau_slices(surf):
             idx = idx[inside]
         x = surf.d_omega[idx] ** 2
         y = np.log(excess[idx])
-        sig = surf.sigma[idx] / excess[idx]
+        sig = sigma[idx] / excess[idx]
         noisy = bool((sig > 0.0).any())
         w = 1.0 / sig if noisy else np.ones_like(sig)
         a = np.column_stack([np.ones_like(x), x]) * w[:, None]
@@ -326,16 +332,32 @@ def test_coherent_verdict():
 
 
 def test_heavy_smearing_is_indeterminate():
-    surf = surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4),
-                   smear_dw=10.0)
-    verdict, _ = chaoticity_test(surf)
-    assert verdict is Chaoticity.INDETERMINATE
+    # any recorded window: with tau unknown, the data fix only lambda <T>,
+    # even where W tau < 1
+    for smear_dw in (10.0, 0.5):
+        surf = surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 4),
+                       smear_dw=smear_dw)
+        verdict, _ = chaoticity_test(surf)
+        assert verdict is Chaoticity.INDETERMINATE
 
 
 def test_no_origin_coverage_error():
+    # an excess off the origin still proves bunching
     surf = surface(A, np.linspace(1.0, 2.0, 5), np.linspace(0.0, 1.0, 4))
-    with pytest.raises(InsufficientDataError, match="origin"):
-        chaoticity_test(surf)
+    assert chaoticity_test(surf)[0] is Chaoticity.CHAOTIC
+    # a null excess decides nothing without the origin bin, whatever the
+    # source: chaotic far out in q or d_omega, or coherent
+    noise = NoiseSpec(pairs_per_bin=10 ** 6, seed=4)
+    for q, dw, emission in [
+            (np.linspace(5.0, 6.0, 5), np.linspace(0.0, 1.0, 4),
+             Emission.CHAOTIC),
+            (np.linspace(0.0, 1.0, 5), np.linspace(3.0, 4.0, 4),
+             Emission.CHAOTIC),
+            (np.linspace(1.0, 2.0, 5), np.linspace(0.0, 1.0, 4),
+             Emission.COHERENT)]:
+        surf = surface(A, q, dw, noise=noise, emission=emission)
+        with pytest.raises(InsufficientDataError, match="origin"):
+            chaoticity_test(surf)
 
 
 def test_no_coherent_false_positives():
