@@ -11,7 +11,7 @@ linear least squares does all the work:
   * factorization from the chi-square probability that all slice slopes
     share one value;
   * the form factor Phi_hat(q) from the origin slice renormalized to its
-    smallest q, which cancels the q-independent <T> of a smeared surface;
+    q = 0 point, which cancels the q-independent <T> of a smeared surface;
   * kappa from an even-polynomial fit of Phi_hat near q = 0, R from the
     shape-dependent kappa -> R maps;
   * the shape from chi-square ranking of Phi_hat against the four
@@ -264,11 +264,14 @@ def origin_slice(surface: CorrelationSurface) -> np.ndarray:
 
 
 def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
-    """Phi_hat(q) = (c_obs(q) - 1) / (c_obs(q0) - 1) along the smallest
-    |d_omega| slice, q0 the smallest q; the q-independent <T> (and the 1/2)
-    cancel in the ratio."""
+    """Phi_hat(q) = (c_obs(q) - 1) / (c_obs(0) - 1) along the smallest
+    |d_omega| slice; the q-independent <T> (and the 1/2) cancel in the
+    ratio.  Phi(0) = 1 is what makes the ratio Phi, so a grid without
+    q = 0 raises InsufficientDataError."""
     idx = origin_slice(surface)
     q = surface.q[idx]
+    if q[0] != 0.0:
+        raise InsufficientDataError("no origin coverage: the grid lacks q = 0")
     excess = surface.c_obs[idx] - 1.0
     sig = _errors(surface)[idx]
     e0, s0 = excess[0], sig[0]
@@ -341,13 +344,14 @@ def chaoticity_test(surface: CorrelationSurface) -> Tuple[Chaoticity, float]:
     """Verdict on the emission mechanism from the excess at the smallest q
     and |d_omega|.
 
-    A recorded smearing window makes any verdict indeterminate: the excess
-    is then lambda <T>, and with tau unknown the data fix only that
-    product.  Chaotic needs > 5 sigma excess, which proves bunching wherever
-    it is seen.  Coherent needs the excess within 3 sigma of zero at the
-    origin bin, q = 0 and d_omega = 0, since a chaotic excess can fade to
-    nothing away from it; without that bin a null excess raises
-    InsufficientDataError.
+    A recorded smearing window makes any verdict indeterminate, whatever
+    the excess: it is then lambda <T>, and with tau unknown the data fix
+    only that product, so no verdict is drawn from a smeared surface.
+    Without a window, chaotic needs > 5 sigma excess, which proves
+    bunching wherever it is seen.  Coherent needs the excess within 3 sigma
+    of zero at the origin bin, q = 0 and d_omega = 0, since a chaotic
+    excess can fade to nothing away from it; without that bin a null
+    excess raises InsufficientDataError.
     """
     idx = origin_slice(surface)[0]
     excess = float(surface.c_obs[idx] - 1.0)

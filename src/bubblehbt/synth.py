@@ -290,38 +290,29 @@ def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
         fh.write(rows)
 
 
-def _parse_metadata(lines: Sequence[str]) -> dict:
-    """key -> (1-based file line, value text) of the metadata lines."""
-    meta = {}
+def _parse_metadata(lines: Sequence[str]) -> Tuple[dict, dict]:
+    """key -> value text, and key -> 1-based file line, of the metadata
+    lines."""
+    meta, line_of = {}, {}
     for n, line in enumerate(lines, 1):
         body = line.lstrip("#").strip()
         if "=" in body:
             key, _, val = body.partition("=")
-            meta[key.strip()] = (n, val.strip())
-    return meta
+            meta[key.strip()] = val.strip()
+            line_of[key.strip()] = n
+    return meta, line_of
 
 
-_GRID_KEYS = ("q_values_per_um", "d_omega_values_per_ps")
-
-
-def _metadata_number(meta: dict, key: str, kind=float):
-    """The value of numeric metadata `key` parsed by `kind`, float or int,
-    or the list of the whitespace-separated floats of a grid key; None if
-    the key is absent.  A value that does not parse raises ValueError,
-    naming the key and its file line."""
-    if key not in meta:
-        return None
-    n, text = meta[key]
-    grid = key in _GRID_KEYS
-    values = []
-    for field in text.split() if grid else [text]:
-        try:
-            values.append(kind(field))
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"surface CSV line {n}: {key} value '{field}' "
-                             f"is not {noun}") from None
-    return values if grid else values[0]
+def _number(n: int, key: str, field: str, kind=float):
+    """`field`, a value of metadata `key` on file line n, parsed by `kind`
+    (float or int); ValueError naming the key and the line if it does not
+    parse."""
+    try:
+        return kind(field)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"surface CSV line {n}: {key} = '{field}' "
+                         f"is not {noun}") from None
 
 
 def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
@@ -356,9 +347,8 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     # '#' metadata and blank lines, then the header, then the data rows
     i_header = next((i for i, line in enumerate(lines)
                      if line and not line.startswith("#")), len(lines))
-    meta = _parse_metadata(lines[:i_header])
-    _, artifact = meta.get("artifact", (0, None))
-    if artifact != "correlation_surface":
+    meta, line_of = _parse_metadata(lines[:i_header])
+    if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
     required = ["case", "tau_ps", "emission", "q_values_per_um",
                 "d_omega_values_per_ps"]
@@ -367,20 +357,26 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError("surface CSV metadata lacks " + ", ".join(missing))
+    number = {key: _number(line_of[key], key, meta[key], kind)
+              for key, kind in [("tau_ps", float), ("R_um", float),
+                                ("rdot_um_per_ps", float),
+                                ("smear_dw_per_ps", float),
+                                ("pairs_per_bin", int), ("seed", int)]
+              if key in meta}
+    q_values, d_omega_values = (
+        [_number(line_of[key], key, field) for field in meta[key].split()]
+        for key in ("q_values_per_um", "d_omega_values_per_ps"))
     spec = SourceSpec(
-        case=SourceCase(meta["case"][1]),
-        tau=_metadata_number(meta, "tau_ps"),
-        R=_metadata_number(meta, "R_um"),
-        r_dot=_metadata_number(meta, "rdot_um_per_ps"),
-        emission=Emission(meta["emission"][1]),
+        case=SourceCase(meta["case"]),
+        tau=number["tau_ps"],
+        R=number.get("R_um"),
+        r_dot=number.get("rdot_um_per_ps"),
+        emission=Emission(meta["emission"]),
     )
-    grid = GridSpec(q_values=_metadata_number(meta, "q_values_per_um"),
-                    d_omega_values=_metadata_number(meta,
-                                                    "d_omega_values_per_ps"))
-    pairs = _metadata_number(meta, "pairs_per_bin", int)
-    noise = (None if pairs is None
-             else NoiseSpec(pairs, _metadata_number(meta, "seed", int)))
-    smear_dw = _metadata_number(meta, "smear_dw_per_ps")
+    grid = GridSpec(q_values=q_values, d_omega_values=d_omega_values)
+    noise = (NoiseSpec(number["pairs_per_bin"], number["seed"])
+             if "pairs_per_bin" in number else None)
+    smear_dw = number.get("smear_dw_per_ps")
     counts = noise is not None
     expected = "counts" if counts else "c_obs"
     header = lines[i_header] if i_header < len(lines) else None

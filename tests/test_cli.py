@@ -302,6 +302,11 @@ def fit_window_too_narrow(capsys, tmp_path):
     return fit_sparse_surface(capsys, tmp_path, "--q-grid", "0:3:4")
 
 
+def fit_without_q_zero(capsys, tmp_path):
+    # a clear chaotic excess, but Phi_hat needs the excess at q = 0
+    return fit_sparse_surface(capsys, tmp_path, "--q-grid", "0.6:3:25")
+
+
 def synth_case_e_at_huge_d_omega(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     result = run(capsys, "synth", "--case", "E", "--q-grid", "0:1:3",
@@ -330,6 +335,8 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     for failing_run, message in [
             (fit_window_too_narrow,
              "error: window too narrow: fourth q at X = "),
+            (fit_without_q_zero,
+             "error: no origin coverage: the grid lacks q = 0"),
             (synth_case_e_at_huge_d_omega, NOT_FINITE),
             (fit_case_e_at_huge_d_omega, NOT_FINITE)]:
         code, out, err = failing_run(capsys, tmp_path)
@@ -642,7 +649,7 @@ def test_fit_names_the_metadata_value_that_does_not_parse(capsys, tmp_path,
     head[line] = f"# {key} = {' '.join([bad] + values[1:])}\n"
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, f"surface CSV line {line + 1}: "
-                    f"{key} value '{bad}' is not {noun}")
+                    f"{key} = '{bad}' is not {noun}")
 
 
 @pytest.mark.parametrize("case, edits", [

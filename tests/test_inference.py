@@ -342,9 +342,13 @@ def test_heavy_smearing_is_indeterminate():
 
 
 def test_no_origin_coverage_error():
-    # an excess off the origin still proves bunching
+    # an excess off the origin still proves bunching, but without q = 0
+    # no Phi_hat, so no kappa, radius or shape, is drawn from it
     surf = surface(A, np.linspace(1.0, 2.0, 5), np.linspace(0.0, 1.0, 4))
     assert chaoticity_test(surf)[0] is Chaoticity.CHAOTIC
+    for inversion in (renormalize_at_origin, fit_surface):
+        with pytest.raises(InsufficientDataError, match="origin"):
+            inversion(surf)
     # a null excess decides nothing without the origin bin, whatever the
     # source: chaotic far out in q or d_omega, or coherent
     noise = NoiseSpec(pairs_per_bin=10 ** 6, seed=4)
