@@ -7,7 +7,11 @@ For the factorized cases A-D,
 with T the squared normalized temporal transform and Phi the squared
 normalized spatial transform of the source.  The 1/2 is the photon-spin
 chaoticity factor; it is a fixed constant, not a fit parameter.  Coherent
-emission gives C = 1 identically.
+emission gives C = 1 identically.  Poor energy resolution, a box window of
+full width W in d_omega, replaces T by its closed-form average <T>
+(`mean_time_factor`): the smeared excess is (1/2) <T> Phi(q) at every
+d_omega.  `excess` takes the window, so it is the one forward model that
+`synth` tabulates.
 
 Case E (expanding shock) does not factorize.  Its excess is
 
@@ -31,7 +35,7 @@ mu.  Scalars in give a scalar out.
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "correlation",
     "excess",
     "time_factor",
+    "mean_time_factor",
     "form_factor",
     "small_q_coefficient",
     "kappa_analytic",
@@ -111,6 +116,36 @@ def time_factor(case: SourceCase, tau: float, d_omega: Values) -> Values:
     raise ValueError("case E has no factorized time factor")
 
 
+def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
+    """<T> over a box window of full width W = window, for the factorized
+    cases, in closed form:
+
+        A-C  T = exp(-(tau w)^2):         <T> = sqrt(pi) erf(x) / (2 x),
+             x = tau W / 2;
+        D    T = sinc^2(sqrt(3) tau w):   <T> = (Si(2y) - sin^2(y) / y) / y,
+             y = sqrt(3) tau W / 2.
+
+    Below x, y = 1e-3 each takes its Taylor series, whose next term is
+    below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
+    underflow."""
+    if case not in FACTORIZED_CASES:
+        raise ValueError("smearing of the non-factorized case E is unsupported")
+    if not 0.0 < window < math.inf:
+        raise ValueError("smearing window must be positive and finite")
+    if case is SourceCase.D_EXPONENTIAL:
+        y = 0.5 * _SQRT3 * tau * window
+        if y < 1e-3:
+            return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
+        from scipy import special
+
+        si, _ = special.sici(2.0 * y)
+        return float(si - math.sin(y) ** 2 / y) / y
+    x = 0.5 * tau * window
+    if x < 1e-3:
+        return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
+    return _SQRTPI * math.erf(x) / (2.0 * x)
+
+
 def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
     """3 (sin x - x cos x) / x^3 for x >= 0, the normalized sphere
     transform; its Taylor series below x = 1e-2, where the direct form
@@ -141,17 +176,23 @@ def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     raise ValueError("case E has no factorized form factor")
 
 
-def excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
+def excess(spec: SourceSpec, q: Values, d_omega: Values,
+           smear_dw: Optional[float] = None) -> Values:
     """C - 1 with q broadcast against d_omega; coherent emission gives 0
-    exactly.  A negative or NaN q raises ValueError (for A-D and E in
-    `form_factor` and `case_e_excess`)."""
+    exactly.  With an energy window smear_dw, T is its box average <T> at
+    every d_omega; the window is checked whatever the emission.  A
+    negative or NaN q raises ValueError (for A-D and E in `form_factor`
+    and `case_e_excess`)."""
+    mean_t = (None if smear_dw is None
+              else mean_time_factor(spec.case, spec.tau, smear_dw))
     if spec.emission is Emission.COHERENT:
         _check_q(q)
         return np.zeros(np.broadcast_shapes(np.shape(q),
                                             np.shape(d_omega)))[()]
     if spec.case in FACTORIZED_CASES:
-        return (CHAOTICITY * time_factor(spec.case, spec.tau, d_omega)
-                * form_factor(spec.case, spec.R, q))
+        t = (time_factor(spec.case, spec.tau, d_omega) if mean_t is None
+             else np.full(np.shape(d_omega), mean_t)[()])
+        return CHAOTICITY * t * form_factor(spec.case, spec.R, q)
     return case_e_excess(spec, q, d_omega)
 
 

@@ -177,8 +177,11 @@ def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray, noisy: bool,
     return slope, intercept, slope_err, rms, count
 
 
-def _floored_slope_err(slope_err: np.ndarray, scale: float) -> np.ndarray:
-    floor = SLOPE_ERR_FLOOR_REL * scale + 1e-12
+def _floored_slope_err(slope: np.ndarray, slope_err: np.ndarray
+                       ) -> np.ndarray:
+    """slope_err with the floor SLOPE_ERR_FLOOR_REL |mean slope| (or 1 for
+    a zero mean) added in quadrature."""
+    floor = SLOPE_ERR_FLOOR_REL * (abs(float(np.mean(slope))) or 1.0) + 1e-12
     return np.hypot(slope_err, floor)
 
 
@@ -227,10 +230,9 @@ def fit_tau_slices(surface: CorrelationSurface
     if rising.all():
         raise InsufficientDataError(
             "negative slope variance: no slice has a negative slope")
-    slope_scale = abs(float(np.mean(slope))) or 1.0
     # a slope >= 0 within its errors carries no tau information
     taus = np.sqrt(-slope[~rising])
-    errs = _floored_slope_err(slope_err[~rising], slope_scale) / (2.0 * taus)
+    errs = _floored_slope_err(slope, slope_err)[~rising] / (2.0 * taus)
     w = 1.0 / errs ** 2
     tau_hat = float(np.sum(w * taus) / np.sum(w))
     tau_err = float(1.0 / math.sqrt(np.sum(w)))
@@ -245,9 +247,8 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
     if len(tau_per_q) < 2:
         raise InsufficientDataError("need at least 2 slices")
     slopes = np.asarray([f.slope for f in tau_per_q])
-    scale = abs(float(np.mean(slopes))) or 1.0
-    errs = _floored_slope_err(np.asarray([f.slope_err for f in tau_per_q]),
-                              scale)
+    errs = _floored_slope_err(slopes,
+                              np.asarray([f.slope_err for f in tau_per_q]))
     w = 1.0 / errs ** 2
     mean = np.sum(w * slopes) / np.sum(w)
     chi2 = float(np.sum(((slopes - mean) / errs) ** 2))
@@ -255,12 +256,10 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
 
 
 def origin_slice(surface: CorrelationSurface) -> np.ndarray:
-    """Indices of the rows at the smallest |d_omega| in the surface, ordered
-    by q."""
+    """Indices of the rows at the smallest |d_omega| in the surface, in q
+    order, as a row-major surface lists them."""
     dw_abs = np.abs(surface.d_omega)
-    target = dw_abs.min()
-    idx = np.flatnonzero(dw_abs == target)
-    return idx[np.argsort(surface.q[idx])]
+    return np.flatnonzero(dw_abs == dw_abs.min())
 
 
 def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:

@@ -1,12 +1,12 @@
-"""Synthetic correlation surfaces: exact, resolution-smeared, and noisy.
+"""Synthetic correlation surfaces: the grid, the counting noise and the
+file.
 
-Forward model for what a coincidence experiment would record on a (q,
-d_omega) grid.  Counting noise is Poisson on the coincidence numerator with
-a fixed expected denominator N per bin; the whole surface draws from one
-stream seeded by the noise seed, so generation is deterministic.
-
-Poor energy resolution is modeled as a box average of the time factor over
-a full width delta_omega, taken in closed form (`mean_time_factor`).
+A surface tabulates C = 1 + `correlators.excess` on a (q, d_omega) grid,
+energy-smeared over a window smear_dw when one is given; the forward
+model, smearing included, lives in `correlators` alone.  Counting noise is
+Poisson on the coincidence numerator with a fixed expected denominator N
+per bin; the whole surface draws from one stream seeded by the noise seed,
+so generation is deterministic.
 
 Surfaces round-trip through a CSV format of the observation, one line per
 q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
@@ -23,8 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .correlators import (CHAOTICITY, FACTORIZED_CASES, Values, excess,
-                          form_factor)
+from .correlators import excess
 # generate calls `excess`, not `correlation`; the name stays bound here
 # because perfbench/tracing.py wraps `synth.correlation` (retire it with
 # that wrapper, ROADMAP item 4)
@@ -36,8 +35,6 @@ __all__ = [
     "NoiseSpec",
     "CorrelationSurface",
     "generate",
-    "mean_time_factor",
-    "apply_energy_smearing",
     "write_surface_csv",
     "read_surface_csv",
 ]
@@ -124,44 +121,6 @@ class CorrelationSurface:
     smear_dw: Optional[float] = None
 
 
-def mean_time_factor(spec: SourceSpec, delta_omega_window: float) -> float:
-    """<T> over a box window of full width W = delta_omega_window, for the
-    factorized cases, in closed form:
-
-        A-C  T = exp(-(tau w)^2):         <T> = sqrt(pi) erf(x) / (2 x),
-             x = tau W / 2;
-        D    T = sinc^2(sqrt(3) tau w):   <T> = (Si(2y) - sin^2(y) / y) / y,
-             y = sqrt(3) tau W / 2.
-
-    Below x, y = 1e-3 each takes its Taylor series, whose next term is
-    below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
-    underflow."""
-    if spec.case not in FACTORIZED_CASES:
-        raise ValueError("smearing of the non-factorized case E is unsupported")
-    if not 0.0 < delta_omega_window < math.inf:
-        raise ValueError("smearing window must be positive and finite")
-    if spec.case is SourceCase.D_EXPONENTIAL:
-        y = 0.5 * math.sqrt(3.0) * spec.tau * delta_omega_window
-        if y < 1e-3:
-            return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
-        from scipy import special
-
-        si, _ = special.sici(2.0 * y)
-        return float(si - math.sin(y) ** 2 / y) / y
-    x = 0.5 * spec.tau * delta_omega_window
-    if x < 1e-3:
-        return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
-    return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
-
-
-def apply_energy_smearing(spec: SourceSpec, q: Values,
-                          delta_omega_window: float) -> Values:
-    """Smeared correlation value 1 + (1/2) <T> Phi(q), for a scalar q or an
-    array of them."""
-    mean_t = mean_time_factor(spec, delta_omega_window)
-    return 1.0 + CHAOTICITY * mean_t * form_factor(spec.case, spec.R, q)
-
-
 # a closed form that overflows ends in the one error below, not in warnings
 @np.errstate(all="ignore")
 def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
@@ -169,10 +128,7 @@ def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
     """q, d_omega, c_true and sigma = sqrt(c_true/N) (zeros without noise)
     of every grid point in row-major order, c_true in one call."""
     q, dw = grid.points()
-    if smear_dw is not None and spec.emission is Emission.CHAOTIC:
-        c_true = apply_energy_smearing(spec, q, smear_dw)
-    else:
-        c_true = 1.0 + excess(spec, q, dw)
+    c_true = 1.0 + excess(spec, q, dw, smear_dw)
     if not np.isfinite(c_true).all():
         i = np.argmin(np.isfinite(c_true))  # the first non-finite point
         raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "

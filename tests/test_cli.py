@@ -391,6 +391,39 @@ def test_synth_rejects_negative_seed(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("case, window, message", [
+    ("A", "-1", "smearing window must be positive and finite"),
+    ("A", "0", "smearing window must be positive and finite"),
+    ("E", "2", "smearing of the non-factorized case E is unsupported"),
+], ids=["A-negative", "A-zero", "E"])
+def test_synth_checks_the_window_whatever_the_emission(capsys, tmp_path,
+                                                       case, window, message):
+    # a coherent surface's C is 1 at any window, but a window it could not
+    # be smeared over is still an input error
+    path = tmp_path / "surf.csv"
+    code, out, err = run(capsys, "synth", "--case", case, "--coherent",
+                         "--smear-dw", window, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("window", ["nan", "0", "-1"])
+def test_fit_checks_the_window_of_a_coherent_surface(capsys, tmp_path,
+                                                     window):
+    path = tmp_path / "surf.csv"
+    code, _, _ = run(capsys, "synth", "--case", "A", "--coherent",
+                     "--smear-dw", "2", "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert "# smear_dw_per_ps = 2\n" in text
+    path.write_text(text.replace("# smear_dw_per_ps = 2\n",
+                                 f"# smear_dw_per_ps = {window}\n"))
+    assert_rejected(capsys, path,
+                    "smearing window must be positive and finite")
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "fit", str(tmp_path / "absent.csv"))
     assert code == 1

@@ -10,13 +10,13 @@ from scipy import integrate
 from scipy.special import chdtri, ndtri
 
 from bubblehbt import correlators, synth
-from bubblehbt.correlators import (FACTORIZED_CASES, MU_SERIES_MAX,
-                                   correlation, time_factor)
+from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
+                                   MU_SERIES_MAX, correlation, excess,
+                                   form_factor, mean_time_factor, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import erfc_real, faddeeva
-from bubblehbt.synth import (GridSpec, NoiseSpec, apply_energy_smearing,
-                             format_value, generate, mean_time_factor,
+from bubblehbt.synth import (GridSpec, NoiseSpec, format_value, generate,
                              read_surface_csv, write_surface_csv)
 
 
@@ -196,7 +196,7 @@ def test_noise_statistics_across_one_surface():
 # --- smearing ---------------------------------------------------------------
 
 def test_smearing_narrow_window_limit():
-    val = apply_energy_smearing(spec_a(), 0.0, 1e-6)
+    val = 1.0 + excess(spec_a(), 0.0, 0.0, smear_dw=1e-6)
     assert val == pytest.approx(1.5, abs=1e-9)
 
 
@@ -204,30 +204,44 @@ def test_smearing_gaussian_window():
     # <T> = (1/2) int_{-1}^{1} exp(-x^2) dx = (sqrt(pi)/2) erf(1)
     mean_t = math.sqrt(math.pi) / 2.0 * (1.0 - erfc_real(1.0))
     assert mean_t == pytest.approx(0.746824, abs=1e-6)
-    assert apply_energy_smearing(spec_a(), 0.0, 2.0) == pytest.approx(
+    assert 1.0 + excess(spec_a(), 0.0, 0.0, smear_dw=2.0) == pytest.approx(
         1.0 + 0.5 * mean_t, rel=1e-9)
     # the smeared excess still factorizes: ratio to q = 0 equals Phi(q)
-    v0 = apply_energy_smearing(spec_a(), 0.0, 2.0)
-    v1 = apply_energy_smearing(spec_a(), 1.0, 2.0)
+    v0 = 1.0 + excess(spec_a(), 0.0, 0.0, smear_dw=2.0)
+    v1 = 1.0 + excess(spec_a(), 1.0, 0.0, smear_dw=2.0)
     assert (v1 - 1.0) == pytest.approx(0.137365, abs=1e-5)
     assert (v1 - 1.0) / (v0 - 1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_smearing_monotone_in_window():
-    vals = [mean_time_factor(spec_a(), w) for w in [0.5, 1.0, 2.0, 4.0, 8.0]]
+    vals = [mean_time_factor(SourceCase.A_GAUSSIAN, 1.0, w)
+            for w in [0.5, 1.0, 2.0, 4.0, 8.0]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-FACTORIZED = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL, SourceCase.C_SPHERE,
-              SourceCase.D_EXPONENTIAL)
+@pytest.mark.parametrize("case", FACTORIZED_CASES)
+def test_smeared_excess_is_mean_time_factor_times_form_factor(case):
+    # with a window, T is <T> at every d_omega, taken in the order
+    # CHAOTICITY * T * Phi of the unsmeared excess
+    q = np.linspace(0.0, 3.0, 7)[:, None]
+    dw = np.array([-2.0, -0.0, 0.0, 0.5, 1e200])
+    spec = SourceSpec(case=case, tau=0.8, R=1.3)
+    for window in (1e-6, 0.7, 2.0, 50.0):
+        smeared = excess(spec, q, dw, smear_dw=window)
+        expected = (CHAOTICITY * mean_time_factor(case, 0.8, window)
+                    * form_factor(case, 1.3, q))
+        assert smeared.shape == (7, 5)
+        assert (smeared == expected).all()
+    assert excess(spec, 0.5, 1.0, smear_dw=2.0) == (
+        CHAOTICITY * mean_time_factor(case, 0.8, 2.0)
+        * form_factor(case, 1.3, 0.5))
 
 
-@pytest.mark.parametrize("case", FACTORIZED)
+@pytest.mark.parametrize("case", FACTORIZED_CASES)
 def test_mean_time_factor_matches_quadrature(case):
     # the closed forms against a box average of T by adaptive quadrature,
     # over [0, W/2] by symmetry, split at the zeros of case D's sinc^2
     for tau in (0.3, 1.0, 3.0):
-        spec = SourceSpec(case=case, tau=tau, R=1.0)
         for tau_w in np.geomspace(1e-8, 300.0, 25):
             half = 0.5 * tau_w / tau
             zero = math.pi / (math.sqrt(3.0) * tau)
@@ -237,22 +251,29 @@ def test_mean_time_factor_matches_quadrature(case):
             avg, _ = integrate.quad(
                 lambda w: float(time_factor(case, tau, w)), 0.0, half,
                 points=points, epsabs=0.0, epsrel=2e-14, limit=500)
-            assert mean_time_factor(spec, tau_w / tau) == pytest.approx(
+            assert mean_time_factor(case, tau, tau_w / tau) == pytest.approx(
                 avg / half, rel=1e-13, abs=0.0)
         # far below the series switch, <T> is 1 to the last bit
-        assert mean_time_factor(spec, 1e-200 / tau) == 1.0
+        assert mean_time_factor(case, tau, 1e-200 / tau) == 1.0
 
 
 def test_mean_time_factor_rejects_bad_windows():
     for window in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            mean_time_factor(spec_a(), window)
+            mean_time_factor(SourceCase.A_GAUSSIAN, 1.0, window)
+        # the window is checked whatever the emission
+        for emission in Emission:
+            with pytest.raises(ValueError, match="positive and finite"):
+                excess(spec_a(emission=emission), 0.5, 1.0, smear_dw=window)
 
 
 def test_smearing_rejects_case_e():
-    spec = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0, r_dot=0.06)
-    with pytest.raises(ValueError):
-        apply_energy_smearing(spec, 0.5, 1.0)
+    for emission in Emission:
+        spec = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                          r_dot=0.06, emission=emission)
+        for window in (1.0, 0.0):
+            with pytest.raises(ValueError, match="case E is unsupported"):
+                excess(spec, 0.5, 1.0, smear_dw=window)
 
 
 # --- CSV --------------------------------------------------------------------
