@@ -5,11 +5,13 @@ linear least squares does all the work:
 
   * tau from the slope of log(C - 1) vs (d_omega)^2 at fixed q, restricted
     to the origin regime tau^2 (d_omega)^2 <= 0.5 so non-Gaussian time
-    factors are read through their origin derivative; every q slice is
-    fitted in one array pass, from per-slice weighted sums (np.bincount)
-    and the closed-form solution of the 2x2 normal equations;
+    factors are read through their origin derivative; a q slice is a row
+    of the grid's (nq, nw) c_obs matrix, and every slice is fitted in one
+    array pass, from each row's weighted sums and the closed-form solution
+    of the 2x2 normal equations;
   * factorization from the chi-square probability that all slice slopes
-    share one value;
+    share one value (`special_functions.chi2_survival`, so a fit loads no
+    scipy of its own);
   * the form factor Phi_hat(q) from the origin slice renormalized to its
     q = 0 point, which cancels the q-independent <T> of a smeared surface;
   * kappa from an even-polynomial fit of Phi_hat near q = 0, R from the
@@ -21,13 +23,16 @@ linear least squares does all the work:
     verdict indeterminate, and a coherent call needs the origin bin.
 
 The inversion reads only what an instrument records: the grid, c_obs, the
-pairs per bin N and the smearing window W, never the source's truth.  The
-errors of c_obs come from the data, sqrt(max(c_obs, 1/N)/N).  Noiseless
-data carry zero statistical errors; chi-square style scores then use small
-floors (1e-6 relative on slopes, 1e-3 absolute on Phi_hat) so that exact
-agreement scores as agreement instead of 0/0.
+pairs per bin N and the smearing window W, never the source's truth.  It
+reads c_obs as the grid's (nq, nw) matrix, the layout a CorrelationSurface
+guarantees.  The errors of c_obs come from the data,
+sqrt(max(c_obs, 1/N)/N), computed only for the bins a stage reads.
+Noiseless data carry zero statistical errors; chi-square style scores then
+use small floors (1e-6 relative on slopes, 1e-3 absolute on Phi_hat) so
+that exact agreement scores as agreement instead of 0/0.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +42,7 @@ import numpy as np
 
 from .correlators import FACTORIZED_CASES, kappa_to_radius, phi_of_X
 from .sources import SourceCase
+from .special_functions import chi2_survival
 from .synth import CorrelationSurface
 
 __all__ = [
@@ -141,40 +147,35 @@ def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
     return beta, cov
 
 
-def _errors(surface: CorrelationSurface) -> np.ndarray:
-    """Poisson errors of c_obs from the data, sqrt(max(c_obs, 1/N)/N), with
-    an empty bin taken as one pair (in the spirit of Baker & Cousins, NIM
-    221 (1984) 437); zeros without noise."""
+def _errors(c_obs: np.ndarray, surface: CorrelationSurface) -> np.ndarray:
+    """Poisson errors of these c_obs values of `surface` from the data,
+    sqrt(max(c_obs, 1/N)/N), with an empty bin taken as one pair (in the
+    spirit of Baker & Cousins, NIM 221 (1984) 437); zeros without noise."""
     if surface.noise is None:
-        return np.zeros_like(surface.c_obs)
+        return np.zeros_like(c_obs)
     pairs = surface.noise.pairs_per_bin
-    return np.sqrt(np.maximum(surface.c_obs, 1.0 / pairs) / pairs)
+    return np.sqrt(np.maximum(c_obs, 1.0 / pairs) / pairs)
 
 
-def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray, noisy: bool,
-               g: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
-    """Weighted least squares of y = intercept + slope x in each of the n
-    groups that g labels, solved in closed form from each group's centered
-    weighted sums.
+def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted least squares of y = intercept + slope x down each column
+    of the (nw, n) y, x the (nw,) abscissae and w the weights, zero off the
+    points fitted; solved in closed form from each column's centered
+    weighted sums.  Returns slope, intercept and the weighted sum of
+    squares of x about its mean, per column.
 
-    Returns slope, intercept, the slope error, the unweighted residual RMS
-    and the point count per group.  The slope error is from the unscaled
-    (X' W X)^-1, and zero for noiseless data (unit weights): a residual-
-    scaled error would conflate model curvature with statistical scatter,
-    which is exactly what the parallelism test must not do.
+    Each sum over axis 0 of a C-ordered array, by `sum` or `einsum`, adds
+    a column's terms one after another, in d_omega order.
     """
-    sw = np.bincount(g, w, n)
-    x_mean = np.bincount(g, w * x, n) / sw
-    y_mean = np.bincount(g, w * y, n) / sw
-    dx = x - x_mean[g]
-    sxx = np.bincount(g, w * dx * dx, n)
-    slope = np.bincount(g, w * dx * (y - y_mean[g]), n) / sxx
-    intercept = y_mean - slope * x_mean
-    count = np.bincount(g, minlength=n)
-    resid = y - (intercept[g] + slope[g] * x)
-    rms = np.sqrt(np.bincount(g, resid * resid, n) / count)
-    slope_err = np.sqrt(1.0 / sxx) if noisy else np.zeros(n)
-    return slope, intercept, slope_err, rms, count
+    sw = w.sum(axis=0)
+    x_mean = np.einsum("ij,i->j", w, x) / sw
+    y_mean = np.einsum("ij,ij->j", w, y) / sw
+    dx = x[:, None] - x_mean
+    w_dx = w * dx
+    sxx = np.einsum("ij,ij->j", w_dx, dx)
+    slope = np.einsum("ij,ij->j", w_dx, y - y_mean) / sxx
+    return slope, y_mean - slope * x_mean, sxx
 
 
 def _floored_slope_err(slope: np.ndarray, slope_err: np.ndarray
@@ -191,36 +192,51 @@ def fit_tau_slices(surface: CorrelationSurface
 
     Two passes: a full-range fit pools a rough tau, then each slice is
     refitted over the window tau^2 (d_omega)^2 <= 0.5 so curved (non-
-    Gaussian) time factors are read at the origin.  A slice is a q value
-    with at least 3 points whose excess is significant at 3 sigma; a slice
-    with fewer than 3 of them inside the window keeps them all.  Each pass
-    fits every slice at once.
+    Gaussian) time factors are read at the origin.  A slice is a row of the
+    grid, a q value with at least 3 points whose excess is significant at
+    3 sigma; a slice with fewer than 3 of them inside the window keeps them
+    all.  Each pass fits every slice at once, from sums down the columns of
+    the grid's transposed c_obs matrix.
     """
-    excess = surface.c_obs - 1.0
-    sig = _errors(surface)
+    x = np.square(surface.grid.d_omega_values)
+    # the transpose of the grid's (nq, nw) c_obs matrix, one column per
+    # slice, in C order (`compress` keeps it), so that each sum over axis 0
+    # adds a slice's points one after another in d_omega order, as a loop
+    # over them would
+    c_obs = surface.c_obs.reshape(-1, x.size).T.copy()
+    excess = c_obs - 1.0
+    sig = _errors(c_obs, surface)
     usable = excess > 3.0 * sig
-    _, g, count = np.unique(surface.q[usable], return_inverse=True,
-                            return_counts=True)
-    usable[usable] = count[g] >= 3
-    q_values, g = np.unique(surface.q[usable], return_inverse=True)
-    n = q_values.size
-    if n < 2:
+    n_usable = usable.sum(axis=0)
+    slices = n_usable >= 3
+    if slices.sum() < 2:
         raise InsufficientDataError("insufficient significant points")
-    excess = excess[usable]
-    x = np.square(surface.d_omega[usable])
-    y = np.log(excess)
+    if not slices.all():
+        excess, sig, usable = (a.compress(slices, axis=1)
+                               for a in (excess, sig, usable))
+        n_usable = n_usable[slices]
+    y = np.log(excess, out=np.zeros_like(excess), where=usable)
     noisy = surface.noise is not None
-    w = np.square(excess / sig[usable]) if noisy else np.ones_like(excess)
-    pooled = float(np.mean(_line_fits(x, y, w, noisy, g, n)[0]))
+    w = np.where(usable, np.square(excess / sig) if noisy else 1.0, 0.0)
+    pooled = float(np.mean(_line_fits(x, y, w)[0]))
     if pooled >= 0.0:
         raise InsufficientDataError(
             "negative slope variance: fitted slopes are non-negative")
-    inside = x <= TAU_WINDOW / (-pooled)
-    keep = inside | (np.bincount(g, inside, n) < 3)[g]
-    columns = _line_fits(x[keep], y[keep], w[keep], noisy, g[keep], n)
-    slope, _, slope_err = columns[:3]
-    fits = [SliceFit(*row) for row in zip(
-        q_values.tolist(), *(c.tolist() for c in columns))]
+    inside = usable & (x <= TAU_WINDOW / (-pooled))[:, None]
+    n_inside = inside.sum(axis=0)
+    keep = np.where(n_inside < 3, usable, inside)
+    slope, intercept, sxx = _line_fits(x, y, np.where(keep, w, 0.0))
+    # the slope error is from the unscaled (X' W X)^-1, and zero for
+    # noiseless data (unit weights): a residual-scaled error would conflate
+    # model curvature with statistical scatter, which is exactly what the
+    # parallelism test must not do
+    slope_err = np.sqrt(1.0 / sxx) if noisy else np.zeros_like(slope)
+    count = np.where(n_inside < 3, n_usable, n_inside)
+    resid = np.where(keep, y - (intercept + slope * x[:, None]), 0.0)
+    rms = np.sqrt(np.einsum("ij,ij->j", resid, resid) / count)
+    q_values = itertools.compress(surface.grid.q_values, slices.tolist())
+    fits = [SliceFit(*row) for row in zip(q_values, *(
+        c.tolist() for c in (slope, intercept, slope_err, rms, count)))]
     rising = slope >= 0.0
     beyond = rising & (slope > 2.0 * slope_err)
     if beyond.any():
@@ -242,8 +258,6 @@ def fit_tau_slices(surface: CorrelationSurface
 def factorization_test(tau_per_q: List[SliceFit]) -> float:
     """Chi-square probability that all slice slopes share one value: near 1
     for factorized sources, near 0 for a non-factorized one."""
-    from scipy import special
-
     if len(tau_per_q) < 2:
         raise InsufficientDataError("need at least 2 slices")
     slopes = np.asarray([f.slope for f in tau_per_q])
@@ -252,14 +266,17 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
     w = 1.0 / errs ** 2
     mean = np.sum(w * slopes) / np.sum(w)
     chi2 = float(np.sum(((slopes - mean) / errs) ** 2))
-    return float(special.chdtrc(len(tau_per_q) - 1, chi2))
+    return chi2_survival(len(tau_per_q) - 1, chi2)
 
 
 def origin_slice(surface: CorrelationSurface) -> np.ndarray:
-    """Indices of the rows at the smallest |d_omega| in the surface, in q
-    order, as a row-major surface lists them."""
-    dw_abs = np.abs(surface.d_omega)
-    return np.flatnonzero(dw_abs == dw_abs.min())
+    """Row-major indices of the bins in the grid's column(s) of smallest
+    |d_omega|, in q order: both columns on a grid symmetric about 0
+    without 0."""
+    dw_abs = np.abs(surface.grid.d_omega_values)
+    columns = np.flatnonzero(dw_abs == dw_abs.min())
+    rows = np.arange(0, surface.c_obs.size, dw_abs.size)
+    return (rows[:, None] + columns).ravel()
 
 
 def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
@@ -271,8 +288,9 @@ def renormalize_at_origin(surface: CorrelationSurface) -> FormFactorSamples:
     q = surface.q[idx]
     if q[0] != 0.0:
         raise InsufficientDataError("no origin coverage: the grid lacks q = 0")
-    excess = surface.c_obs[idx] - 1.0
-    sig = _errors(surface)[idx]
+    c_obs = surface.c_obs[idx]
+    excess = c_obs - 1.0
+    sig = _errors(c_obs, surface)
     e0, s0 = excess[0], sig[0]
     if e0 <= 3.0 * s0:
         raise InsufficientDataError(
@@ -353,8 +371,9 @@ def chaoticity_test(surface: CorrelationSurface) -> Tuple[Chaoticity, float]:
     excess raises InsufficientDataError.
     """
     idx = origin_slice(surface)[0]
-    excess = float(surface.c_obs[idx] - 1.0)
-    sig = float(_errors(surface)[idx])
+    c_obs = surface.c_obs[idx]
+    excess = float(c_obs - 1.0)
+    sig = float(_errors(c_obs, surface))
     if sig > 0.0:
         significance = excess / sig
     else:

@@ -1,22 +1,28 @@
 """Scaled complex error function and small numeric helpers.
 
-These are the numerical bedrock for the expanding-shock correlator and the
-space/time form factors: the Faddeeva function w(z) = exp(-z^2) erfc(-iz),
-the real complementary error function, and sin(x)/x with its removable
-singularity handled.  `faddeeva` and `sinc` take a scalar or an array and
-return the same shape; where w(z) overflows, in the lower half-plane, its
-parts are +-inf.
+These are the numerical bedrock for the expanding-shock correlator, the
+space/time form factors and the inference's p-values: the Faddeeva
+function w(z) = exp(-z^2) erfc(-iz), the real complementary error
+function, sin(x)/x with its removable singularity handled, and the
+chi-square survival function for integer degrees of freedom.  `faddeeva`
+and `sinc` take a scalar or an array and return the same shape; where w(z)
+overflows, in the lower half-plane, its parts are +-inf.  Only `faddeeva`
+loads scipy.
 """
 
+import math
 from typing import Union
 
 import numpy as np
 
-__all__ = ["faddeeva", "erfc_real", "sinc"]
+__all__ = ["faddeeva", "erfc_real", "sinc", "chi2_survival"]
 
 # Below this |x| the direct sin(x)/x suffers catastrophic cancellation in the
 # deviation from 1; switch to the Taylor polynomial.
 _SINC_SMALL = 1e-4
+
+_LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
+_TINY = float(np.finfo(float).tiny)
 
 
 def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
@@ -33,9 +39,7 @@ def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
 
 def erfc_real(x: float) -> float:
     """Complementary error function for real argument."""
-    from scipy import special
-
-    return float(special.erfc(x))
+    return math.erfc(x)
 
 
 def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -50,3 +54,33 @@ def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     sin_x = np.sin(x, out=np.zeros(np.shape(x)), where=np.isfinite(x))
     return np.divide(sin_x, x, out=series,
                      where=np.abs(x) >= _SINC_SMALL)[()]
+
+
+def chi2_survival(k: int, x: float) -> float:
+    """Q(k/2, x/2): the probability that a chi-square variable with an
+    integer k >= 1 degrees of freedom exceeds x >= 0.
+
+    For integer k it is a finite sum (Abramowitz & Stegun 26.4.4-5) of
+    terms t_j = t_(j-1) a / (j + s), a = x/2:
+      even k:  s = 0,   t_0 = exp(-a),               j < k/2;
+      odd k:   s = 1/2, t_0 = 2 sqrt(a/pi) exp(-a),  j < (k-1)/2,
+               plus erfc(sqrt(a)).
+    The terms are summed in log space, relative to the largest, so exp(-a)
+    may underflow where the sum does not.  It agrees with scipy's `chdtrc`
+    to a few 1e-13 relative, the rounding of a and log(a) in the exponent;
+    a result below the smallest normal float is 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    a = 0.5 * x
+    odd = k % 2
+    n = k // 2
+    q = erfc_real(math.sqrt(a)) if odd else 0.0
+    if n:
+        log_t0 = -a + (0.5 * math.log(a) + _LOG_2_OVER_SQRT_PI if odd else 0.0)
+        logs = np.empty(n)
+        logs[0] = 0.0
+        np.cumsum(np.log(a / (np.arange(1, n) + 0.5 * odd)), out=logs[1:])
+        peak = logs.max()
+        q += math.exp(log_t0 + peak + math.log(np.exp(logs - peak).sum()))
+    return q if q >= _TINY else 0.0

@@ -105,9 +105,11 @@ class NoiseSpec:
 class CorrelationSurface:
     """Tabulated correlation data, truth and observed channels.
 
-    Flat arrays in row-major (q outer, d_omega inner) order.  A CSV file
-    holds the observation (counts or c_obs); the grid, c_true and sigma
-    follow from its metadata.
+    Flat arrays in row-major (q outer, d_omega inner) order: q and d_omega
+    are the grid's points, so each array is the grid's (nq, nw) matrix
+    raveled, which `inference` relies on; a surface made otherwise raises
+    ValueError.  A CSV file holds the observation (counts or c_obs); the
+    grid, c_true and sigma follow from its metadata.
     """
 
     q: np.ndarray
@@ -119,6 +121,17 @@ class CorrelationSurface:
     grid: GridSpec
     noise: Optional[NoiseSpec] = None
     smear_dw: Optional[float] = None
+
+    def __post_init__(self):
+        q_values = np.array(self.grid.q_values)
+        dw_values = np.array(self.grid.d_omega_values)
+        shape = (q_values.size, dw_values.size)
+        arrays = (self.q, self.d_omega, self.c_true, self.c_obs, self.sigma)
+        if not (all(np.shape(a) == (shape[0] * shape[1],) for a in arrays)
+                and (self.q.reshape(shape) == q_values[:, None]).all()
+                and (self.d_omega.reshape(shape) == dw_values).all()):
+            raise ValueError("a surface's arrays must run over its grid's "
+                             "points in row-major order")
 
 
 # a closed form that overflows ends in the one error below, not in warnings
@@ -217,21 +230,22 @@ def _is_count(values: np.ndarray) -> np.ndarray:
 
 
 def _counts(c_obs: np.ndarray, pairs_per_bin: int) -> np.ndarray:
-    """The counts rint(c_obs N) as integral floats; a ValueError unless each
-    is a count n whose n/N is c_obs (see _MAX_PAIRS_PER_BIN)."""
+    """The counts rint(c_obs N) as int64; a ValueError unless each is a
+    count n whose n/N is c_obs (see _MAX_PAIRS_PER_BIN)."""
     with np.errstate(all="ignore"):  # NaN and overflow fail the check
         n = np.rint(c_obs * pairs_per_bin)
         exact = _is_count(n) & (n / pairs_per_bin == c_obs)
     if not exact.all():
         raise ValueError("a noisy surface's c_obs must be counts / "
                          f"pairs_per_bin = {pairs_per_bin}")
-    return n
+    return n.astype(np.int64)
 
 
 def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
     """Write a surface: its counts if it is noisy, else its c_obs.  A noisy
     surface whose c_obs is not counts/N raises ValueError and leaves no
-    file."""
+    file.  Counts are formatted as Python ints, which %d writes faster than
+    integral floats, with the same text."""
     nq, nw = len(surface.grid.q_values), len(surface.grid.d_omega_values)
     if surface.noise is None:
         header, value_format, values = "c_obs", _VALUE_FORMAT, surface.c_obs

@@ -466,14 +466,9 @@ def test_cli_import_leaves_out_scipy_stats():
         assert result.stdout.strip() == "[]", module
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--case", "A", "--q", "1"],
-    ["figure2", "--out", "{out}"],
-], ids=["eval-A", "figure2"])
-def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
-    # scipy.special loads inside the functions that need it, so a
-    # subcommand that calls none of them runs on numpy alone
-    argv = [a.format(out=tmp_path / "out.csv") for a in argv]
+def scipy_after(argv):
+    """The exit code of `main(argv)` in a fresh interpreter, and the scipy
+    modules loaded when it returns."""
     probe = ("import sys; from bubblehbt.cli import main; "
              f"code = main({argv!r}); "
              "print(code, [m for m in sys.modules if m.startswith('scipy')])")
@@ -482,7 +477,28 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
                             capture_output=True, text=True,
                             env={**os.environ,
                                  "PYTHONPATH": os.path.dirname(package)})
-    assert result.stdout.splitlines()[-1] == "0 []"
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--case", "A", "--q", "1"],
+    ["figure2", "--out", "{out}"],
+], ids=["eval-A", "figure2"])
+def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
+    # scipy.special loads inside the functions that need it, so a
+    # subcommand that calls none of them runs on numpy alone
+    argv = [a.format(out=tmp_path / "out.csv") for a in argv]
+    assert scipy_after(argv) == "0 []"
+
+
+def test_fit_of_an_unsmeared_file_loads_no_scipy(capsys, tmp_path):
+    # the factorization p-value is special_functions.chi2_survival, and an
+    # unsmeared case D truth needs no Si, so `fit` runs on numpy alone
+    path = tmp_path / "d.csv"
+    code, _, _ = run(capsys, "synth", "--case", "D", "--pairs-per-bin",
+                     "1000000", "--seed", "5", "--out", str(path))
+    assert code == 0
+    assert scipy_after(["fit", str(path)]) == "0 []"
 
 
 # --- malformed surface CSVs: exit 1 with one line ---------------------------

@@ -12,8 +12,9 @@ from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
                                  InsufficientDataError, SliceFit,
                                  chaoticity_test, estimate_kappa,
                                  factorization_test, fit_surface,
-                                 fit_tau_slices, renormalize_at_origin,
-                                 report_to_text, shape_discrimination)
+                                 fit_tau_slices, origin_slice,
+                                 renormalize_at_origin, report_to_text,
+                                 shape_discrimination)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.synth import GridSpec, NoiseSpec, generate
@@ -140,17 +141,38 @@ def reference_tau_slices(surf):
 
 
 def test_slice_fits_match_one_lstsq_per_slice():
-    # the slices are fitted in one array pass from per-slice weighted sums;
-    # only the summation order differs from a least-squares solve per slice
-    cli_grid = (np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9))
-    cases = [(case, cli_grid, seed) for case in (A, B, C, D)
+    # the slices, rows of the grid, are fitted in one array pass from
+    # weighted sums; only the summation order differs from a least-squares
+    # solve per slice
+    cli_q, cli_dw = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9)
+    pairs = 10 ** 6
+    cases = [(case, (cli_q, cli_dw), seed, pairs) for case in (A, B, C, D)
              for seed in range(5)]
     cases += [(E, (np.linspace(0.0, 3.0, 151), np.linspace(0.0, 2.0, 51)),
-               seed) for seed in range(5)]
-    cases += [(D, cli_grid, None)]
-    for case, (q, dw), seed in cases:
-        noise = None if seed is None else NoiseSpec(10 ** 6, seed)
+               seed, pairs) for seed in range(5)]
+    cases += [(D, (cli_q, cli_dw), None, None)]
+    # d_omega symmetric about 0 without 0: two points share each x
+    cases += [(case, (cli_q, np.linspace(-2.0, 2.0, 8)), seed, pairs)
+              for case in (A, D) for seed in range(3)]
+    cases += [(A, (cli_q, np.linspace(-2.0, 2.0, 8)), None, None)]
+    # at 1000 pairs per bin rows have unusable bins among usable ones, and
+    # rows with only 1 or 2 usable bins, which are no slice
+    sparse = [(case, (cli_q, cli_dw), seed, 1000) for case in (A, B, C, D)
+              for seed in range(3)]
+    cases += sparse
+    cases += [(case, (np.linspace(0.5, 3.0, 26), cli_dw), seed, pairs)
+              for case in (A, C) for seed in range(3)]
+    gaps = dropped = 0
+    for case, (q, dw), seed, n in cases:
+        noise = None if seed is None else NoiseSpec(n, seed)
         surf = surface(case, q, dw, noise=noise)
+        if n == 1000:
+            usable = (surf.c_obs - 1.0 > 3.0 * np.sqrt(surf.c_obs / n)
+                      ).reshape(len(q), len(dw))
+            count = usable.sum(axis=1)
+            dropped += np.count_nonzero((count > 0) & (count < 3))
+            last = len(dw) - np.argmax(usable[:, ::-1], axis=1)
+            gaps += np.count_nonzero((count > 0) & (count < last))
         tau_hat, tau_err, fits = fit_tau_slices(surf)
         ref_hat, ref_err, ref_fits = reference_tau_slices(surf)
         assert tau_hat == pytest.approx(ref_hat, rel=1e-14)
@@ -161,6 +183,7 @@ def test_slice_fits_match_one_lstsq_per_slice():
             for field in ("slope", "intercept", "slope_err", "residual_rms"):
                 assert getattr(f, field) == pytest.approx(
                     getattr(ref, field), rel=1e-12, abs=1e-13)
+    assert gaps > 0 and dropped > 0
     # the same InsufficientDataError, message and all
     failing = [surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6),
                        emission=Emission.COHERENT),
@@ -173,6 +196,16 @@ def test_slice_fits_match_one_lstsq_per_slice():
             fit_tau_slices(surf)
         assert str(new.value) == str(ref.value)
     assert "slope >= 0 beyond errors at q = 3.0" in str(new.value)
+
+
+def test_origin_slice_is_the_column_of_smallest_abs_d_omega():
+    # row-major indices of the bins at the smallest |d_omega|, q by q
+    q = (0.0, 1.0, 2.0)
+    assert origin_slice(surface(A, q, (-1.0, 0.0, 0.5, 1.0))).tolist() == [
+        1, 5, 9]
+    # symmetric about 0 without 0: both columns
+    assert origin_slice(surface(A, q, (-1.5, -0.5, 0.5, 1.5))).tolist() == [
+        1, 2, 5, 6, 9, 10]
 
 
 def test_factorization_score_factorized_cases():

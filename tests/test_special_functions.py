@@ -1,11 +1,13 @@
-"""Faddeeva / erfc / sinc checks against independent series oracles."""
+"""Faddeeva / erfc / sinc checks against independent series oracles, and
+the chi-square survival function against scipy's."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bubblehbt.special_functions import erfc_real, faddeeva, sinc
+from bubblehbt.special_functions import (chi2_survival, erfc_real, faddeeva,
+                                         sinc)
 
 
 # --- independent oracles (series / continued fraction, no scipy) -----------
@@ -125,6 +127,31 @@ def test_erfc_against_oracle():
 def test_erfc_reflection():
     x = 0.7
     assert erfc_real(-x) == pytest.approx(2.0 - erfc_real(x), rel=1e-14)
+
+
+# --- chi-square survival ----------------------------------------------------
+
+def test_chi2_survival_matches_chdtrc():
+    # the finite sum against scipy's incomplete-gamma chdtrc for k = 1 to
+    # 200 and x up to 1e4: within 1e-12 relative wherever chdtrc is above
+    # 1e-300, and 0 where chdtrc underflows to 0
+    from scipy import special
+
+    wide = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 120),
+                           np.linspace(1.0, 1e4, 40)])
+    underflows = 0
+    for k in range(1, 201):
+        # and the bulk, k +- a few sqrt(2k)
+        bulk = k + math.sqrt(2.0 * k) * np.linspace(-3.0, 8.0, 23)
+        x = np.concatenate([wide, bulk[bulk > 0.0]])
+        ref = special.chdtrc(k, x)
+        got = np.array([chi2_survival(k, v) for v in x.tolist()])
+        normal = ref > 1e-300
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12,
+                                   atol=0.0)
+        assert (got[ref == 0.0] == 0.0).all()
+        underflows += np.count_nonzero(ref == 0.0)
+    assert underflows > 0
 
 
 # --- sinc -------------------------------------------------------------------

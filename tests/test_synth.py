@@ -65,6 +65,24 @@ def test_grid_rejects_non_finite_values(bad):
         GridSpec(q_values=(bad,), d_omega_values=(0.0,))
 
 
+def test_surface_off_its_grid_layout_is_a_value_error():
+    # every flat array of a surface is its grid's (nq, nw) matrix in
+    # row-major order, which inference reads it as
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(10 ** 6, 1))
+    column_major = np.arange(12).reshape(4, 3).T.ravel()
+    swapped = np.arange(12)
+    swapped[[4, 5]] = [5, 4]  # two bins of the q = 0.5 row
+    rows_swapped = np.arange(12).reshape(4, 3)[[0, 2, 1, 3]].ravel()
+    for order in (column_major, swapped, rows_swapped, np.arange(11)):
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(surf, q=surf.q[order],
+                                d_omega=surf.d_omega[order],
+                                c_obs=surf.c_obs[order])
+    for field in ("c_true", "c_obs", "sigma"):
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(surf, **{field: getattr(surf, field)[:-1]})
+
+
 def test_noiseless_truth():
     surf = generate(spec_a(), GRID)
     assert surf.c_true[0] == 1.5
