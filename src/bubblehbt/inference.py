@@ -1,7 +1,8 @@
 """Inversion of correlation data.
 
 Every extraction here is linear after a transformation, so plain weighted
-linear least squares does all the work:
+linear least squares does all the work, and every fit is solved in closed
+form from weighted sums; inference calls no `np.linalg`:
 
   * tau from the slope of log(C - 1) vs (d_omega)^2 at fixed q, restricted
     to the origin regime tau^2 (d_omega)^2 <= 0.5 so non-Gaussian time
@@ -14,8 +15,9 @@ linear least squares does all the work:
     scipy of its own);
   * the form factor Phi_hat(q) from the origin slice renormalized to its
     q = 0 point, which cancels the q-independent <T> of a smeared surface;
-  * kappa from an even-polynomial fit of Phi_hat near q = 0, R from the
-    shape-dependent kappa -> R maps;
+  * kappa from an even-polynomial fit of Phi_hat near q = 0, solved like
+    the slice fits from its five weighted sums and the closed-form solution
+    of the 2x2 normal equations; R from the shape-dependent kappa -> R maps;
   * the shape from chi-square ranking of Phi_hat against the four
     rescaled form-factor curves Phi(X);
   * chaotic vs coherent from the significance of the excess at the
@@ -81,7 +83,7 @@ class Chaoticity(str, Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceFit:
     """Weighted linear fit of log(C - 1) against (d_omega)^2 at fixed q."""
 
@@ -126,25 +128,29 @@ class FormFactorSamples:
 
 
 def _fit_even_poly(q: np.ndarray, y: np.ndarray, sigma: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Weighted fit of y = a q^2 + b q^4 (no constant term)."""
-    design = np.column_stack([q * q, q ** 4])
-    noisy = np.any(sigma > 0.0)
+                   ) -> Tuple[float, float]:
+    """Weighted fit of y = a q^2 + b q^4 (no constant term): a and var(a),
+    solved in closed form from the 2x2 normal equations' weighted sums of
+    u = q^2, v = q^4 and y.  Zero errors take the smallest positive one;
+    all of them zero give unit weights and var(a) scaled by the residual
+    variance over n - 2."""
+    u = q * q
+    basis = np.array((u, u * u, y))
+    noisy = (sigma > 0.0).any()
     if noisy:
-        w = 1.0 / np.where(sigma > 0.0, sigma, sigma[sigma > 0.0].min())
-        a_mat = design * w[:, None]
-        b_vec = y * w
+        sig = np.where(sigma > 0.0, sigma, sigma[sigma > 0.0].min())
+        weighted = basis[:2] / np.square(sig)
     else:
-        a_mat = design
-        b_vec = y
-    beta, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    cov = np.linalg.inv(a_mat.T @ a_mat)
+        weighted = basis[:2]
+    (suu, suv, suy), (_, svv, svy) = (weighted @ basis.T).tolist()
+    det = suu * svv - suv * suv
+    a = (svv * suy - suv * svy) / det
+    var_a = svv / det
     if not noisy:
-        resid = y - design @ beta
-        dof = len(q) - 2
-        s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-        cov = cov * s2
-    return beta, cov
+        b = (suu * svy - suv * suy) / det
+        resid = y - a * u - b * basis[1]
+        var_a *= float(resid @ resid) / (q.size - 2)
+    return a, var_a
 
 
 def _errors(c_obs: np.ndarray, surface: CorrelationSurface) -> np.ndarray:
@@ -182,7 +188,7 @@ def _floored_slope_err(slope: np.ndarray, slope_err: np.ndarray
                        ) -> np.ndarray:
     """slope_err with the floor SLOPE_ERR_FLOOR_REL |mean slope| (or 1 for
     a zero mean) added in quadrature."""
-    floor = SLOPE_ERR_FLOOR_REL * (abs(float(np.mean(slope))) or 1.0) + 1e-12
+    floor = SLOPE_ERR_FLOOR_REL * (abs(float(slope.mean())) or 1.0) + 1e-12
     return np.hypot(slope_err, floor)
 
 
@@ -264,8 +270,8 @@ def factorization_test(tau_per_q: List[SliceFit]) -> float:
     errs = _floored_slope_err(slopes,
                               np.asarray([f.slope_err for f in tau_per_q]))
     w = 1.0 / errs ** 2
-    mean = np.sum(w * slopes) / np.sum(w)
-    chi2 = float(np.sum(((slopes - mean) / errs) ** 2))
+    mean = (w * slopes).sum() / w.sum()
+    chi2 = float((((slopes - mean) / errs) ** 2).sum())
     return chi2_survival(len(tau_per_q) - 1, chi2)
 
 
@@ -309,29 +315,34 @@ def estimate_kappa(samples: FormFactorSamples) -> Tuple[float, float]:
     Noiseless samples (all phi_err zero) are bias-limited: window = 0.25
     keeps the neglected q^6 term below the statistical floors.  Noisy ones
     are variance-limited: window = 0.5.  The window widens to the fourth
-    distinct q while that stays within X <= 0.5, and fails past it."""
+    distinct q while that stays within X <= 0.5, and fails past it.  The
+    first pass takes kappa from the middle of 2 (1 - Phi_hat) / q^2 at the
+    first three positive q; the fit holds at least four distinct q."""
     q = np.asarray(samples.q, dtype=float)
     phi = np.asarray(samples.phi_hat, dtype=float)
     err = np.asarray(samples.phi_err, dtype=float)
-    pos = q > 0.0
-    distinct = np.unique(q)
-    if distinct.size < 4 or pos.sum() < 3:
-        raise InsufficientDataError(f"window too narrow: {distinct.size} "
+    first = np.flatnonzero(q > 0.0)[:3]
+    # the smallest q, then each q that differs from the one below it
+    ordered = np.sort(q)
+    distinct = (ordered[:1].tolist()
+                + ordered[1:][ordered[1:] != ordered[:-1]].tolist())
+    if len(distinct) < 4 or first.size < 3:
+        raise InsufficientDataError(f"window too narrow: {len(distinct)} "
                                     "distinct q points, the fit needs 4")
-    window = 0.5 if np.any(err > 0.0) else 0.25
-    kappa = max(0.0, float(np.median(2.0 * (1.0 - phi[pos][:3])
-                                     / q[pos][:3] ** 2)))
+    window = 0.5 if (err > 0.0).any() else 0.25
+    rough = (2.0 * (1.0 - phi[first]) / q[first] ** 2).tolist()
+    kappa = max(0.0, sorted(rough)[1])
     for _ in range(2):
         scale = math.sqrt(kappa / 2.0)  # kappa = 0 selects every q
-        x_fourth = float(distinct[3]) * scale
+        x_fourth = distinct[3] * scale
         if x_fourth > 0.5:
             raise InsufficientDataError(
                 f"window too narrow: fourth q at X = {x_fourth:.3g} > 0.5")
         sel = q * scale <= max(window, x_fourth)
-        beta, cov = _fit_even_poly(q[sel], phi[sel] - 1.0, err[sel])
-        kappa_hat = -2.0 * float(beta[0])
+        a, var_a = _fit_even_poly(q[sel], phi[sel] - 1.0, err[sel])
+        kappa_hat = -2.0 * a
         kappa = max(0.0, kappa_hat)
-    return kappa_hat, 2.0 * math.sqrt(max(0.0, cov[0, 0]))
+    return kappa_hat, 2.0 * math.sqrt(max(0.0, var_a))
 
 
 def shape_discrimination(samples: FormFactorSamples,

@@ -286,6 +286,120 @@ def test_kappa_window_follows_noise():
     assert estimate_kappa(noisy)[0] != estimate_kappa(exact)[0]
 
 
+def reference_fit_even_poly(q, y, sigma):
+    """estimate_kappa's weighted fit of y = a q^2 + b q^4 by
+    np.linalg.lstsq, its covariance by np.linalg.inv."""
+    design = np.column_stack([q * q, q ** 4])
+    noisy = np.any(sigma > 0.0)
+    if noisy:
+        w = 1.0 / np.where(sigma > 0.0, sigma, sigma[sigma > 0.0].min())
+        a_mat = design * w[:, None]
+        b_vec = y * w
+    else:
+        a_mat = design
+        b_vec = y
+    beta, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    cov = np.linalg.inv(a_mat.T @ a_mat)
+    if not noisy:
+        resid = y - design @ beta
+        dof = len(q) - 2
+        s2 = float(resid @ resid) / dof if dof > 0 else 0.0
+        cov = cov * s2
+    return beta, cov
+
+
+def reference_estimate_kappa(samples):
+    """estimate_kappa with np.unique for the distinct q, np.median for the
+    rough first pass and the least-squares solve above."""
+    q = np.asarray(samples.q, dtype=float)
+    phi = np.asarray(samples.phi_hat, dtype=float)
+    err = np.asarray(samples.phi_err, dtype=float)
+    pos = q > 0.0
+    distinct = np.unique(q)
+    if distinct.size < 4 or pos.sum() < 3:
+        raise InsufficientDataError(f"window too narrow: {distinct.size} "
+                                    "distinct q points, the fit needs 4")
+    window = 0.5 if np.any(err > 0.0) else 0.25
+    kappa = max(0.0, float(np.median(2.0 * (1.0 - phi[pos][:3])
+                                     / q[pos][:3] ** 2)))
+    for _ in range(2):
+        scale = math.sqrt(kappa / 2.0)  # kappa = 0 selects every q
+        x_fourth = float(distinct[3]) * scale
+        if x_fourth > 0.5:
+            raise InsufficientDataError(
+                f"window too narrow: fourth q at X = {x_fourth:.3g} > 0.5")
+        sel = q * scale <= max(window, x_fourth)
+        beta, cov = reference_fit_even_poly(q[sel], phi[sel] - 1.0, err[sel])
+        kappa_hat = -2.0 * float(beta[0])
+        kappa = max(0.0, kappa_hat)
+    return kappa_hat, 2.0 * math.sqrt(max(0.0, cov[0, 0]))
+
+
+def test_kappa_matches_the_least_squares_fit():
+    # the closed-form solve of the normal equations differs from a
+    # least-squares solve by rounding only: kappa_hat and kappa_err within
+    # 1e-10 relative (absolute for 0), the same exception and message
+    cli_q, cli_dw = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9)
+    grids = [(cli_q, cli_dw),
+             # d_omega symmetric about 0 without 0: each q twice
+             (cli_q, np.linspace(-1.0, 1.0, 2))]
+    samples = []
+    for case in (A, B, C, D):
+        for q, dw in grids:
+            samples.append(renormalize_at_origin(surface(case, q, dw)))
+            for pairs in (10 ** 3, 10 ** 6):
+                for seed in range(6):
+                    samples.append(renormalize_at_origin(surface(
+                        case, q, dw, noise=NoiseSpec(pairs, seed))))
+    # q out of order, each q once or twice: case A noiseless and at 10^6
+    # pairs (seed 0) on both grids
+    rng = np.random.default_rng(3)
+    for base in samples[0], samples[7], samples[13], samples[20]:
+        order = rng.permutation(base.q.size)
+        samples.append(FormFactorSamples(q=base.q[order],
+                                         phi_hat=base.phi_hat[order],
+                                         phi_err=base.phi_err[order]))
+    flat_q = np.linspace(0.0, 1.0, 11)
+    samples.append(FormFactorSamples(q=flat_q, phi_hat=np.ones_like(flat_q),
+                                     phi_err=np.zeros_like(flat_q)))
+    samples += [exact_phi_samples(A, (0.0, 1.0, 2.0)),
+                exact_phi_samples(A, (0.0, 0.1, 0.2, 0.6))]
+    fitted, failures = 0, []
+    for sample in samples:
+        try:
+            ref = reference_estimate_kappa(sample)
+        except InsufficientDataError as exc:
+            with pytest.raises(InsufficientDataError) as new:
+                estimate_kappa(sample)
+            assert str(new.value) == str(exc)
+            failures.append(str(exc))
+            continue
+        for value, expected in zip(estimate_kappa(sample), ref):
+            assert abs(value - expected) <= 1e-10 * (abs(expected) or 1.0)
+        fitted += 1
+    assert fitted > 80
+    assert sum("fourth q at X" in f for f in failures) > 10
+    assert sum("distinct q points" in f for f in failures) == 1
+
+
+def test_fit_calls_no_linalg_unique_or_median(monkeypatch):
+    # every fit is solved in closed form from weighted sums
+    surfaces = [surface(case, np.linspace(0.0, 3.0, 61), dw, noise=noise)
+                for case in (A, D) for dw in (np.linspace(0.0, 2.0, 9),
+                                              np.linspace(-2.0, 2.0, 8))
+                for noise in (None, NoiseSpec(10 ** 6, 1))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inference called a forbidden numpy function")
+    for name in ("lstsq", "inv", "solve", "pinv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in ("unique", "median"):
+        monkeypatch.setattr(np, name, forbidden)
+    for surf in surfaces:
+        report = fit_surface(surf)
+        assert report.tau_per_q and report.shape_ranking is not None
+
+
 # --- renormalization at the origin ------------------------------------------
 
 def test_renormalization_cancels_smearing():
