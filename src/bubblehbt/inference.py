@@ -9,7 +9,7 @@ form from weighted sums; inference calls no `np.linalg`:
     factors are read through their origin derivative; a q slice is a row
     of the grid's (nq, nw) c_obs matrix, and every slice is fitted in one
     array pass, from each row's weighted sums and the closed-form solution
-    of the 2x2 normal equations;
+    of the 2x2 normal equations, returned as the columns of a `SliceFits`;
   * factorization from the chi-square probability that all slice slopes
     share one value (`special_functions.chi2_survival`, so a fit loads no
     scipy of its own);
@@ -34,7 +34,6 @@ use small floors (1e-6 relative on slopes, 1e-3 absolute on Phi_hat) so
 that exact agreement scores as agreement instead of 0/0.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +47,7 @@ from .special_functions import chi2_survival
 from .synth import CorrelationSurface
 
 __all__ = [
-    "SliceFit",
+    "SliceFits",
     "ShapeRanking",
     "Chaoticity",
     "FitReport",
@@ -83,16 +82,20 @@ class Chaoticity(str, Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(slots=True)
-class SliceFit:
-    """Weighted linear fit of log(C - 1) against (d_omega)^2 at fixed q."""
+@dataclass
+class SliceFits:
+    """Weighted linear fits of log(C - 1) against (d_omega)^2 at fixed q,
+    as columns: each field holds one entry per slice, in q order."""
 
-    q: float
-    slope: float
-    intercept: float
-    slope_err: float
-    residual_rms: float
-    n_points: int
+    q: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    slope_err: np.ndarray
+    residual_rms: np.ndarray
+    n_points: np.ndarray
+
+    def __len__(self) -> int:
+        return self.q.size
 
 
 @dataclass
@@ -110,7 +113,7 @@ class FitReport:
     significance: float
     tau_hat: Optional[float] = None
     tau_err: Optional[float] = None
-    tau_per_q: Optional[List[SliceFit]] = None
+    tau_per_q: Optional[SliceFits] = None
     factorization_score: Optional[float] = None
     kappa_hat: Optional[float] = None
     kappa_err: Optional[float] = None
@@ -193,7 +196,7 @@ def _floored_slope_err(slope: np.ndarray, slope_err: np.ndarray
 
 
 def fit_tau_slices(surface: CorrelationSurface
-                   ) -> Tuple[float, float, List[SliceFit]]:
+                   ) -> Tuple[float, float, SliceFits]:
     """(tau_hat, tau_err, per-slice fits) from the log-slope extraction.
 
     Two passes: a full-range fit pools a rough tau, then each slice is
@@ -217,10 +220,9 @@ def fit_tau_slices(surface: CorrelationSurface
     slices = n_usable >= 3
     if slices.sum() < 2:
         raise InsufficientDataError("insufficient significant points")
-    if not slices.all():
-        excess, sig, usable = (a.compress(slices, axis=1)
-                               for a in (excess, sig, usable))
-        n_usable = n_usable[slices]
+    excess, sig, usable = (a.compress(slices, axis=1)
+                           for a in (excess, sig, usable))
+    n_usable = n_usable[slices]
     y = np.log(excess, out=np.zeros_like(excess), where=usable)
     noisy = surface.noise is not None
     w = np.where(usable, np.square(excess / sig) if noisy else 1.0, 0.0)
@@ -240,15 +242,14 @@ def fit_tau_slices(surface: CorrelationSurface
     count = np.where(n_inside < 3, n_usable, n_inside)
     resid = np.where(keep, y - (intercept + slope * x[:, None]), 0.0)
     rms = np.sqrt(np.einsum("ij,ij->j", resid, resid) / count)
-    q_values = itertools.compress(surface.grid.q_values, slices.tolist())
-    fits = [SliceFit(*row) for row in zip(q_values, *(
-        c.tolist() for c in (slope, intercept, slope_err, rms, count)))]
+    fits = SliceFits(np.compress(slices, surface.grid.q_values), slope,
+                     intercept, slope_err, rms, count)
     rising = slope >= 0.0
     beyond = rising & (slope > 2.0 * slope_err)
     if beyond.any():
         raise InsufficientDataError(
             "negative slope variance: slope >= 0 beyond errors "
-            f"at q = {fits[np.argmax(beyond)].q}")
+            f"at q = {fits.q[np.argmax(beyond)]}")
     if rising.all():
         raise InsufficientDataError(
             "negative slope variance: no slice has a negative slope")
@@ -261,18 +262,16 @@ def fit_tau_slices(surface: CorrelationSurface
     return tau_hat, tau_err, fits
 
 
-def factorization_test(tau_per_q: List[SliceFit]) -> float:
+def factorization_test(fits: SliceFits) -> float:
     """Chi-square probability that all slice slopes share one value: near 1
     for factorized sources, near 0 for a non-factorized one."""
-    if len(tau_per_q) < 2:
+    if len(fits) < 2:
         raise InsufficientDataError("need at least 2 slices")
-    slopes = np.asarray([f.slope for f in tau_per_q])
-    errs = _floored_slope_err(slopes,
-                              np.asarray([f.slope_err for f in tau_per_q]))
+    errs = _floored_slope_err(fits.slope, fits.slope_err)
     w = 1.0 / errs ** 2
-    mean = (w * slopes).sum() / w.sum()
-    chi2 = float((((slopes - mean) / errs) ** 2).sum())
-    return chi2_survival(len(tau_per_q) - 1, chi2)
+    mean = (w * fits.slope).sum() / w.sum()
+    chi2 = float((((fits.slope - mean) / errs) ** 2).sum())
+    return chi2_survival(len(fits) - 1, chi2)
 
 
 def origin_slice(surface: CorrelationSurface) -> np.ndarray:
@@ -318,9 +317,7 @@ def estimate_kappa(samples: FormFactorSamples) -> Tuple[float, float]:
     distinct q while that stays within X <= 0.5, and fails past it.  The
     first pass takes kappa from the middle of 2 (1 - Phi_hat) / q^2 at the
     first three positive q; the fit holds at least four distinct q."""
-    q = np.asarray(samples.q, dtype=float)
-    phi = np.asarray(samples.phi_hat, dtype=float)
-    err = np.asarray(samples.phi_err, dtype=float)
+    q, phi, err = samples.q, samples.phi_hat, samples.phi_err
     first = np.flatnonzero(q > 0.0)[:3]
     # the smallest q, then each q that differs from the one below it
     ordered = np.sort(q)
@@ -351,9 +348,9 @@ def shape_discrimination(samples: FormFactorSamples,
     Phi(X), X = sqrt(kappa/2) q with the fitted curvature."""
     if not kappa_hat > 0.0:
         raise InsufficientDataError("cannot rescale: non-positive curvature")
-    x = np.asarray(samples.q) * math.sqrt(kappa_hat / 2.0)
-    phi = np.asarray(samples.phi_hat)
-    err = np.maximum(np.asarray(samples.phi_err), PHI_ERR_FLOOR)
+    x = samples.q * math.sqrt(kappa_hat / 2.0)
+    phi = samples.phi_hat
+    err = np.maximum(samples.phi_err, PHI_ERR_FLOOR)
     entries = []
     for case in FACTORIZED_CASES:
         chi2 = float(np.mean(((phi - phi_of_X(case, x)) / err) ** 2))
@@ -438,12 +435,14 @@ def report_to_text(report: FitReport) -> str:
         lines.append(f"tau_err_ps = {report.tau_err:.17g}")
     if report.factorization_score is not None:
         lines.append(f"factorization_score = {report.factorization_score:.17g}")
-    if report.tau_per_q:
-        for f in report.tau_per_q:
-            lines.append(
-                f"slice q={f.q:.17g} slope={f.slope:.17g} "
-                f"slope_err={f.slope_err:.17g} intercept={f.intercept:.17g} "
-                f"residual_rms={f.residual_rms:.17g} n={f.n_points}")
+    fits = report.tau_per_q
+    if fits is not None:
+        lines.extend(
+            f"slice q={q:.17g} slope={s:.17g} slope_err={e:.17g} "
+            f"intercept={i:.17g} residual_rms={r:.17g} n={n}"
+            for q, s, e, i, r, n in zip(*(c.tolist() for c in (
+                fits.q, fits.slope, fits.slope_err, fits.intercept,
+                fits.residual_rms, fits.n_points))))
     if report.kappa_hat is not None:
         lines.append(f"kappa_hat = {report.kappa_hat:.17g}")
         lines.append(f"kappa_err = {report.kappa_err:.17g}")

@@ -262,14 +262,18 @@ def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
 
 def _parse_metadata(lines: Sequence[str]) -> Tuple[dict, dict]:
     """key -> value text, and key -> 1-based file line, of the metadata
-    lines."""
+    lines; ValueError naming both lines if a key is given twice."""
     meta, line_of = {}, {}
     for n, line in enumerate(lines, 1):
         body = line.lstrip("#").strip()
         if "=" in body:
             key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
-            line_of[key.strip()] = n
+            key = key.strip()
+            if key in meta:
+                raise ValueError(f"surface CSV lines {line_of[key]} and {n}: "
+                                 f"{key} given twice")
+            meta[key] = val.strip()
+            line_of[key] = n
     return meta, line_of
 
 

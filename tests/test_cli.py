@@ -701,6 +701,22 @@ def test_fit_names_the_metadata_value_that_does_not_parse(capsys, tmp_path,
                     f"{key} = '{bad}' is not {noun}")
 
 
+@pytest.mark.parametrize("key", ["pairs_per_bin", "tau_ps",
+                                 "q_values_per_um"])
+def test_fit_rejects_a_metadata_key_given_twice(capsys, tmp_path, key):
+    # a reader that kept the last value would fit with a second
+    # pairs_per_bin's errors, or pass a second tau_ps unseen
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    line = next(i for i, text in enumerate(head)
+                if text.startswith(f"# {key} ="))
+    # the copy goes last among the metadata, just above the header
+    head.insert(len(head) - 1, head[line])
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, f"surface CSV lines {line + 1} and "
+                    f"{len(head) - 1}: {key} given twice")
+
+
 @pytest.mark.parametrize("case, edits", [
     ("A", {"tau_ps": "3", "R_um": "2.5"}),
     ("E", {"tau_ps": "2", "rdot_um_per_ps": "0.2"}),

@@ -2,6 +2,7 @@
 ranking, chaoticity verdicts, and full round trips on synthetic surfaces."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bubblehbt.correlators import form_factor, kappa_analytic
 from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
                                  Chaoticity, FormFactorSamples,
-                                 InsufficientDataError, SliceFit,
+                                 InsufficientDataError, SliceFits,
                                  chaoticity_test, estimate_kappa,
                                  factorization_test, fit_surface,
                                  fit_tau_slices, origin_slice,
@@ -48,9 +49,8 @@ def test_noiseless_gaussian_slices_exact():
     surf = surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6))
     tau_hat, tau_err, fits = fit_tau_slices(surf)
     # log(C - 1) is exactly linear in (d_omega)^2 with slope -tau^2
-    for f in fits:
-        assert f.slope == pytest.approx(-1.0, rel=1e-10)
-        assert f.residual_rms < 1e-10
+    assert fits.slope == pytest.approx(-1.0, rel=1e-10)
+    assert (fits.residual_rms < 1e-10).all()
     assert tau_hat == pytest.approx(1.0, rel=1e-10)
     assert tau_err > 0.0  # floored, not zero
 
@@ -93,6 +93,7 @@ def reference_tau_slices(surf):
         pairs = surf.noise.pairs_per_bin
         sigma = np.sqrt(np.maximum(surf.c_obs * pairs, 1.0)) / pairs
     usable = excess > 3.0 * sigma
+    Fit = namedtuple("Fit", "q slope intercept slope_err residual_rms n_points")
     groups = [np.flatnonzero((surf.q == q) & usable) for q in np.unique(surf.q)]
     groups = [idx for idx in groups if idx.size >= 3]
     if len(groups) < 2:
@@ -111,9 +112,9 @@ def reference_tau_slices(surf):
         beta = np.linalg.lstsq(a, y * w, rcond=None)[0]
         cov = np.linalg.inv(a.T @ a) if noisy else np.zeros((2, 2))
         rms = math.sqrt(np.mean((y - beta[0] - beta[1] * x) ** 2))
-        return SliceFit(q=float(surf.q[idx[0]]), slope=beta[1],
-                        intercept=beta[0], slope_err=math.sqrt(cov[1, 1]),
-                        residual_rms=rms, n_points=idx.size)
+        return Fit(q=float(surf.q[idx[0]]), slope=beta[1], intercept=beta[0],
+                   slope_err=math.sqrt(cov[1, 1]), residual_rms=rms,
+                   n_points=idx.size)
 
     pooled = np.mean([fit(idx, math.inf).slope for idx in groups])
     if pooled >= 0.0:
@@ -177,12 +178,13 @@ def test_slice_fits_match_one_lstsq_per_slice():
         ref_hat, ref_err, ref_fits = reference_tau_slices(surf)
         assert tau_hat == pytest.approx(ref_hat, rel=1e-14)
         assert tau_err == pytest.approx(ref_err, rel=1e-14)
-        assert [(f.q, f.n_points) for f in fits] == [
-            (f.q, f.n_points) for f in ref_fits]
-        for f, ref in zip(fits, ref_fits):
-            for field in ("slope", "intercept", "slope_err", "residual_rms"):
-                assert getattr(f, field) == pytest.approx(
-                    getattr(ref, field), rel=1e-12, abs=1e-13)
+        assert len(fits) == len(ref_fits)
+        assert fits.q.tolist() == [f.q for f in ref_fits]
+        assert fits.n_points.tolist() == [f.n_points for f in ref_fits]
+        for field in ("slope", "intercept", "slope_err", "residual_rms"):
+            assert getattr(fits, field) == pytest.approx(
+                np.array([getattr(f, field) for f in ref_fits]),
+                rel=1e-12, abs=1e-13)
     assert gaps > 0 and dropped > 0
     # the same InsufficientDataError, message and all
     failing = [surface(A, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6),
@@ -227,10 +229,12 @@ def test_factorization_score_shock_case():
 
 
 def test_factorization_needs_two_slices():
-    lone = SliceFit(q=1.0, slope=-1.0, intercept=0.0, slope_err=0.0,
-                    residual_rms=0.0, n_points=6)
+    lone = SliceFits(q=np.array([1.0]), slope=np.array([-1.0]),
+                     intercept=np.zeros(1), slope_err=np.zeros(1),
+                     residual_rms=np.zeros(1), n_points=np.array([6]))
+    assert len(lone) == 1
     with pytest.raises(InsufficientDataError):
-        factorization_test([lone])
+        factorization_test(lone)
 
 
 # --- curvature and radii ----------------------------------------------------
@@ -557,6 +561,48 @@ def test_scale_equivariance():
     assert large.chaoticity is small.chaoticity
 
 
+def fit_or_message(surf):
+    try:
+        return fit_surface(surf)
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+def test_fit_scales_with_units():
+    # tau and R times s on a grid divided by s is the same observation in
+    # other units: c_obs is bit-identical (s a power of 2), tau and its
+    # error scale by s, kappa and its error by s^2.  The bound leaves room
+    # for the absolute 1e-12 in the slope-error floor, which does not scale
+    # (3.1e-12 relative on tau_err at most, on A-E and seeds 0-9)
+    q, dw = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9)
+    for case in (A, B, C, D, E):
+        for seed in range(10):
+            noise = NoiseSpec(10 ** 6, seed)
+            base_surf = surface(case, q, dw, noise=noise)
+            base = fit_or_message(base_surf)
+            for s in (2.0 ** -3, 2.0 ** 4, 2.0 ** 20):
+                # case E keeps r_dot: its radius r_dot t scales with tau
+                surf = surface(case, q / s, dw / s, R=s, tau=s, noise=noise)
+                assert np.array_equal(surf.c_obs, base_surf.c_obs)
+                report = fit_or_message(surf)
+                if isinstance(base, str):
+                    assert report == base
+                    continue
+                assert report.chaoticity is base.chaoticity
+                for field, power in (("tau_hat", 1), ("tau_err", 1),
+                                     ("kappa_hat", 2), ("kappa_err", 2)):
+                    value, ref = getattr(report, field), getattr(base, field)
+                    assert value == (None if ref is None else pytest.approx(
+                        s ** power * ref, rel=1e-10))
+                # no ranking for a non-positive curvature (case E here)
+                ranking, ref = report.shape_ranking, base.shape_ranking
+                assert (ranking is None) is (ref is None)
+                if ref is not None:
+                    assert ([c for c, _ in ranking.entries]
+                            == [c for c, _ in ref.entries])
+                    assert ranking.indistinguishable is ref.indistinguishable
+
+
 def test_pipeline_noisy_recovery():
     surf = surface(A, np.linspace(0.0, 3.0, 31), np.linspace(0.0, 2.0, 9),
                    noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=7))
@@ -598,3 +644,25 @@ def test_report_serialization():
     assert "tau_hat_ps = " in text
     assert "kappa_hat = " in text
     assert "shape_rank_1 = A" in text
+    # one `slice` line per fitted slice, in q order, and %.17g gives every
+    # float back exactly.  On the noisy CLI-default surface the rows at
+    # large q hold no significant excess, so the slices are a subset of q
+    noisy = surface(A, np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9),
+                    noise=NoiseSpec(10 ** 6, 5))
+    for surf in (surf, noisy):
+        report = fit_surface(surf)
+        fits = report.tau_per_q
+        lines = [line.split()[1:] for line in
+                 report_to_text(report).splitlines()
+                 if line.startswith("slice ")]
+        assert len(lines) == len(fits)
+        for i, line in enumerate(lines):
+            fields = dict(field.split("=") for field in line)
+            assert list(fields) == ["q", "slope", "slope_err", "intercept",
+                                    "residual_rms", "n"]
+            for key in ("q", "slope", "slope_err", "intercept",
+                        "residual_rms"):
+                assert float(fields[key]) == getattr(fits, key)[i]
+            assert fields["n"].isdigit()
+            assert int(fields["n"]) == fits.n_points[i]
+    assert len(fits) < 61 and (fits.slope_err > 0.0).all()
