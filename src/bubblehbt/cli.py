@@ -124,7 +124,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"bad grid '{text}': {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"bad grid '{text}', expected min:max:n") from exc
-    if n < 1 or hi < lo:
+    # one point has one value: min:max:1 with min != max would drop max
+    if n < 1 or hi < lo or (n == 1 and hi != lo):
         raise ValueError(f"bad grid '{text}'")
     return np.linspace(lo, hi, n)
 

@@ -22,8 +22,15 @@ with mu = r_dot tau q and z± = (d_omega ± r_dot q) tau / 2.  This already
 contains the 1/2 factor: writing the space-time Fourier transform of the
 case E source as F(q, d_omega), one finds F = tau I / (4 q^3) and
 F(0,0) = r_dot^3 tau^4 / 6, so 9|I|^2/(8 mu^6) = (1/2)|F/F(0,0)|^2 exactly.
+z± are real, and on the real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x),
+with D Dawson's integral, so I is evaluated in real arithmetic: with
+a± = 1 ± mu z±,
+
+    Re I = 2 (a+ D(z+) - a- D(z-) - mu),
+    Im I = -sqrt(pi) (a+ exp(-z+^2) - a- exp(-z-^2)).
+
 Below mu = 0.01 the 0/0 form is replaced by a series in mu^2 whose complex
-coefficients are one-sided Gaussian moments.
+coefficients are one-sided Gaussian moments, the first from w.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -40,7 +47,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .sources import Emission, SourceCase, SourceSpec
-from .special_functions import faddeeva, sinc
+from .special_functions import dawson, faddeeva, sinc
 
 __all__ = [
     "CHAOTICITY",
@@ -245,19 +252,23 @@ def _one_sided_gaussian_moments(tau: float, d_omega: Values) -> List[Values]:
 
 def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
                    mu: Values) -> np.ndarray:
-    """9 |I|^2 / (8 mu^6) at points with mu > MU_SERIES_MAX."""
-    # far out on either axis mu^2, z± and mu z± overflow to inf, which is
+    """9 |I|^2 / (8 mu^6) at points with mu > MU_SERIES_MAX, from Re I
+    and Im I in real arithmetic (module docstring)."""
+    # far out on either axis mu^2, z±^2 and mu z± overflow to inf, which is
     # handled below; numpy would warn, so each of them is computed here
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = mu * mu
         z_plus = (d_omega + r_dot * q) * tau / 2.0
         z_minus = (d_omega - r_dot * q) * tau / 2.0
         mz_plus, mz_minus = mu * z_plus, mu * z_minus
-        i_val = (-1j * _SQRTPI * ((1.0 + mz_plus) * faddeeva(z_plus)
-                                  - (1.0 - mz_minus) * faddeeva(z_minus))
-                 - 2.0 * mu)
+        a_plus, a_minus = 1.0 + mz_plus, 1.0 - mz_minus
+        re_i = 2.0 * (a_plus * dawson(z_plus) - a_minus * dawson(z_minus)
+                      - mu)
+        # Im I = -sqrt(pi) im_i, so |I|^2 takes pi im_i^2
+        im_i = (a_plus * np.exp(-np.square(z_plus))
+                - a_minus * np.exp(-np.square(z_minus)))
         mu6 = mu2 * mu2 * mu2
-        value = 9.0 * np.square(np.abs(i_val)) / (8.0 * mu6)
+        value = 9.0 * (re_i * re_i + math.pi * (im_i * im_i)) / (8.0 * mu6)
     # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu), the
     # excess is below 1e-200, and the direct form gives 0 or NaN there:
     # return its q, d_omega -> inf limit 0.
@@ -278,7 +289,7 @@ def _case_e_series(tau: float, mu: Values, d_omega: Values) -> Values:
 
 def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
     """C - 1 for case E with q broadcast against d_omega: the direct
-    Faddeeva form where mu = r_dot tau q > MU_SERIES_MAX, the small-mu
+    form where mu = r_dot tau q > MU_SERIES_MAX, the small-mu
     series elsewhere.  Each branch is evaluated once, on the points the
     mask on mu gives it, or on the inputs as they are when it has them
     all.  A negative or NaN q raises ValueError."""

@@ -2,12 +2,14 @@
 
 These are the numerical bedrock for the expanding-shock correlator, the
 space/time form factors and the inference's p-values: the Faddeeva
-function w(z) = exp(-z^2) erfc(-iz), the real complementary error
-function, sin(x)/x with its removable singularity handled, and the
-chi-square survival function for integer degrees of freedom.  `faddeeva`
-and `sinc` take a scalar or an array and return the same shape; where w(z)
-overflows, in the lower half-plane, its parts are +-inf.  Only `faddeeva`
-loads scipy.
+function w(z) = exp(-z^2) erfc(-iz), Dawson's integral D(x), the real
+complementary error function, sin(x)/x with its removable singularity
+handled, and the chi-square survival function for integer degrees of
+freedom.  On the real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x), so a
+real argument needs only D.  `faddeeva`, `dawson` and `sinc` take a scalar
+or an array and return the same shape; where w(z) overflows, in the lower
+half-plane, its parts are +-inf.  Only `faddeeva` and `dawson` load scipy,
+and each only when it is called.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["faddeeva", "erfc_real", "sinc", "chi2_survival"]
+__all__ = ["faddeeva", "dawson", "erfc_real", "sinc", "chi2_survival"]
 
 # Below this |x| the direct sin(x)/x suffers catastrophic cancellation in the
 # deviation from 1; switch to the Taylor polynomial.
@@ -35,6 +37,18 @@ def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     from scipy import special
 
     return special.wofz(np.asarray(z, dtype=complex))
+
+
+def dawson(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Dawson's integral D(x) = exp(-x^2) integral_0^x exp(t^2) dt for real
+    x: odd, 0 at x = 0 and at x = +-inf, where it falls like 1/(2x).
+
+    scipy's dawsn is the same Faddeeva Package as `faddeeva`, so
+    D(x) = (sqrt(pi)/2) Im w(x) there.
+    """
+    from scipy import special
+
+    return special.dawsn(np.asarray(x, dtype=float))
 
 
 def erfc_real(x: float) -> float:

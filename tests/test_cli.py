@@ -291,6 +291,20 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+def test_one_point_grid_needs_min_equal_to_max(capsys, tmp_path):
+    # linspace(2, 5, 1) is [2]: a one-point grid would silently drop max
+    path = tmp_path / "p.csv"
+    code, out, err = run(capsys, "synth", "--case", "A", "--dw-grid", "2:5:1",
+                         "--out", str(path))
+    assert (code, out, err) == (1, "", "error: bad grid '2:5:1'\n")
+    assert not path.exists()
+    code, _, _ = run(capsys, "synth", "--case", "A", "--dw-grid", "2:2:1",
+                     "--out", str(path))
+    assert code == 0
+    meta = check_metadata(path.read_text())
+    assert meta["d_omega_values_per_ps"] == "2"
+
+
 def fit_sparse_surface(capsys, tmp_path, *grid):
     surf = tmp_path / "sparse.csv"
     run(capsys, "synth", "--case", "A", *grid, "--out", str(surf))

@@ -347,6 +347,26 @@ def test_case_e_mixed_points_bit_for_bit():
             case_e_excess(s, q[i], dw[i])).tobytes()
 
 
+# a q column across the branch switch, and d_omega past the series' reach
+EVEN_Q = np.linspace(0.0, 18.0, 351) * Q_SWITCH
+EVEN_DW = np.linspace(0.0, 15.0, 151)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_row, dw", [(EVEN_Q, EVEN_DW), (FAR_Q, FAR_DW)],
+                         ids=["switch", "far"])
+def test_case_e_is_even_in_d_omega_bit_for_bit(q_row, dw):
+    # d_omega -> -d_omega swaps z+ and -z-, and conjugates M_0: both
+    # branches give the same bits
+    s = spec(E)
+    if q_row is EVEN_Q:
+        mu = s.r_dot * s.tau * q_row
+        assert (mu <= MU_SERIES_MAX).sum() > 1 and (mu > MU_SERIES_MAX).any()
+    plus = case_e_excess(s, q_row[:, None], dw)
+    minus = case_e_excess(s, q_row[:, None], -dw)
+    assert plus.tobytes() == minus.tobytes()
+
+
 # --- global invariants ------------------------------------------------------
 
 def test_exchange_symmetry():

@@ -1,13 +1,14 @@
-"""Faddeeva / erfc / sinc checks against independent series oracles, and
-the chi-square survival function against scipy's."""
+"""Faddeeva / erfc / sinc checks against independent series oracles,
+Dawson's integral against mpmath, and the chi-square survival function
+against scipy's."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bubblehbt.special_functions import (chi2_survival, erfc_real, faddeeva,
-                                         sinc)
+from bubblehbt.special_functions import (chi2_survival, dawson, erfc_real,
+                                         faddeeva, sinc)
 
 
 # --- independent oracles (series / continued fraction, no scipy) -----------
@@ -110,6 +111,41 @@ def test_faddeeva_asymptotic_imaginary_axis():
     # z W(z) sqrt(pi) -> i as |z| -> inf along the positive imaginary axis
     z = 40j
     assert abs(z * faddeeva(z) * math.sqrt(math.pi) - 1j) < 1e-3
+
+
+# --- dawson -----------------------------------------------------------------
+
+# the series region, the peak near x = 0.92 and the 1/(2x) tail
+DAWSON_X = np.concatenate([np.geomspace(1e-8, 1e6, 141),
+                           np.linspace(0.0, 10.0, 101)])
+
+
+def test_dawson_against_mpmath():
+    # D(x) = (sqrt(pi)/2) exp(-x^2) erfi(x), at 45 digits
+    import mpmath
+
+    with mpmath.workdps(45):
+        ref = np.array([float(mpmath.sqrt(mpmath.pi) / 2
+                              * mpmath.exp(-mpmath.mpf(v) ** 2)
+                              * mpmath.erfi(mpmath.mpf(v)))
+                        for v in DAWSON_X.tolist()])
+    np.testing.assert_allclose(dawson(DAWSON_X), ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(dawson(-DAWSON_X), -ref, rtol=1e-13, atol=0.0)
+
+
+def test_dawson_zeros_and_oddness():
+    assert dawson(0.0) == 0.0
+    assert dawson(math.inf) == 0.0 and dawson(-math.inf) == 0.0
+    np.testing.assert_array_equal(dawson(-DAWSON_X), -dawson(DAWSON_X))
+
+
+def test_faddeeva_imaginary_part_on_the_real_axis_is_dawson():
+    # Im w(x) = (2/sqrt(pi)) D(x): the form case E's direct branch uses
+    x = np.concatenate([DAWSON_X, -DAWSON_X])
+    im_w = faddeeva(x).imag
+    np.testing.assert_array_less(
+        np.abs(im_w - 2.0 / math.sqrt(math.pi) * dawson(x)),
+        4.0 * np.spacing(np.abs(im_w)) + 1e-300)
 
 
 # --- erfc -------------------------------------------------------------------

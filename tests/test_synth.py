@@ -15,7 +15,7 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    form_factor, mean_time_factor, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.special_functions import erfc_real, faddeeva
+from bubblehbt.special_functions import dawson, erfc_real, faddeeva
 from bubblehbt.synth import (GridSpec, NoiseSpec, format_value, generate,
                              read_surface_csv, write_surface_csv)
 
@@ -122,15 +122,18 @@ def test_c_true_equals_pointwise_correlation():
 
 def test_case_e_surface_is_one_evaluation(monkeypatch):
     # the first rows take the series, the others the direct form: one
-    # Faddeeva call for the series moments and two (z+ and z-) for the
-    # direct form, each on all of its branch's points
-    calls = []
+    # Faddeeva call for the series moments, and two Dawson calls (z+ and
+    # z-) for the direct form, each on all of its branch's points
+    calls = {"faddeeva": [], "dawson": []}
 
-    def counted(z):
-        calls.append(np.shape(z))
-        return faddeeva(z)
+    def counted(name, func):
+        def wrapper(z):
+            calls[name].append(np.shape(z))
+            return func(z)
+        return wrapper
 
-    monkeypatch.setattr(correlators, "faddeeva", counted)
+    monkeypatch.setattr(correlators, "faddeeva", counted("faddeeva", faddeeva))
+    monkeypatch.setattr(correlators, "dawson", counted("dawson", dawson))
     shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                        r_dot=2e-4 * C_UM_PER_PS)
     grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
@@ -139,9 +142,10 @@ def test_case_e_surface_is_one_evaluation(monkeypatch):
     series_rows = int(np.sum(shock.r_dot * np.asarray(grid.q_values)
                              <= MU_SERIES_MAX))
     assert 0 < series_rows < 61
-    assert len(calls) <= 3
-    assert sum(math.prod(shape) for shape in calls) == 9 * (
-        series_rows + 2 * (61 - series_rows))
+    assert [math.prod(shape) for shape in calls["faddeeva"]] == [
+        9 * series_rows]
+    assert [math.prod(shape) for shape in calls["dawson"]] == [
+        9 * (61 - series_rows)] * 2
 
 
 def test_coherent_surface_is_flat():
