@@ -30,7 +30,7 @@ a± = 1 ± mu z±,
     Im I = -sqrt(pi) (a+ exp(-z+^2) - a- exp(-z-^2)).
 
 Below mu = 0.01 the 0/0 form is replaced by a series in mu^2 whose complex
-coefficients are one-sided Gaussian moments, the first from w.
+coefficients are one-sided Gaussian moments in t/tau, the first from w.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -234,19 +234,19 @@ def phi_of_X(case: SourceCase, X: Values) -> Values:
     return form_factor(case, 1.0, X / math.sqrt(_shape_constant(case)))
 
 
-def _one_sided_gaussian_moments(tau: float, d_omega: Values) -> List[Values]:
-    """M_n = integral_0^inf t^n exp(-t^2/tau^2 + i d_omega t) dt, n = 0..7,
-    the moments `_case_e_series` uses.
+def _one_sided_gaussian_moments(y: Values) -> List[Values]:
+    """M_n = integral_0^inf s^n exp(-s^2 + i y s) ds, n = 0..7, the moments
+    in the dimensionless time s = t/tau and frequency y = d_omega tau that
+    `_case_e_series` uses; the moment of t^n is tau^(n+1) M_n.
 
-    M_0 = (sqrt(pi) tau / 2) w(d_omega tau / 2); higher moments by the
-    integration-by-parts recurrence M_n = (tau^2/2)(i d_omega M_{n-1}
-    + (n-1) M_{n-2}), with the n = 1 boundary term contributing tau^2/2.
+    M_0 = (sqrt(pi) / 2) w(y / 2); higher moments by the integration-by-parts
+    recurrence M_n = (1/2)(i y M_{n-1} + (n-1) M_{n-2}), with the n = 1
+    boundary term contributing 1/2.
     """
-    m0 = 0.5 * _SQRTPI * tau * faddeeva(0.5 * d_omega * tau)
-    m = [m0, 0.5 * tau * tau * (1j * d_omega * m0 + 1.0)]
+    m0 = 0.5 * _SQRTPI * faddeeva(0.5 * y)
+    m = [m0, 0.5 * (1j * y * m0 + 1.0)]
     for n in range(2, 8):
-        m.append(0.5 * tau * tau * (1j * d_omega * m[n - 1]
-                                    + (n - 1) * m[n - 2]))
+        m.append(0.5 * (1j * y * m[n - 1] + (n - 1) * m[n - 2]))
     return m
 
 
@@ -277,13 +277,12 @@ def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
 
 
 def _case_e_series(tau: float, mu: Values, d_omega: Values) -> Values:
-    """F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6)."""
+    """F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6).
+    The moments are taken in t/tau, so no power of tau enters, which would
+    under- or overflow at extreme tau."""
     mu2 = mu * mu
-    m = _one_sided_gaussian_moments(tau, d_omega)
-    t4 = tau ** 4
-    s = (2.0 * m[3] / t4
-         - (mu2 / 5.0) * m[5] / (t4 * tau * tau)
-         + (mu2 * mu2 / 140.0) * m[7] / (t4 * t4))
+    m = _one_sided_gaussian_moments(d_omega * tau)
+    s = 2.0 * m[3] - (mu2 / 5.0) * m[5] + (mu2 * mu2 / 140.0) * m[7]
     return CHAOTICITY * np.square(np.abs(s))
 
 

@@ -11,9 +11,10 @@ For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
 and each factor is computed once per (source, argument, tolerances): a grid
 of nq x nw points costs nq + nw quadratures.  B's space factor, sinc(q R)
 in closed form, is cached the same way.  Case E does not factorize and
-costs two quadratures per point, over one integrand closure per point that
-writes the ball's space integral in closed form.  F(0,0) is computed once
-per source and tolerances.
+costs two quadratures per point, of the integrand closure that
+`sources.shock_amplitude` defines (the lapse times the ball's space
+integral in closed form): one Python call per quadrature node.  F(0,0) is
+computed once per source and tolerances.
 
 numeric_correlation converts q and d_omega to Python floats once, so each
 point is evaluated in Python floats, also when the caller passes numpy
@@ -28,14 +29,13 @@ again on every call, since a failure is not cached.
 
 import functools
 import math
-import warnings
 from typing import Callable, Optional, Tuple
 
 from scipy import integrate
 
 from .correlators import CHAOTICITY, CorrelationValue
 from .sources import (Emission, SourceCase, SourceSpec, radial_profile,
-                      shock_front, time_profile)
+                      shock_amplitude, time_profile)
 from .special_functions import sinc
 
 __all__ = [
@@ -75,16 +75,14 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         return 0.0
     rel_tol, abs_tol, max_subdivisions = tolerances
     oscillation = {"weight": weight, "wvar": omega} if weight and omega else {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, abserr = integrate.quad(
-                f, a, b, epsabs=abs_tol, epsrel=rel_tol,
-                limit=max_subdivisions, **oscillation)
-        except integrate.IntegrationWarning as exc:
-            # quadpack's first line names the failure; the rest is advice
-            raise OracleConvergenceError(
-                str(exc).strip().splitlines()[0]) from exc
+    # with full_output, a run that ends with QUADPACK's status ier in
+    # 1-5 or 7 returns its message after the info dict, and warns nothing
+    val, abserr, _, *failure = integrate.quad(
+        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=max_subdivisions,
+        full_output=1, **oscillation)
+    if failure:
+        # quadpack's first line names the failure; the rest is advice
+        raise OracleConvergenceError(failure[0].strip().splitlines()[0])
     if abserr > 100.0 * max(abs_tol, rel_tol * abs(val)):
         raise OracleConvergenceError(
             f"estimated error {abserr:g} exceeds tolerance for value {val:g}")
@@ -120,27 +118,11 @@ def _space_amplitude(spec: SourceSpec, q: float,
 def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
                       tolerances: Tolerances) -> complex:
     """F(q, d_omega) for the expanding shock (up to constant factors): the
-    time integral of rho_t(t) times the ball's space integral
-    integral_0^a r^2 sinc(q r) dr, a = front(t), in closed form."""
-    rho, (t0, t1) = time_profile(spec)
-    front = shock_front(spec)
-    if q > 0.0:
-        q3 = q * q * q
-
-        def env(t: float) -> float:
-            a = front(t)
-            x = q * a
-            if x < 1e-3:
-                # a^3/3 - a^5 q^2/30 + a^7 q^4/840
-                inner = a ** 3 * (1.0 / 3.0
-                                  + x * x * (-1.0 / 30.0 + x * x / 840.0))
-            else:
-                inner = (math.sin(x) - x * math.cos(x)) / q3
-            return rho(t) * inner
-    else:
-        env = lambda t: rho(t) * (front(t) ** 3 / 3.0)
-    return complex(_quad(env, t0, t1, tolerances, "cos", d_omega),
-                   _quad(env, t0, t1, tolerances, "sin", d_omega))
+    cos and sin transforms of `shock_amplitude`'s integrand, which QUADPACK
+    calls once per node."""
+    f, (t0, t1) = shock_amplitude(spec, q)
+    return complex(_quad(f, t0, t1, tolerances, "cos", d_omega),
+                   _quad(f, t0, t1, tolerances, "sin", d_omega))
 
 
 def _transform(spec: SourceSpec, q: float, d_omega: float,

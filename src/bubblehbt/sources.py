@@ -15,8 +15,12 @@ kept exactly as defined.
 
 This module is the one definition of each source: each profile returns
 its support with it, so a case's hard edges (C's ball, D's time box, E's
-onset) and cutoffs sit in one branch; case E's front is `shock_front`.
-The quadrature oracle integrates these profiles over these supports.
+onset) and cutoffs sit in one branch.  `time_profile` and `radial_profile`
+give the factors of A-D.  Case E does not factorize, and `shock_amplitude`
+defines its whole source once: the lapse, its onset and cutoff, the front
+r_dot t and the ball's space integral in closed form, as one closure of t
+that the oracle integrates with one Python call per quadrature node.  The
+quadrature oracle integrates these profiles over these supports.
 """
 
 import math
@@ -32,7 +36,7 @@ __all__ = [
     "SourceSpec",
     "time_profile",
     "radial_profile",
-    "shock_front",
+    "shock_amplitude",
     "DENSITY_CUTOFF",
 ]
 
@@ -89,19 +93,16 @@ class SourceSpec:
 
 def time_profile(spec: SourceSpec
                  ) -> Tuple[Callable[[float], float], Tuple[float, float]]:
-    """rho_t(t) and the interval (t0, t1) outside which it is below
-    DENSITY_CUTOFF of its peak: the Gaussian lapse of A-C, D's box (exactly
-    zero outside), E's one-sided exp(-t^2/tau^2) (exactly zero before t = 0).
+    """rho_t(t) of cases A-D and the interval (t0, t1) outside which it is
+    below DENSITY_CUTOFF of its peak: the Gaussian lapse of A-C, D's box
+    (exactly zero outside).  Case E's lapse is part of `shock_amplitude`.
     """
     tau = spec.tau
     if spec.case is SourceCase.D_EXPONENTIAL:
         w = math.sqrt(3.0) * tau
         return (lambda t: 1.0 if -w <= t <= w else 0.0), (-w, w)
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        tau2 = tau * tau
-        # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
-        return ((lambda t: math.exp(-t * t / tau2) if t >= 0.0 else 0.0),
-                (0.0, tau * math.sqrt(_EXP_CUT)))
+        raise ValueError("case E has no factorized time profile")
     two_tau2 = 2.0 * tau * tau
     w = _GAUSS_CUT * tau
     return (lambda t: math.exp(-t * t / two_tau2)), (-w, w)
@@ -111,7 +112,7 @@ def radial_profile(spec: SourceSpec
                    ) -> Tuple[Callable[[float], float], float]:
     """rho_s(r) of cases A, C and D and the radius beyond which it is below
     DENSITY_CUTOFF of its peak (C's edge, where it is exactly zero).  Case B
-    is a delta shell and case E's ball grows with t (see shock_front)."""
+    is a delta shell and case E's ball grows with t (see shock_amplitude)."""
     case, R = spec.case, spec.R
     if case is SourceCase.A_GAUSSIAN:
         two_R2 = 2.0 * R * R
@@ -123,7 +124,46 @@ def radial_profile(spec: SourceSpec
     raise ValueError(f"case {case.value} has no pointwise radial profile")
 
 
-def shock_front(spec: SourceSpec) -> Callable[[float], float]:
-    """Case E's front radius at time t: the ball r <= r_dot t emits."""
-    r_dot = spec.r_dot
-    return lambda t: r_dot * t
+def shock_amplitude(spec: SourceSpec, q: float
+                    ) -> Tuple[Callable[[float], float], Tuple[float, float]]:
+    """Case E's space-time integrand at momentum q and its support (t0, t1):
+
+        f(t) = rho_t(t) integral_0^{r_dot t} r^2 sinc(q r) dr,
+
+    the one-sided lapse rho_t(t) = exp(-t^2/tau^2), exactly zero before the
+    onset t0 = 0 and below DENSITY_CUTOFF past t1 = tau sqrt(ln(1/cutoff)),
+    times the space integral over the ball r <= r_dot t.  That integral is
+    (sin x - x cos x) / q^3 with x = q r_dot t, and its Taylor series below
+    x = 1e-3, where the direct form cancels; at q = 0 it is (r_dot t)^3 / 3.
+    The space-time transform of the source is the Fourier integral of f
+    over (t0, t1)."""
+    if spec.case is not SourceCase.E_EXPANDING_SHOCK:
+        raise ValueError(f"case {spec.case.value} is not the expanding shock")
+    if not q >= 0.0:
+        raise ValueError("q must be non-negative")
+    tau, r_dot = spec.tau, spec.r_dot
+    tau2 = tau * tau
+    exp, sin, cos = math.exp, math.sin, math.cos
+    # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
+    support = (0.0, tau * math.sqrt(_EXP_CUT))
+    if q > 0.0:
+        q3 = q * q * q
+
+        def amplitude(t: float) -> float:
+            if t < 0.0:
+                return 0.0
+            a = r_dot * t
+            x = q * a
+            if x < 1e-3:
+                # a^3/3 - a^5 q^2/30 + a^7 q^4/840
+                inner = a ** 3 * (1.0 / 3.0
+                                  + x * x * (-1.0 / 30.0 + x * x / 840.0))
+            else:
+                inner = (sin(x) - x * cos(x)) / q3
+            return exp(-t * t / tau2) * inner
+    else:
+        def amplitude(t: float) -> float:
+            if t < 0.0:
+                return 0.0
+            return exp(-t * t / tau2) * ((r_dot * t) ** 3 / 3.0)
+    return amplitude, support

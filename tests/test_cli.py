@@ -43,6 +43,16 @@ def test_eval_origin(capsys):
     assert out.strip() == "C = 1.5"
 
 
+def test_eval_case_e_at_extreme_tau(capsys):
+    # case E's series branch takes its moments in t/tau: no power of tau
+    # under- or overflows, and q = 1 at tau = 1e-80 ps is the origin limit
+    code, out, err = run(capsys, "eval", "--case", "E", "--tau", "1e-80",
+                         "--q", "1")
+    assert code == 0
+    assert out.strip() == "C = 1.5"
+    assert err == ""
+
+
 def test_eval_coherent(capsys):
     code, out, _ = run(capsys, "eval", "--case", "B", "--q", "2.0",
                        "--coherent")
@@ -444,7 +454,7 @@ def test_missing_file_exit_code(capsys, tmp_path):
 
 
 def test_oracle_nonconvergence_exit_code(capsys, monkeypatch, tmp_path):
-    # quadpack's warning runs to several lines; one reaches stderr.  With
+    # quadpack's message runs to several lines; one reaches stderr.  With
     # 6 subdivisions the oracle fails mid-grid, at q = 4 after 8 of the 16
     # rows, and no partial CSV is left behind
     monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 6)

@@ -231,6 +231,26 @@ def test_case_e_excess_at_huge_q():
         case_e_excess(spec(E, tau=1e10), 1e300, np.array([0.0, 1.0])), 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e-80, 1e-40, 1e40, 1e80])
+def test_case_e_depends_on_tau_only_through_scaled_arguments(tau):
+    # the excess is a function of mu = r_dot tau q and d_omega tau alone, so
+    # (q/tau, d_omega/tau) at tau gives the value at tau = 1.  Just above
+    # MU_SERIES_MAX the direct form amplifies the rounding of q/tau by about
+    # 1/mu^3; the series branch carries no power of tau
+    q = np.linspace(0.0, 3.0, 61)[:, None]
+    dw = np.linspace(-2.0, 2.0, 41)
+    reference = case_e_excess(spec(E), q, dw)
+    scaled = case_e_excess(spec(E, tau=tau), q / tau, dw / tau)
+    series = np.broadcast_to(REFERENCE_RDOT * q <= MU_SERIES_MAX,
+                             reference.shape)
+    assert series.sum() > 1 and (~series).sum() > 1
+    np.testing.assert_allclose(scaled[series], reference[series],
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(scaled[~series], reference[~series],
+                               rtol=1e-8, atol=0.0)
+
+
 def test_case_e_against_oracle():
     s = spec(E)
     for q in [0.02, 0.2, 0.7, 1.5]:

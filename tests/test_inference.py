@@ -18,7 +18,7 @@ from bubblehbt.inference import (SLOPE_ERR_FLOOR_REL, TAU_WINDOW,
                                  shape_discrimination)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.synth import GridSpec, NoiseSpec, generate
+from bubblehbt.synth import CorrelationSurface, GridSpec, NoiseSpec, generate
 
 A, B, C, D, E = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
                  SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL,
@@ -601,6 +601,48 @@ def test_fit_scales_with_units():
                     assert ([c for c, _ in ranking.entries]
                             == [c for c, _ in ref.entries])
                     assert ranking.indistinguishable is ref.indistinguishable
+
+
+def mirrored_in_d_omega(surf):
+    """The same observation on the grid with d_omega -> -d_omega: each
+    row's values reversed, so the arrays stay row-major over the grid."""
+    grid = GridSpec(q_values=surf.grid.q_values,
+                    d_omega_values=tuple(-w for w in
+                                         reversed(surf.grid.d_omega_values)))
+    shape = (len(grid.q_values), len(grid.d_omega_values))
+    q, dw = grid.points()
+    flip = {name: getattr(surf, name).reshape(shape)[:, ::-1].ravel()
+            for name in ("c_true", "c_obs", "sigma")}
+    return CorrelationSurface(q=q, d_omega=dw, spec=surf.spec, grid=grid,
+                              noise=surf.noise, smear_dw=surf.smear_dw,
+                              **flip)
+
+
+def test_fit_is_unchanged_when_the_grid_is_mirrored_in_d_omega():
+    # C depends on d_omega^2 for A-D and is even in d_omega for E, so the
+    # mirrored surface is the same observation.  A regenerated one would
+    # draw its noise in another order, so the counts are moved instead;
+    # the slice sums then run in the other order, hence the 1e-12
+    q, dw = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9)
+    for case in (A, B, C, D, E):
+        for seed in range(20):
+            surf = surface(case, q, dw, noise=NoiseSpec(10 ** 6, seed))
+            base = fit_or_message(surf)
+            report = fit_or_message(mirrored_in_d_omega(surf))
+            if isinstance(base, str):
+                assert report == base
+                continue
+            assert report.chaoticity is base.chaoticity
+            for field in ("tau_hat", "tau_err", "kappa_hat", "kappa_err",
+                          "factorization_score"):
+                value, ref = getattr(report, field), getattr(base, field)
+                assert value == (None if ref is None else pytest.approx(
+                    ref, rel=1e-12)), (case, seed, field)
+            ranking, ref = report.shape_ranking, base.shape_ranking
+            assert (ranking is None) is (ref is None)
+            if ref is not None:
+                assert ([c for c, _ in ranking.entries]
+                        == [c for c, _ in ref.entries])
 
 
 def test_pipeline_noisy_recovery():
