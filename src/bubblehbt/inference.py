@@ -207,7 +207,7 @@ def fit_tau_slices(surface: CorrelationSurface
     all.  Each pass fits every slice at once, from sums down the columns of
     the grid's transposed c_obs matrix.
     """
-    x = np.square(surface.grid.d_omega_values)
+    x = np.square(surface.grid.d_omega_axis)
     # the transpose of the grid's (nq, nw) c_obs matrix, one column per
     # slice, in C order (`compress` keeps it), so that each sum over axis 0
     # adds a slice's points one after another in d_omega order, as a loop
@@ -242,7 +242,7 @@ def fit_tau_slices(surface: CorrelationSurface
     count = np.where(n_inside < 3, n_usable, n_inside)
     resid = np.where(keep, y - (intercept + slope * x[:, None]), 0.0)
     rms = np.sqrt(np.einsum("ij,ij->j", resid, resid) / count)
-    fits = SliceFits(np.compress(slices, surface.grid.q_values), slope,
+    fits = SliceFits(np.compress(slices, surface.grid.q_axis), slope,
                      intercept, slope_err, rms, count)
     rising = slope >= 0.0
     beyond = rising & (slope > 2.0 * slope_err)
@@ -278,7 +278,7 @@ def origin_slice(surface: CorrelationSurface) -> np.ndarray:
     """Row-major indices of the bins in the grid's column(s) of smallest
     |d_omega|, in q order: both columns on a grid symmetric about 0
     without 0."""
-    dw_abs = np.abs(surface.grid.d_omega_values)
+    dw_abs = np.abs(surface.grid.d_omega_axis)
     columns = np.flatnonzero(dw_abs == dw_abs.min())
     rows = np.arange(0, surface.c_obs.size, dw_abs.size)
     return (rows[:, None] + columns).ravel()

@@ -138,8 +138,13 @@ def _transform(spec: SourceSpec, q: float, d_omega: float,
 @functools.lru_cache(maxsize=32)
 def _origin_transform(spec: SourceSpec, tolerances: Tolerances) -> complex:
     """F(0, 0), which depends on the source alone; for A-D a product of
-    two cached factors."""
-    return _transform(spec, 0.0, 0.0, tolerances)
+    two cached factors.  Every C divides by it, so a zero F(0, 0) raises
+    OracleConvergenceError."""
+    f0 = _transform(spec, 0.0, 0.0, tolerances)
+    if f0 == 0.0:
+        raise OracleConvergenceError(
+            f"F(0,0) underflows to 0 at tau = {spec.tau:g} ps")
+    return f0
 
 
 def numeric_correlation(spec: SourceSpec, q: float, d_omega: float

@@ -11,12 +11,14 @@ so generation is deterministic.
 Surfaces round-trip through a CSV format of the observation, one line per
 q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
 counts n = N c_obs, exact for the accepted 100 <= N <= 2**49, or a
-noiseless surface's c_obs.  The reader takes the grid and recomputes c_true
-and sigma from its metadata.  `inference` reads only the observation: the
-grid, c_obs, N and the smearing window, never c_true, sigma or the source.
+noiseless surface's c_obs.  A count in the file is ASCII digits with an
+optional '+' and no sign '-', decimal point or exponent, below 2**53: '+5'
+is 5, and '-0', '5.0' and '1e3' are not counts.  The reader takes the grid
+and recomputes c_true and sigma from its metadata.  `inference` reads only
+the observation: the grid, c_obs, N and the smearing window, never c_true,
+sigma or the source.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -43,34 +45,56 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSpec:
     """Strictly increasing, finite q (1/um) and d_omega (1/ps) sample
-    values."""
+    values.
+
+    Each axis is converted and checked once, as a read-only float64 array,
+    `q_axis` and `d_omega_axis`; the fields keep the same values as tuples
+    of floats, which equality, hashing and `dataclasses.replace` use.
+    """
 
     q_values: Tuple[float, ...]
     d_omega_values: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
-        object.__setattr__(self, "d_omega_values",
-                           tuple(float(w) for w in self.d_omega_values))
-        if not self.q_values or not self.d_omega_values:
+        q, dw = (np.array(v, dtype=np.float64)
+                 for v in (self.q_values, self.d_omega_values))
+        if q.ndim != 1 or dw.ndim != 1:
+            raise TypeError("grid values must be a sequence of numbers")
+        if not q.size or not dw.size:
             raise ValueError("grid must be non-empty")
         # checked first: every comparison with NaN is False, so the order
         # checks below would pass it
-        if not all(map(math.isfinite, self.q_values + self.d_omega_values)):
+        if not (np.isfinite(q).all() and np.isfinite(dw).all()):
             raise ValueError("grid values must be finite")
-        if any(b <= a for a, b in zip(self.q_values, self.q_values[1:])):
+        if (q[1:] <= q[:-1]).any():
             raise ValueError("q_values must be strictly increasing")
-        if any(b <= a for a, b in
-               zip(self.d_omega_values, self.d_omega_values[1:])):
+        if (dw[1:] <= dw[:-1]).any():
             raise ValueError("d_omega_values must be strictly increasing")
-        if self.q_values[0] < 0.0:
+        if q[0] < 0.0:
             raise ValueError("q_values must be non-negative")
+        points = (np.repeat(q, dw.size), np.tile(dw, q.size))
+        for a in (q, dw) + points:
+            a.flags.writeable = False
+        for name, value in (("q_values", tuple(q.tolist())),
+                            ("d_omega_values", tuple(dw.tolist())),
+                            ("q_axis", q), ("d_omega_axis", dw),
+                            ("_points", points)):
+            object.__setattr__(self, name, value)
 
     def points(self) -> Tuple[np.ndarray, np.ndarray]:
-        """q and d_omega of every grid point, q outer and d_omega inner."""
-        nq, nw = len(self.q_values), len(self.d_omega_values)
-        return np.repeat(self.q_values, nw), np.tile(self.d_omega_values, nq)
+        """q and d_omega of every grid point, q outer and d_omega inner:
+        the same two read-only arrays on every call."""
+        return self._points
 
+    def __reduce__(self):
+        # a copied or unpickled grid is made anew, so its arrays are
+        # read-only too (pickle would restore them writeable)
+        return GridSpec, (self.q_values, self.d_omega_values)
+
+
+# A count in a surface CSV is below 2**53, so n / N as float64 takes it
+# exactly.
+_COUNT_LIMIT = 2 ** 53
 
 # Every surface has C <= 3/2, so its counts stay below 2**50; for such a
 # count n and N <= 2**49, fl(fl(n/N) N) lies within 0.25 of n, so
@@ -108,8 +132,11 @@ class CorrelationSurface:
     Flat arrays in row-major (q outer, d_omega inner) order: q and d_omega
     are the grid's points, so each array is the grid's (nq, nw) matrix
     raveled, which `inference` relies on; a surface made otherwise raises
-    ValueError.  A CSV file holds the observation (counts or c_obs); the
-    grid, c_true and sigma follow from its metadata.
+    ValueError.  When q and d_omega are the grid's own read-only point
+    arrays, as `generate` and `read_surface_csv` give them, that holds by
+    construction and only the shapes are checked.  A CSV file holds the
+    observation (counts or c_obs); the grid, c_true and sigma follow from
+    its metadata.
     """
 
     q: np.ndarray
@@ -123,13 +150,13 @@ class CorrelationSurface:
     smear_dw: Optional[float] = None
 
     def __post_init__(self):
-        q_values = np.array(self.grid.q_values)
-        dw_values = np.array(self.grid.d_omega_values)
-        shape = (q_values.size, dw_values.size)
+        q, dw = self.grid.points()
         arrays = (self.q, self.d_omega, self.c_true, self.c_obs, self.sigma)
-        if not (all(np.shape(a) == (shape[0] * shape[1],) for a in arrays)
-                and (self.q.reshape(shape) == q_values[:, None]).all()
-                and (self.d_omega.reshape(shape) == dw_values).all()):
+        # the grid's own point arrays are read-only and in order
+        own = self.q is q and self.d_omega is dw
+        if not (all(np.shape(a) == q.shape for a in arrays)
+                and (own or ((self.q == q).all()
+                             and (self.d_omega == dw).all()))):
             raise ValueError("a surface's arrays must run over its grid's "
                              "points in row-major order")
 
@@ -139,9 +166,11 @@ class CorrelationSurface:
 def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
            smear_dw: Optional[float]) -> Tuple[np.ndarray, ...]:
     """q, d_omega, c_true and sigma = sqrt(c_true/N) (zeros without noise)
-    of every grid point in row-major order, c_true in one call."""
+    of every grid point in row-major order, c_true in one call on the
+    grid's (nq, 1) q column and (nw,) d_omega row, raveled."""
     q, dw = grid.points()
-    c_true = 1.0 + excess(spec, q, dw, smear_dw)
+    c_true = 1.0 + excess(spec, grid.q_axis[:, None], grid.d_omega_axis,
+                          smear_dw).ravel()
     if not np.isfinite(c_true).all():
         i = np.argmin(np.isfinite(c_true))  # the first non-finite point
         raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "
@@ -223,18 +252,14 @@ def surface_metadata(surface: CorrelationSurface) -> dict:
     return meta
 
 
-def _is_count(values: np.ndarray) -> np.ndarray:
-    """Where `values` is an integer from 0 (not -0) to 2**53 - 1."""
-    return (~np.signbit(values) & (values < 2.0 ** 53)
-            & (values == np.rint(values)))
-
-
 def _counts(c_obs: np.ndarray, pairs_per_bin: int) -> np.ndarray:
     """The counts rint(c_obs N) as int64; a ValueError unless each is a
-    count n whose n/N is c_obs (see _MAX_PAIRS_PER_BIN)."""
+    count n, from 0 (not -0) to 2**53 - 1, whose n/N is c_obs (see
+    _MAX_PAIRS_PER_BIN)."""
     with np.errstate(all="ignore"):  # NaN and overflow fail the check
         n = np.rint(c_obs * pairs_per_bin)
-        exact = _is_count(n) & (n / pairs_per_bin == c_obs)
+        exact = (~np.signbit(n) & (n < _COUNT_LIMIT)
+                 & (n / pairs_per_bin == c_obs))
     if not exact.all():
         raise ValueError("a noisy surface's c_obs must be counts / "
                          f"pairs_per_bin = {pairs_per_bin}")
@@ -289,23 +314,52 @@ def _number(n: int, key: str, field: str, kind=float):
                          f"is not {noun}") from None
 
 
+def _axis(n: int, key: str, text: str) -> np.ndarray:
+    """The whitespace-separated numbers of metadata `key` on file line n,
+    in one parse; if that fails, `_number` names the field that does not
+    parse."""
+    fields = text.split()
+    try:
+        return np.array(fields, dtype=np.float64)
+    except ValueError:
+        return np.array([_number(n, key, field) for field in fields])
+
+
+def _parse_counts(lines: Sequence[str]) -> np.ndarray:
+    """The comma-separated counts of `lines` as an int64 matrix, one row a
+    line; ValueError unless every field is a count: ASCII digits with an
+    optional '+', below 2**53.  numpy's integer parser takes '-0' as 0, and
+    older numpy reads '5.0' and '1e3' through a float, so a sign '-', a
+    decimal point or an exponent anywhere fails first."""
+    text = "\n".join(lines)
+    if any(c in text for c in "-.eE"):
+        raise ValueError("not a count")
+    counts = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                        dtype=np.int64)
+    if (counts >= _COUNT_LIMIT).any():
+        raise ValueError("not a count")
+    return counts
+
+
 def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
     """Name the first fault in a surface CSV's data rows, (1-based file
     line, stripped text) pairs that hold counts if `counts`, once the one
-    np.loadtxt over them has failed or given a value that is not a count."""
+    parse of them all has failed or given rows of the wrong width."""
     for n, line in rows:
         if line.startswith("#"):
             return f"surface CSV line {n}: '#' line among the data rows"
         for field in line.split(","):
             try:
-                value = (np.loadtxt([field], delimiter=",", comments=None)
-                         if field.strip() else None)
+                if not field.strip():  # np.loadtxt would warn, not raise
+                    raise ValueError
+                np.loadtxt([field], delimiter=",", comments=None)
             except ValueError:
-                value = None
-            if value is None:
                 return f"surface CSV line {n}: '{field}' is not a number"
-            if counts and not _is_count(value):
-                return f"surface CSV line {n}: '{field}' is not a count"
+            if counts:
+                try:
+                    _parse_counts([field])
+                except ValueError:
+                    return f"surface CSV line {n}: '{field}' is not a count"
     # every field is a number, so the rows differ in width
     return f"surface CSV rows need {width} values"
 
@@ -338,7 +392,7 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                                 ("pairs_per_bin", int), ("seed", int)]
               if key in meta}
     q_values, d_omega_values = (
-        [_number(line_of[key], key, field) for field in meta[key].split()]
+        _axis(line_of[key], key, meta[key])
         for key in ("q_values_per_um", "d_omega_values_per_ps"))
     spec = SourceSpec(
         case=SourceCase(meta["case"]),
@@ -360,10 +414,11 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                                                i_header + 2) if line]
     if not rows:
         raise ValueError("surface CSV has no data rows")
-    nq, nw = len(grid.q_values), len(grid.d_omega_values)
+    nq, nw = grid.q_axis.size, grid.d_omega_axis.size
+    data = [line for _, line in rows]
     try:
-        arr = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2,
-                         comments=None)
+        arr = (_parse_counts(data) if counts else
+               np.loadtxt(data, delimiter=",", ndmin=2, comments=None))
     except ValueError:
         raise ValueError(_row_fault(rows, nw, counts)) from None
     if arr.shape[1] != nw:
@@ -372,8 +427,7 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         raise ValueError(f"surface CSV has {len(arr)} rows, its metadata "
                          f"grid {nq} q values")
     if counts:
-        if not _is_count(arr).all():
-            raise ValueError(_row_fault(rows, nw, counts))
+        # each count is below 2**53, so it converts to float64 exactly
         c_obs = arr.ravel() / noise.pairs_per_bin
     elif np.isfinite(arr).all():
         c_obs = arr.ravel()

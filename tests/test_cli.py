@@ -14,6 +14,7 @@ from bubblehbt import oracle
 from bubblehbt.cli import main
 from bubblehbt.correlators import kappa_analytic
 from bubblehbt.sources import SourceCase
+from bubblehbt.synth import read_surface_csv
 
 
 def run(capsys, *argv):
@@ -105,6 +106,16 @@ def test_check_without_excess_above_floor(capsys):
     assert meta["max_relative_excess_deviation"] == "nan"
     assert (meta["max_deviation_q_per_um"],
             meta["max_deviation_d_omega_per_ps"]) == ("50", "50")
+
+
+def test_check_names_an_origin_transform_that_underflows(capsys):
+    # at tau = 1e-100 ps the shock's F(0,0) underflows to 0, which every C
+    # divides by: one line naming it, exit 2, not a ZeroDivisionError's
+    code, out, err = run(capsys, "check", "--case", "E", "--tau", "1e-100",
+                         "--q-grid", "0:1:2", "--dw-grid", "0:1:2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: F(0,0) underflows to 0 at tau = 1e-100 ps\n"
 
 
 def test_synth_is_deterministic(capsys, tmp_path):
@@ -598,15 +609,28 @@ def test_fit_rejects_non_finite_values(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("value", ["1.5", "-3", "inf", "nan", "-0",
-                                   "9007199254740992"])
+                                   "9007199254740992", "5.0", "1e3"])
 def test_fit_rejects_a_value_that_is_not_a_count(capsys, tmp_path, value):
-    # a noisy file holds counts n = N c_obs: integers from 0 to 2**53 - 1
+    # a noisy file holds counts n = N c_obs: ASCII digits below 2**53, with
+    # no sign '-', decimal point or exponent, so an integral float such as
+    # 5.0 or 1e3 is not a count either
     path = tmp_path / "surf.csv"
     head, rows = write_default_surface(capsys, path)
     rows[10] = rows[10].rsplit(",", 1)[0] + f",{value}\n"
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, f"surface CSV line {len(head) + 11}: "
                     f"'{value}' is not a count")
+
+
+def test_fit_reads_a_count_with_a_plus_sign(capsys, tmp_path):
+    # a count may carry a '+', as Python's int() and numpy's integer parser
+    # both take it: '+5' is the count 5
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    rows[10] = rows[10].rsplit(",", 1)[0] + ",+5\n"
+    path.write_text("".join(head + rows))
+    assert read_surface_csv(str(path)).c_obs[11 * 9 - 1] == 5 / 10 ** 6
+    assert run(capsys, "fit", str(path))[0] == 0
 
 
 def test_fit_reads_a_huge_count_without_a_traceback(capsys, tmp_path):

@@ -18,7 +18,7 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.synth import (GridSpec, NoiseSpec, generate,
-                             write_surface_csv)
+                             read_surface_csv, write_surface_csv)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=50)
@@ -176,3 +176,46 @@ def test_fit_of_an_edited_surface_exits_with_one_line(byte_edits):
     code, err = _fit_exit(bytes(data))
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1
+
+
+# fields of the characters a count is made of or mistaken for
+count_fields = st.lists(st.sampled_from(list("0123456789+-.e ")
+                                        + ["inf", "nan"]),
+                        max_size=8).map("".join)
+
+
+@PROPERTY_SETTINGS
+@given(count_fields, st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=4))
+@example("+5", 3, 4)
+@example(" 7 ", 0, 0)
+@example("5.0", 3, 1)
+@example("1e3", 3, 1)
+@example("-0", 3, 1)
+@example("9007199254740991", 30, 2)
+@example("9007199254740992", 30, 2)
+def test_a_count_field_reads_as_int_or_is_named(field, row, column):
+    # one definition of a count: a field the reader takes is int(field) in
+    # its bin, and any other field is named with its line in the error
+    lines = _surface_csv().decode().splitlines(keepends=True)
+    first = lines.index("counts\n") + 1
+    values = lines[first + row].rstrip("\n").split(",")
+    values[column] = field
+    lines[first + row] = ",".join(values) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.csv")
+        with open(path, "w") as fh:
+            fh.write("".join(lines))
+        try:
+            surface = read_surface_csv(path)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            # no sign '-', decimal point or exponent, and below 2**53
+            assert not any(c in field for c in "-.e")
+            assert 0 <= int(field) < 2 ** 53
+            assert surface.c_obs[5 * row + column] == int(field) / 100000
+            return
+    prefix = f"surface CSV line {first + row + 1}: '"
+    assert message.startswith(prefix), message
+    assert message[len(prefix):].split("'")[0].strip() == field.strip()

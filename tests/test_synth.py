@@ -1,8 +1,10 @@
 """Synthetic surfaces: determinism, noise statistics, smearing, CSV round
 trip."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +83,52 @@ def test_surface_off_its_grid_layout_is_a_value_error():
     for field in ("c_true", "c_obs", "sigma"):
         with pytest.raises(ValueError, match="row-major"):
             dataclasses.replace(surf, **{field: getattr(surf, field)[:-1]})
+
+
+def test_layout_check_skips_only_the_grids_own_points():
+    # the element-wise check is skipped for the grid's own point arrays
+    # alone: copies of them pass it in row-major order and fail it in any
+    # other, and a surface on a grid equal to its own is checked in full
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(10 ** 6, 1))
+    own_q, own_dw = GRID.points()
+    assert surf.q is own_q and surf.d_omega is own_dw
+    q, dw = own_q.copy(), own_dw.copy()
+    dataclasses.replace(surf, q=q, d_omega=dw)
+    rows_reversed = np.arange(12).reshape(4, 3)[::-1].ravel()
+    columns_reversed = np.arange(12).reshape(4, 3)[:, ::-1].ravel()
+    for arrays in ((q[rows_reversed], own_dw), (own_q, dw[columns_reversed]),
+                   (q[::-1], dw[::-1])):
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(surf, q=arrays[0], d_omega=arrays[1])
+    mirrored = GridSpec(q_values=GRID.q_values,
+                        d_omega_values=(-1.0, -0.5, 0.0))
+    with pytest.raises(ValueError, match="row-major"):
+        dataclasses.replace(surf, grid=mirrored)
+
+
+def test_grid_points_are_one_read_only_pair():
+    # points() gives the same two arrays on every call, and neither they
+    # nor the axes they are built from can be written
+    grid = GridSpec(q_values=np.linspace(0.0, 3.0, 61),
+                    d_omega_values=(-1.0, -0.0, 1.0))
+    q, dw = grid.points()
+    assert grid.points()[0] is q and grid.points()[1] is dw
+    np.testing.assert_array_equal(q, np.repeat(grid.q_values, 3))
+    assert np.signbit(dw[1::3]).all()  # -0.0 stays -0.0
+    copies = (copy.copy(grid), copy.deepcopy(grid),
+              pickle.loads(pickle.dumps(grid)))
+    for g in (grid,) + copies:
+        assert g == grid
+        for array in g.points() + (g.q_axis, g.d_omega_axis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    # the fields stay tuples of floats, so grids compare and hash by value
+    # whatever sequence they were made from
+    same = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61).tolist()),
+                    d_omega_values=[-1, -0.0, 1])
+    assert same == grid and hash(same) == hash(grid)
+    assert type(grid.q_values) is tuple and type(grid.q_values[0]) is float
+    assert dataclasses.replace(grid).points()[0].tobytes() == q.tobytes()
 
 
 def test_noiseless_truth():
