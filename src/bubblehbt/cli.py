@@ -185,8 +185,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if not args.out:
-        raise ValueError("synth requires --out")
     spec = _spec_from_args(args)
     grid = GridSpec(q_values=_parse_grid(args.q_grid),
                     d_omega_values=_parse_grid(args.dw_grid))
@@ -210,8 +208,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    if not args.out:
-        raise ValueError("figure1 requires --out")
     dw = np.linspace(0.0, FIGURE1_DW_MAX, FIGURE1_DW_POINTS)
     specs = {
         "A": SourceSpec(case=SourceCase.A_GAUSSIAN, tau=args.tau, R=args.R),
@@ -248,8 +244,6 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    if not args.out:
-        raise ValueError("figure2 requires --out")
     xs = np.linspace(0.0, FIGURE2_X_MAX, FIGURE2_X_POINTS)
     with open(args.out, "w") as fh:
         write_metadata(fh, {"artifact": "figure2",

@@ -30,7 +30,8 @@ a± = 1 ± mu z±,
     Im I = -sqrt(pi) (a+ exp(-z+^2) - a- exp(-z-^2)).
 
 Below mu = 0.01 the 0/0 form is replaced by a series in mu^2 whose complex
-coefficients are one-sided Gaussian moments in t/tau, the first from w.
+coefficients are one-sided Gaussian moments in t/tau, the first from D and
+exp by the same identity.  Smeared case D takes Si from `sine_integral`.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -47,7 +48,10 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .sources import Emission, SourceCase, SourceSpec
-from .special_functions import dawson, faddeeva, sinc
+from .special_functions import dawson, sinc, sine_integral
+# case E calls `dawson` only; perfbench/tracing.py wraps this name (retire
+# it with that wrapper, ROADMAP item 4)
+from .special_functions import faddeeva  # noqa: F401
 
 __all__ = [
     "CHAOTICITY",
@@ -143,10 +147,7 @@ def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
         y = 0.5 * _SQRT3 * tau * window
         if y < 1e-3:
             return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
-        from scipy import special
-
-        si, _ = special.sici(2.0 * y)
-        return float(si - math.sin(y) ** 2 / y) / y
+        return float(sine_integral(2.0 * y) - math.sin(y) ** 2 / y) / y
     x = 0.5 * tau * window
     if x < 1e-3:
         return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
@@ -239,11 +240,12 @@ def _one_sided_gaussian_moments(y: Values) -> List[Values]:
     in the dimensionless time s = t/tau and frequency y = d_omega tau that
     `_case_e_series` uses; the moment of t^n is tau^(n+1) M_n.
 
-    M_0 = (sqrt(pi) / 2) w(y / 2); higher moments by the integration-by-parts
-    recurrence M_n = (1/2)(i y M_{n-1} + (n-1) M_{n-2}), with the n = 1
-    boundary term contributing 1/2.
+    M_0 = (sqrt(pi)/2) w(y/2) = (sqrt(pi)/2) exp(-y^2/4) + i D(y/2); higher
+    moments by the integration-by-parts recurrence M_n = (1/2)(i y M_{n-1}
+    + (n-1) M_{n-2}), with the n = 1 boundary term contributing 1/2.
     """
-    m0 = 0.5 * _SQRTPI * faddeeva(0.5 * y)
+    half = 0.5 * y
+    m0 = 0.5 * _SQRTPI * np.exp(-half * half) + 1j * dawson(half)
     m = [m0, 0.5 * (1j * y * m0 + 1.0)]
     for n in range(2, 8):
         m.append(0.5 * (1j * y * m[n - 1] + (n - 1) * m[n - 2]))

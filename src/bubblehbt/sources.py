@@ -19,8 +19,8 @@ onset) and cutoffs sit in one branch.  `time_profile` and `radial_profile`
 give the factors of A-D.  Case E does not factorize, and `shock_amplitude`
 defines its whole source once: the lapse, its onset and cutoff, the front
 r_dot t and the ball's space integral in closed form, as one closure of t
-that the oracle integrates with one Python call per quadrature node.  The
-quadrature oracle integrates these profiles over these supports.
+at every q, which the oracle integrates with one Python call per node.
+The quadrature oracle integrates these profiles over these supports.
 """
 
 import math
@@ -134,7 +134,8 @@ def shock_amplitude(spec: SourceSpec, q: float
     onset t0 = 0 and below DENSITY_CUTOFF past t1 = tau sqrt(ln(1/cutoff)),
     times the space integral over the ball r <= r_dot t.  That integral is
     (sin x - x cos x) / q^3 with x = q r_dot t, and its Taylor series below
-    x = 1e-3, where the direct form cancels; at q = 0 it is (r_dot t)^3 / 3.
+    x = 1e-3, where the direct form cancels; at q = 0, where x = 0, the
+    series is (r_dot t)^3 / 3, so one closure serves every q.
     The space-time transform of the source is the Fourier integral of f
     over (t0, t1)."""
     if spec.case is not SourceCase.E_EXPANDING_SHOCK:
@@ -146,24 +147,18 @@ def shock_amplitude(spec: SourceSpec, q: float
     exp, sin, cos = math.exp, math.sin, math.cos
     # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
     support = (0.0, tau * math.sqrt(_EXP_CUT))
-    if q > 0.0:
-        q3 = q * q * q
+    q3 = q * q * q
 
-        def amplitude(t: float) -> float:
-            if t < 0.0:
-                return 0.0
-            a = r_dot * t
-            x = q * a
-            if x < 1e-3:
-                # a^3/3 - a^5 q^2/30 + a^7 q^4/840
-                inner = a ** 3 * (1.0 / 3.0
-                                  + x * x * (-1.0 / 30.0 + x * x / 840.0))
-            else:
-                inner = (sin(x) - x * cos(x)) / q3
-            return exp(-t * t / tau2) * inner
-    else:
-        def amplitude(t: float) -> float:
-            if t < 0.0:
-                return 0.0
-            return exp(-t * t / tau2) * ((r_dot * t) ** 3 / 3.0)
+    def amplitude(t: float) -> float:
+        if t < 0.0:
+            return 0.0
+        a = r_dot * t
+        x = q * a
+        if x < 1e-3:
+            # a^3/3 - a^5 q^2/30 + a^7 q^4/840
+            inner = a ** 3 * (1.0 / 3.0
+                              + x * x * (-1.0 / 30.0 + x * x / 840.0))
+        else:
+            inner = (sin(x) - x * cos(x)) / q3
+        return exp(-t * t / tau2) * inner
     return amplitude, support

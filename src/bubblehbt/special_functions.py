@@ -2,14 +2,14 @@
 
 These are the numerical bedrock for the expanding-shock correlator, the
 space/time form factors and the inference's p-values: the Faddeeva
-function w(z) = exp(-z^2) erfc(-iz), Dawson's integral D(x), the real
-complementary error function, sin(x)/x with its removable singularity
-handled, and the chi-square survival function for integer degrees of
-freedom.  On the real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x), so a
-real argument needs only D.  `faddeeva`, `dawson` and `sinc` take a scalar
+function w(z) = exp(-z^2) erfc(-iz), Dawson's integral D(x), the sine
+integral Si(x), erfc, sin(x)/x with its removable singularity handled, and
+the chi-square survival function for integer degrees of freedom.  On the
+real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x); case E, whose arguments
+are real, takes w from D.  `faddeeva`, `dawson` and `sinc` take a scalar
 or an array and return the same shape; where w(z) overflows, in the lower
-half-plane, its parts are +-inf.  Only `faddeeva` and `dawson` load scipy,
-and each only when it is called.
+half-plane, its parts are +-inf.  This is the one module that loads
+scipy.special: `faddeeva`, `dawson` and `sine_integral`, each when called.
 """
 
 import math
@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["faddeeva", "dawson", "erfc_real", "sinc", "chi2_survival"]
+__all__ = ["faddeeva", "dawson", "sine_integral", "erfc_real", "sinc",
+           "chi2_survival"]
 
 # Below this |x| the direct sin(x)/x suffers catastrophic cancellation in the
 # deviation from 1; switch to the Taylor polynomial.
@@ -49,6 +50,13 @@ def dawson(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     from scipy import special
 
     return special.dawsn(np.asarray(x, dtype=float))
+
+
+def sine_integral(x: float) -> float:
+    """Si(x) = integral_0^x sin(t)/t dt for real x, from scipy's sici."""
+    from scipy import special
+
+    return special.sici(x)[0]
 
 
 def erfc_real(x: float) -> float:

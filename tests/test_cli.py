@@ -294,6 +294,12 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "eval", "--case", "A", "--q", "-1")
     assert code == 1
+    # a subcommand that writes a file needs --out, which argparse requires
+    for command in ("synth", "figure1", "figure2"):
+        code, out, err = run(capsys, command)
+        assert (code, out) == (1, "")
+        assert err == ("error: the following arguments are required: "
+                       "--out\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,6 +308,7 @@ def test_usage_error_exit_code(capsys):
     ["eval", "--q", "1", "--R", "inf"],
     ["synth", "--q-grid", "nan:3:5", "--out", "{out}"],
     ["check", "--q-grid", "0:nan:3", "--out", "{out}"],
+    ["eval", "--q", "abc"],
 ])
 def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
     out_path = tmp_path / "out.csv"
@@ -557,6 +564,12 @@ def assert_rejected(capsys, path, message):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+def test_fit_rejects_a_figure_csv(capsys, tmp_path):
+    path = tmp_path / "figure2.csv"
+    assert run(capsys, "figure2", "--out", str(path))[0] == 0
+    assert_rejected(capsys, path, "not a correlation surface CSV")
 
 
 def test_fit_rejects_surface_without_rows(capsys, tmp_path):

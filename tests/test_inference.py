@@ -83,6 +83,39 @@ def test_insufficient_data_errors():
         fit_tau_slices(thin)
 
 
+def observed_surface(dw_values, excess_of_dw):
+    """A noiseless surface with q = 0 and 0.5 whose two slices both observe
+    1 + excess_of_dw(d_omega): an observation that no source gives."""
+    grid = GridSpec(q_values=(0.0, 0.5), d_omega_values=tuple(dw_values))
+    q, dw = grid.points()
+    c_obs = 1.0 + excess_of_dw(dw)
+    return CorrelationSurface(q=q, d_omega=dw, c_true=c_obs, c_obs=c_obs,
+                              sigma=np.zeros_like(c_obs),
+                              spec=SourceSpec(case=A, tau=1.0, R=1.0),
+                              grid=grid)
+
+
+def test_rising_excess_has_no_tau():
+    # the full-range pass pools a positive slope: no window can follow
+    rising = observed_surface((0.0, 0.5, 1.0),
+                              lambda dw: 0.1 * np.exp(dw * dw))
+    with pytest.raises(InsufficientDataError,
+                       match="fitted slopes are non-negative"):
+        fit_tau_slices(rising)
+
+
+def test_flat_window_has_no_tau():
+    # a far point falls, so the pooled slope is about -1, but the three
+    # points inside the window tau^2 (d_omega)^2 <= 1/2 are flat: log 1 = 0
+    # gives every refitted slope exactly 0, which is not beyond its zero
+    # noiseless error, and no slice is left with a negative slope
+    flat = observed_surface((0.0, 0.1, 0.2, 3.0),
+                            lambda dw: np.where(dw < 1.0, 1.0, 1e-4))
+    with pytest.raises(InsufficientDataError,
+                       match="no slice has a negative slope"):
+        fit_tau_slices(flat)
+
+
 def reference_tau_slices(surf):
     """fit_tau_slices with one np.linalg.lstsq per slice and pass, the error
     of each count n = N c_obs taken as sqrt(max(n, 1))."""

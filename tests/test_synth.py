@@ -17,7 +17,8 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    form_factor, mean_time_factor, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.special_functions import dawson, erfc_real, faddeeva
+from bubblehbt.special_functions import (dawson, erfc_real, faddeeva,
+                                         sine_integral)
 from bubblehbt.synth import (GridSpec, NoiseSpec, format_value, generate,
                              read_surface_csv, write_surface_csv)
 
@@ -35,6 +36,8 @@ def test_grid_validation():
         GridSpec(q_values=(1.0, 0.5), d_omega_values=(0.0,))
     with pytest.raises(ValueError):
         GridSpec(q_values=(-1.0, 0.5), d_omega_values=(0.0,))
+    with pytest.raises(TypeError, match="sequence of numbers"):
+        GridSpec(q_values=((0.0, 0.5), (1.0, 1.5)), d_omega_values=(0.0,))
     with pytest.raises(ValueError):
         NoiseSpec(pairs_per_bin=50, seed=0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -169,10 +172,11 @@ def test_c_true_equals_pointwise_correlation():
 
 
 def test_case_e_surface_is_one_evaluation(monkeypatch):
-    # the first rows take the series, the others the direct form: one
-    # Faddeeva call for the series moments, and two Dawson calls (z+ and
-    # z-) for the direct form, each on all of its branch's points
-    calls = {"faddeeva": [], "dawson": []}
+    # the first rows take the series, the others the direct form: two
+    # Dawson calls (z+ and z-) for the direct form, then one for the series
+    # moments, each on all of its branch's points; w is never called, and a
+    # smeared D surface takes Si from special_functions
+    calls = {"faddeeva": [], "dawson": [], "sine_integral": []}
 
     def counted(name, func):
         def wrapper(z):
@@ -180,8 +184,9 @@ def test_case_e_surface_is_one_evaluation(monkeypatch):
             return func(z)
         return wrapper
 
-    monkeypatch.setattr(correlators, "faddeeva", counted("faddeeva", faddeeva))
-    monkeypatch.setattr(correlators, "dawson", counted("dawson", dawson))
+    for name, func in [("faddeeva", faddeeva), ("dawson", dawson),
+                       ("sine_integral", sine_integral)]:
+        monkeypatch.setattr(correlators, name, counted(name, func))
     shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                        r_dot=2e-4 * C_UM_PER_PS)
     grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
@@ -190,10 +195,13 @@ def test_case_e_surface_is_one_evaluation(monkeypatch):
     series_rows = int(np.sum(shock.r_dot * np.asarray(grid.q_values)
                              <= MU_SERIES_MAX))
     assert 0 < series_rows < 61
-    assert [math.prod(shape) for shape in calls["faddeeva"]] == [
-        9 * series_rows]
+    assert calls["faddeeva"] == []
     assert [math.prod(shape) for shape in calls["dawson"]] == [
-        9 * (61 - series_rows)] * 2
+        9 * (61 - series_rows)] * 2 + [9 * series_rows]
+    assert calls["sine_integral"] == []
+    generate(SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0), grid,
+             smear_dw=2.0)
+    assert calls["sine_integral"] == [()]
 
 
 def test_coherent_surface_is_flat():
