@@ -132,8 +132,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_eval(args) -> int:
     spec = _spec_from_args(args)
-    val = correlation(spec, args.q, args.dw)
-    print(f"C = {format_value(val.c)}")
+    c = correlation(spec, args.q, args.dw).c
+    if not math.isfinite(c):
+        raise ArithmeticError(f"C is not finite at q = {format_value(args.q)}"
+                              f", d_omega = {format_value(args.dw)}")
+    print(f"C = {format_value(c)}")
     return 0
 
 

@@ -18,9 +18,9 @@ Case E (expanding shock) does not factorize.  Its excess is
     C - 1 = 9 |I|^2 / (8 mu^6),
     I = -i sqrt(pi) [(1 + mu z+) w(z+) - (1 - mu z-) w(z-)] - 2 mu,
 
-with mu = r_dot tau q and z± = (d_omega ± r_dot q) tau / 2.  This already
-contains the 1/2 factor: writing the space-time Fourier transform of the
-case E source as F(q, d_omega), one finds F = tau I / (4 q^3) and
+with mu = r_dot tau q, y = d_omega tau and z± = (y ± mu) / 2.  This
+already contains the 1/2 factor: writing the space-time Fourier transform
+of the case E source as F(q, d_omega), one finds F = tau I / (4 q^3) and
 F(0,0) = r_dot^3 tau^4 / 6, so 9|I|^2/(8 mu^6) = (1/2)|F/F(0,0)|^2 exactly.
 z± are real, and on the real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x),
 with D Dawson's integral, so I is evaluated in real arithmetic: with
@@ -29,9 +29,19 @@ a± = 1 ± mu z±,
     Re I = 2 (a+ D(z+) - a- D(z-) - mu),
     Im I = -sqrt(pi) (a+ exp(-z+^2) - a- exp(-z-^2)).
 
-Below mu = 0.01 the 0/0 form is replaced by a series in mu^2 whose complex
-coefficients are one-sided Gaussian moments in t/tau, the first from D and
-exp by the same identity.  Smeared case D takes Si from `sine_integral`.
+Below mu = 0.01 the 0/0 form is replaced by its series through mu^4,
+s = 2 M_3 - (mu^2/5) M_5 + (mu^4/140) M_7 with |s| = |F/F(0,0)|, M_n the
+moment of x^n exp(-x^2 + i y x) over x = t/tau > 0.  Their recurrence
+2 M_n = i y M_{n-1} + (n-1) M_{n-2} (+1 at n = 1) from M_0 = a + i b,
+a = (sqrt(pi)/2) exp(-y^2/4) and b = D(y/2), sums to s = P (b - i a) + Q:
+
+    P = y [y^2/4 - 3/2 + mu^2 (y^4/160 - y^2/8 + 3/8)
+           + mu^4 (y^6/17920 - 3 y^4/1280 + 3 y^2/128 - 3/64)],
+    Q = 1 - y^2/4 + mu^2 (-y^4/160 + 9 y^2/80 - 1/5)
+        + mu^4 (-y^6/17920 + y^4/448 - 87 y^2/4480 + 3/140),
+
+so the series excess (1/2) [(P D(y/2) + Q)^2 + (pi/4) P^2 exp(-y^2/2)] is
+real arithmetic too.  Smeared case D takes Si from `sine_integral`.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -43,7 +53,7 @@ mu.  Scalars in give a scalar out.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -89,7 +99,6 @@ FACTORIZED_CASES = tuple(_SHAPE_CONSTANT)
 MU_SERIES_MAX = 0.01
 
 _SQRT3 = math.sqrt(3.0)
-_SQRTPI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
     x = 0.5 * tau * window
     if x < 1e-3:
         return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
-    return _SQRTPI * math.erf(x) / (2.0 * x)
+    return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
 
 
 def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
@@ -235,33 +244,14 @@ def phi_of_X(case: SourceCase, X: Values) -> Values:
     return form_factor(case, 1.0, X / math.sqrt(_shape_constant(case)))
 
 
-def _one_sided_gaussian_moments(y: Values) -> List[Values]:
-    """M_n = integral_0^inf s^n exp(-s^2 + i y s) ds, n = 0..7, the moments
-    in the dimensionless time s = t/tau and frequency y = d_omega tau that
-    `_case_e_series` uses; the moment of t^n is tau^(n+1) M_n.
-
-    M_0 = (sqrt(pi)/2) w(y/2) = (sqrt(pi)/2) exp(-y^2/4) + i D(y/2); higher
-    moments by the integration-by-parts recurrence M_n = (1/2)(i y M_{n-1}
-    + (n-1) M_{n-2}), with the n = 1 boundary term contributing 1/2.
-    """
-    half = 0.5 * y
-    m0 = 0.5 * _SQRTPI * np.exp(-half * half) + 1j * dawson(half)
-    m = [m0, 0.5 * (1j * y * m0 + 1.0)]
-    for n in range(2, 8):
-        m.append(0.5 * (1j * y * m[n - 1] + (n - 1) * m[n - 2]))
-    return m
-
-
-def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
-                   mu: Values) -> np.ndarray:
+def _case_e_direct(y: Values, mu: Values) -> np.ndarray:
     """9 |I|^2 / (8 mu^6) at points with mu > MU_SERIES_MAX, from Re I
     and Im I in real arithmetic (module docstring)."""
     # far out on either axis mu^2, z±^2 and mu z± overflow to inf, which is
     # handled below; numpy would warn, so each of them is computed here
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = mu * mu
-        z_plus = (d_omega + r_dot * q) * tau / 2.0
-        z_minus = (d_omega - r_dot * q) * tau / 2.0
+        z_plus, z_minus = (y + mu) / 2.0, (y - mu) / 2.0
         mz_plus, mz_minus = mu * z_plus, mu * z_minus
         a_plus, a_minus = 1.0 + mz_plus, 1.0 - mz_minus
         re_i = 2.0 * (a_plus * dawson(z_plus) - a_minus * dawson(z_minus)
@@ -278,14 +268,21 @@ def _case_e_direct(tau: float, r_dot: float, q: Values, d_omega: Values,
     return np.where(far, 0.0, value)
 
 
-def _case_e_series(tau: float, mu: Values, d_omega: Values) -> Values:
-    """F/F(0,0) expanded in mu^2 through mu^4; truncation error O(mu^6).
-    The moments are taken in t/tau, so no power of tau enters, which would
-    under- or overflow at extreme tau."""
-    mu2 = mu * mu
-    m = _one_sided_gaussian_moments(d_omega * tau)
-    s = 2.0 * m[3] - (mu2 / 5.0) * m[5] + (mu2 * mu2 / 140.0) * m[7]
-    return CHAOTICITY * np.square(np.abs(s))
+# far out in y the series is NaN, which callers report; numpy would warn
+@np.errstate(over="ignore", invalid="ignore")
+def _case_e_series(y: Values, mu: Values) -> Values:
+    """(1/2) |s|^2 from P and Q (module docstring), exact to O(mu^6)."""
+    y2, mu2 = y * y, mu * mu
+    mu4 = mu2 * mu2
+    P = y * ((y2 / 4.0 - 1.5) + mu2 * (0.375 - y2 * (0.125 - y2 / 160.0))
+             - mu4 * (3.0 / 64.0 - y2 * (3.0 / 128.0 - y2 * (
+                 3.0 / 1280.0 - y2 / 17920.0))))
+    Q = ((1.0 - y2 / 4.0) - mu2 * (0.2 - y2 * (9.0 / 80.0 - y2 / 160.0))
+         + mu4 * (3.0 / 140.0 - y2 * (87.0 / 4480.0 - y2 * (
+             1.0 / 448.0 - y2 / 17920.0))))
+    re_s = P * dawson(0.5 * y) + Q
+    return CHAOTICITY * (re_s * re_s
+                         + (math.pi / 4.0) * (P * P) * np.exp(-0.5 * y2))
 
 
 def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
@@ -296,22 +293,21 @@ def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
     all.  A negative or NaN q raises ValueError."""
     if spec.case is not SourceCase.E_EXPANDING_SHOCK:
         raise ValueError("case_e_excess is defined for case E only")
-    tau, r_dot = spec.tau, spec.r_dot
     # [()] keeps a scalar q a numpy scalar, whose arithmetic costs less
     # than a 0-d array's
     q = np.asarray(q, dtype=float)[()]
     with np.errstate(over="ignore"):
-        mu = r_dot * tau * q
+        mu = spec.r_dot * spec.tau * q
+        y = d_omega * spec.tau
     direct = mu > MU_SERIES_MAX
     if direct.all():  # mu > MU_SERIES_MAX > 0, so every q is positive
-        return _case_e_direct(tau, r_dot, q, d_omega, mu)[()]
+        return _case_e_direct(y, mu)[()]
     _check_q(q)
     if not direct.any():
-        return _case_e_series(tau, mu, d_omega)[()]
-    q, d_omega, mu, direct = np.broadcast_arrays(q, d_omega, mu, direct)
+        return _case_e_series(y, mu)[()]
+    y, mu, direct = np.broadcast_arrays(y, mu, direct)
     series = ~direct
     out = np.empty(mu.shape)
-    out[direct] = _case_e_direct(tau, r_dot, q[direct], d_omega[direct],
-                                 mu[direct])
-    out[series] = _case_e_series(tau, mu[series], d_omega[series])
+    out[direct] = _case_e_direct(y[direct], mu[direct])
+    out[series] = _case_e_series(y[series], mu[series])
     return out

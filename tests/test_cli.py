@@ -45,13 +45,25 @@ def test_eval_origin(capsys):
 
 
 def test_eval_case_e_at_extreme_tau(capsys):
-    # case E's series branch takes its moments in t/tau: no power of tau
-    # under- or overflows, and q = 1 at tau = 1e-80 ps is the origin limit
+    # case E's series branch takes d_omega tau and mu alone: no power of
+    # tau under- or overflows, and q = 1 at tau = 1e-80 ps is the origin
+    # limit
     code, out, err = run(capsys, "eval", "--case", "E", "--tau", "1e-80",
                          "--q", "1")
     assert code == 0
     assert out.strip() == "C = 1.5"
     assert err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_reports_a_non_finite_c(capsys):
+    # far out in d_omega tau (from 6e23 to 4e51 as mu falls from 0.0099 to
+    # 0) the powers in case E's series overflow: C is NaN there, which eval
+    # reports as synth does
+    code, out, err = run(capsys, "eval", "--case", "E", "--q", "0", "--dw",
+                         "1e100")
+    assert (code, out) == (2, "")
+    assert err == "error: C is not finite at q = 0, d_omega = 1e+100\n"
 
 
 def test_eval_coherent(capsys):
@@ -316,6 +328,20 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--q-grid", "0:3", "--out", "{out}"],
+     "error: bad grid '0:3', expected min:max:n\n"),
+    (["check", "--case", "A", "--coherent", "--out", "{out}"],
+     "error: check compares chaotic closed forms to the oracle\n"),
+], ids=["grid-without-n", "coherent-check"])
+def test_rejected_arguments_exit_1_with_one_line(capsys, tmp_path, argv,
+                                                 message):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *[a.format(out=out_path) for a in argv])
+    assert (code, out, err) == (1, "", message)
     assert not out_path.exists()
 
 

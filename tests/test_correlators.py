@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,8 @@ def test_factorized_rejects_case_e():
         time_factor(E, 1.0, 0.0)
     with pytest.raises(ValueError, match="case E"):
         form_factor(E, 1.0, 1.0)
+    with pytest.raises(ValueError, match="case E has no shape constant"):
+        small_q_coefficient(E, 1.0)
 
 
 def test_factorized_consistency():
@@ -207,7 +210,7 @@ def test_case_e_origin_limit_is_half():
     assert case_e_excess(spec(E), 1e-8, 0.0) == pytest.approx(0.5, rel=1e-10)
 
 
-def test_case_e_series_faddeeva_continuity(monkeypatch):
+def test_case_e_branches_agree_in_their_overlap(monkeypatch):
     # overlap band around the branch switch: force each branch in turn
     s = spec(E)
     dws = np.array([0.0, 0.7, 2.0])
@@ -218,6 +221,42 @@ def test_case_e_series_faddeeva_continuity(monkeypatch):
         monkeypatch.setattr(corr, "MU_SERIES_MAX", 1.0)
         series = case_e_excess(s, q, dws)
         np.testing.assert_allclose(closed, series, rtol=1e-8, atol=0.0)
+
+
+def series_reference(y, mu):
+    """(1/2) |2 M_3 - (mu^2/5) M_5 + (mu^4/140) M_7|^2, the series that
+    `case_e_excess` sums below MU_SERIES_MAX, at 50 digits: M_0 from
+    exp and erfi, the moments by their recurrence."""
+    with mpmath.workdps(50):
+        y, mu = mpmath.mpf(y), mpmath.mpf(mu)
+        a = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-y * y / 4)
+        m = [mpmath.mpc(a, a * mpmath.erfi(y / 2))]
+        m.append((1j * y * m[0] + 1) / 2)
+        for n in range(2, 8):
+            m.append((1j * y * m[n - 1] + (n - 1) * m[n - 2]) / 2)
+        s = 2 * m[3] - mu ** 2 / 5 * m[5] + mu ** 4 / 140 * m[7]
+        return float(abs(s) ** 2 / 2)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.003, 0.0099])
+def test_case_e_series_matches_its_high_precision_sum(mu):
+    # the series' polynomials against the same series summed at 50 digits;
+    # both lose digits to the same cancellation as |y| grows
+    s = spec(E)
+    q = mu / (s.r_dot * s.tau)
+    mu = s.r_dot * s.tau * q  # the mu that case_e_excess computes
+    assert mu <= MU_SERIES_MAX
+    y = np.linspace(-5.0, 5.0, 81)
+    got = case_e_excess(s, q, y / s.tau)
+    reference = np.array([series_reference(v, mu) for v in y])
+    rel = np.abs(got - reference) / reference
+    assert rel[np.abs(y) <= 2.0].max() <= 2e-15
+    assert rel.max() <= 2e-13
+
+
+def test_case_e_excess_rejects_factorized_cases():
+    with pytest.raises(ValueError, match="defined for case E only"):
+        case_e_excess(spec(A), 0.5, 0.5)
 
 
 @pytest.mark.filterwarnings("error")
@@ -376,8 +415,8 @@ EVEN_DW = np.linspace(0.0, 15.0, 151)
 @pytest.mark.parametrize("q_row, dw", [(EVEN_Q, EVEN_DW), (FAR_Q, FAR_DW)],
                          ids=["switch", "far"])
 def test_case_e_is_even_in_d_omega_bit_for_bit(q_row, dw):
-    # d_omega -> -d_omega swaps z+ and -z-, and conjugates M_0: both
-    # branches give the same bits
+    # d_omega -> -d_omega swaps z+ and -z-, and flips the signs of the
+    # series' odd P and D(y/2): both branches give the same bits
     s = spec(E)
     if q_row is EVEN_Q:
         mu = s.r_dot * s.tau * q_row

@@ -228,6 +228,23 @@ def test_nonconvergence_reported(monkeypatch):
     assert len(calls) > first
 
 
+def test_error_estimate_past_tolerance_reported(monkeypatch):
+    # QUADPACK reports success, but its error estimate is 100 times the
+    # tolerance: the result is not trusted
+    real_quad = oracle.integrate.quad
+
+    def quad(*args, **kwargs):
+        val, _, *rest = real_quad(*args, **kwargs)
+        return (val, 1.0, *rest)
+
+    clear_caches()
+    monkeypatch.setattr(oracle.integrate, "quad", quad)
+    spec = SourceSpec(case=SourceCase.A_GAUSSIAN, tau=1.0, R=1.0)
+    with pytest.raises(OracleConvergenceError,
+                       match="^estimated error 1 exceeds tolerance for value "):
+        numeric_correlation(spec, 1.0, 0.5)
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=CASE_IDS)
 @pytest.mark.parametrize("q, dw", [(math.inf, 0.5), (1.0, math.nan),
                                    (1.0, math.inf), (1.0, -math.inf)])

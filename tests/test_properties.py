@@ -68,8 +68,8 @@ def test_coherent_correlation_is_one(spec, q, d_omega):
 def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
     # just below and just above mu = MU_SERIES_MAX, the series and the
     # direct form give the same excess.  |d_omega tau| stays <= 5: further
-    # out, the recurrence of the series' one-sided Gaussian moments loses
-    # digits (a 7e-6 gap at d_omega tau = 20-30), which this does not test.
+    # out, the series' P D(y/2) + Q loses digits to cancellation (a 7e-6
+    # gap at d_omega tau = 20-30, ROADMAP item 6), which this does not test.
     q_switch = MU_SERIES_MAX / (spec.r_dot * spec.tau)
     d_omega = np.array([d_omega_tau / spec.tau])
     series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)

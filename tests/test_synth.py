@@ -173,9 +173,9 @@ def test_c_true_equals_pointwise_correlation():
 
 def test_case_e_surface_is_one_evaluation(monkeypatch):
     # the first rows take the series, the others the direct form: two
-    # Dawson calls (z+ and z-) for the direct form, then one for the series
-    # moments, each on all of its branch's points; w is never called, and a
-    # smeared D surface takes Si from special_functions
+    # Dawson calls (z+ and z-) for the direct form, then one (y/2) for the
+    # series' polynomials, each on all of its branch's points; w is never
+    # called, and a smeared D surface takes Si from special_functions
     calls = {"faddeeva": [], "dawson": [], "sine_integral": []}
 
     def counted(name, func):
