@@ -31,8 +31,8 @@ from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
 from .sources import Emission, SourceCase, SourceSpec
 from .synth import (UNITS, GridSpec, NoiseSpec, format_value, generate,
-                    read_surface_csv, spec_metadata, write_metadata,
-                    write_surface_csv)
+                    not_finite_error, read_surface_csv, spec_metadata,
+                    write_metadata, write_surface_csv)
 
 __all__ = ["main"]
 
@@ -134,8 +134,7 @@ def _cmd_eval(args) -> int:
     spec = _spec_from_args(args)
     c = correlation(spec, args.q, args.dw).c
     if not math.isfinite(c):
-        raise ArithmeticError(f"C is not finite at q = {format_value(args.q)}"
-                              f", d_omega = {format_value(args.dw)}")
+        raise not_finite_error(args.q, args.dw)
     print(f"C = {format_value(c)}")
     return 0
 
@@ -155,6 +154,11 @@ def _cmd_check(args) -> int:
     write_metadata(text, {**spec_metadata(spec), "units": UNITS})
     text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
     analytic = correlation(spec, q_values[:, None], dw_values)
+    finite = np.isfinite(analytic.c)
+    if not finite.all():
+        # the first non-finite point in row-major order
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise not_finite_error(q_values[i], dw_values[j])
     # (relative deviation of C, q, d_omega) per point, and the relative
     # deviation of the excess where the oracle's is above the floor
     deviations, excess_deviations = [], []

@@ -399,20 +399,26 @@ def chaoticity_test(surface: CorrelationSurface) -> Tuple[Chaoticity, float]:
 
 def fit_surface(surface: CorrelationSurface) -> FitReport:
     """Full inversion pipeline: chaoticity, tau slices, factorization,
-    renormalized form factor, curvature, radii, shape ranking."""
+    renormalized form factor, curvature, radii, shape ranking.
+
+    A smeared surface gives no tau slices and so no tau or factorization
+    score: its excess is (lambda/2) <T> Phi(q) in every column, whose
+    d_omega^2 slopes are zero and whose columns are replicas by
+    construction, so a slope fitted there is noise."""
     verdict, significance = chaoticity_test(surface)
     report = FitReport(chaoticity=verdict, significance=significance)
     if verdict is Chaoticity.COHERENT:
         return report
-    try:
-        tau_hat, tau_err, fits = fit_tau_slices(surface)
-    except InsufficientDataError:
-        pass
-    else:
-        report.tau_hat = tau_hat
-        report.tau_err = tau_err
-        report.tau_per_q = fits
-        report.factorization_score = factorization_test(fits)
+    if surface.smear_dw is None:
+        try:
+            tau_hat, tau_err, fits = fit_tau_slices(surface)
+        except InsufficientDataError:
+            pass
+        else:
+            report.tau_hat = tau_hat
+            report.tau_err = tau_err
+            report.tau_per_q = fits
+            report.factorization_score = factorization_test(fits)
     samples = renormalize_at_origin(surface)
     kappa_hat, kappa_err = estimate_kappa(samples)
     report.kappa_hat = kappa_hat

@@ -8,23 +8,21 @@ cos or sin weight (QAWO), which integrates the oscillation by modified
 Clenshaw-Curtis moments instead of sampling it.
 
 For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
-and each factor is computed once per (source, argument, tolerances): a grid
-of nq x nw points costs nq + nw quadratures.  B's space factor, sinc(q R)
-in closed form, is cached the same way.  Case E does not factorize and
-costs two quadratures per point, of the integrand closure that
+and each factor is computed once per (source, argument): a grid of
+nq x nw points costs nq + nw quadratures.  B's space factor, sinc(q R) in
+closed form, is cached the same way.  Case E does not factorize and costs
+two quadratures per point, of the integrand closure that
 `sources.shock_amplitude` defines (the lapse times the ball's space
 integral in closed form): one Python call per quadrature node.  F(0,0) is
-computed once per source and tolerances.
+computed once per source.
 
 numeric_correlation converts q and d_omega to Python floats once, so each
 point is evaluated in Python floats, also when the caller passes numpy
 scalars; a non-finite q or d_omega is rejected there.
 
-numeric_correlation reads the module constants REL_TOL, ABS_TOL and
-MAX_SUBDIVISIONS once per call and passes them down as one tuple, so every
-quadrature uses them and every cache entry is keyed on the values its
-quadrature used.  A result that misses them raises OracleConvergenceError,
-again on every call, since a failure is not cached.
+Every quadrature meets REL_TOL and ABS_TOL within MAX_SUBDIVISIONS, or
+raises OracleConvergenceError, again on every call, since a failure is not
+cached.
 """
 
 import functools
@@ -55,11 +53,6 @@ MAX_SUBDIVISIONS = 2000
 # of A-D fill 80 time and 80 space entries
 FACTOR_CACHE_SIZE = 4096
 
-# (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS) as numeric_correlation reads them:
-# every quadrature takes its settings from this tuple, and every cache
-# keys on it, so a change of tolerance computes afresh
-Tolerances = Tuple[float, float, int]
-
 
 class OracleConvergenceError(ArithmeticError):
     """Adaptive quadrature failed to meet tolerance within the subdivision
@@ -67,40 +60,36 @@ class OracleConvergenceError(ArithmeticError):
 
 
 def _quad(f: Callable[[float], float], a: float, b: float,
-          tolerances: Tolerances, weight: Optional[str] = None,
-          omega: float = 0.0) -> float:
+          weight: Optional[str] = None, omega: float = 0.0) -> float:
     """Adaptive quadrature of f(x) on [a, b], or of f(x) cos(omega x) or
     f(x) sin(omega x) for weight 'cos' or 'sin' (QAWO when omega != 0)."""
     if weight == "sin" and omega == 0.0:
         return 0.0
-    rel_tol, abs_tol, max_subdivisions = tolerances
     oscillation = {"weight": weight, "wvar": omega} if weight and omega else {}
     # with full_output, a run that ends with QUADPACK's status ier in
     # 1-5 or 7 returns its message after the info dict, and warns nothing
     val, abserr, _, *failure = integrate.quad(
-        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=max_subdivisions,
+        f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS,
         full_output=1, **oscillation)
     if failure:
         # quadpack's first line names the failure; the rest is advice
         raise OracleConvergenceError(failure[0].strip().splitlines()[0])
-    if abserr > 100.0 * max(abs_tol, rel_tol * abs(val)):
+    if abserr > 100.0 * max(ABS_TOL, REL_TOL * abs(val)):
         raise OracleConvergenceError(
             f"estimated error {abserr:g} exceeds tolerance for value {val:g}")
     return val
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _time_amplitude(spec: SourceSpec, d_omega: float,
-                    tolerances: Tolerances) -> float:
+def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
     """integral rho_t(t) cos(d_omega t) dt over the time support (real by
     symmetry for A-D)."""
     rho, (t0, t1) = time_profile(spec)
-    return _quad(rho, t0, t1, tolerances, "cos", d_omega)
+    return _quad(rho, t0, t1, "cos", d_omega)
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _space_amplitude(spec: SourceSpec, q: float,
-                     tolerances: Tolerances) -> float:
+def _space_amplitude(spec: SourceSpec, q: float) -> float:
     """The space factor of F, 4 pi integral r^2 rho_s(r) sinc(q r) dr up to
     constant factors.  For the delta shell B, whose radial measure picks
     out r = R, it is sinc(q R); for A, C and D a quadrature over the radial
@@ -110,37 +99,28 @@ def _space_amplitude(spec: SourceSpec, q: float,
         return float(sinc(q * spec.R))
     rho, edge = radial_profile(spec)
     if q > 0.0:
-        return _quad(lambda r: r * rho(r) / q, 0.0, edge, tolerances,
-                     "sin", q)
-    return _quad(lambda r: r * r * rho(r), 0.0, edge, tolerances)
+        return _quad(lambda r: r * rho(r) / q, 0.0, edge, "sin", q)
+    return _quad(lambda r: r * r * rho(r), 0.0, edge)
 
 
-def _case_e_transform(spec: SourceSpec, q: float, d_omega: float,
-                      tolerances: Tolerances) -> complex:
-    """F(q, d_omega) for the expanding shock (up to constant factors): the
-    cos and sin transforms of `shock_amplitude`'s integrand, which QUADPACK
-    calls once per node."""
-    f, (t0, t1) = shock_amplitude(spec, q)
-    return complex(_quad(f, t0, t1, tolerances, "cos", d_omega),
-                   _quad(f, t0, t1, tolerances, "sin", d_omega))
-
-
-def _transform(spec: SourceSpec, q: float, d_omega: float,
-               tolerances: Tolerances) -> complex:
-    """F(q, d_omega) up to constant factors; for A-D the product of the
-    time and space amplitudes."""
+def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
+    """F(q, d_omega) up to constant factors.  For A-D it is the product of
+    the time and space amplitudes; for the expanding shock, the cos and sin
+    transforms of `shock_amplitude`'s integrand, which QUADPACK calls once
+    per node."""
     if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        return _case_e_transform(spec, q, d_omega, tolerances)
-    return (_time_amplitude(spec, d_omega, tolerances)
-            * _space_amplitude(spec, q, tolerances))
+        f, (t0, t1) = shock_amplitude(spec, q)
+        return complex(_quad(f, t0, t1, "cos", d_omega),
+                       _quad(f, t0, t1, "sin", d_omega))
+    return _time_amplitude(spec, d_omega) * _space_amplitude(spec, q)
 
 
 @functools.lru_cache(maxsize=32)
-def _origin_transform(spec: SourceSpec, tolerances: Tolerances) -> complex:
+def _origin_transform(spec: SourceSpec) -> complex:
     """F(0, 0), which depends on the source alone; for A-D a product of
     two cached factors.  Every C divides by it, so a zero F(0, 0) raises
     OracleConvergenceError."""
-    f0 = _transform(spec, 0.0, 0.0, tolerances)
+    f0 = _transform(spec, 0.0, 0.0)
     if f0 == 0.0:
         raise OracleConvergenceError(
             f"F(0,0) underflows to 0 at tau = {spec.tau:g} ps")
@@ -159,9 +139,8 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
     q, d_omega = float(q), float(d_omega)
     if not (math.isfinite(q) and math.isfinite(d_omega)):
         raise ValueError("q and d_omega must be finite")
-    tolerances = (REL_TOL, ABS_TOL, MAX_SUBDIVISIONS)
-    f = _transform(spec, q, d_omega, tolerances)
-    f0 = _origin_transform(spec, tolerances)
+    f = _transform(spec, q, d_omega)
+    f0 = _origin_transform(spec)
     excess = CHAOTICITY * abs(f / f0) ** 2
     return CorrelationValue(c=1.0 + excess, excess=excess)
 

@@ -173,8 +173,7 @@ def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
                           smear_dw).ravel()
     if not np.isfinite(c_true).all():
         i = np.argmin(np.isfinite(c_true))  # the first non-finite point
-        raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "
-                              f"d_omega = {format_value(dw[i])}")
+        raise not_finite_error(q[i], dw[i])
     sigma = (np.zeros_like(c_true) if noise is None
              else np.sqrt(c_true / noise.pairs_per_bin))
     return q, dw, c_true, sigma
@@ -215,6 +214,12 @@ _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 def format_value(x: float) -> str:
     return _VALUE_FORMAT % x
+
+
+def not_finite_error(q: float, d_omega: float) -> ArithmeticError:
+    """The error for a closed-form C that is not finite at (q, d_omega)."""
+    return ArithmeticError(f"C is not finite at q = {format_value(q)}, "
+                           f"d_omega = {format_value(d_omega)}")
 
 
 def spec_metadata(spec: SourceSpec) -> dict:

@@ -130,6 +130,27 @@ def test_check_names_an_origin_transform_that_underflows(capsys):
     assert err == "error: F(0,0) underflows to 0 at tau = 1e-100 ps\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_reports_a_non_finite_closed_form(capsys, monkeypatch,
+                                                tmp_path):
+    # case E's series is NaN at d_omega = 1e60 (as in eval above): check
+    # names the first such point in row-major order before it calls the
+    # oracle, and writes no file, where a NaN deviation would otherwise
+    # pass unseen by the maximum
+    def no_oracle(*args):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(oracle, "numeric_correlation", no_oracle)
+    path = tmp_path / "check.csv"
+    code, out, err = run(capsys, "check", "--case", "E", "--q-grid",
+                         "0:0.1:2", "--dw-grid", "0:1e60:2", "--out",
+                         str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: C is not finite at q = 0, "
+                   "d_omega = 9.9999999999999995e+59\n")
+    assert not path.exists()
+
+
 def test_synth_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -497,11 +518,11 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 1
 
 
-def test_oracle_nonconvergence_exit_code(capsys, monkeypatch, tmp_path):
+def test_oracle_nonconvergence_exit_code(capsys, oracle_tolerance, tmp_path):
     # quadpack's message runs to several lines; one reaches stderr.  With
     # 6 subdivisions the oracle fails mid-grid, at q = 4 after 8 of the 16
     # rows, and no partial CSV is left behind
-    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 6)
+    oracle_tolerance("MAX_SUBDIVISIONS", 6)
     path = tmp_path / "check.csv"
     code, out, err = run(capsys, "check", "--case", "D", "--q-grid", "0:6:4",
                          "--dw-grid", "0:6:4", "--out", str(path))

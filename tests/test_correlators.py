@@ -325,8 +325,8 @@ CASE_E_REFERENCES = [
     (20.0, 1.0, 0.23230743876552985),
     (20.0, 3.0, 0.048072492812957108),
 ]
-# both branches fail at large d_omega (ROADMAP item 6): the closed form gives
-# 1.8e14, 0.125 and 1.3e-23 here
+# both branches cancel at large d_omega (ROADMAP item 6): the closed form
+# gives 0, 0.125 and 0 here, for references of order 1e-47, 1e-63 and 1e-31
 CASE_E_FAILING_REFERENCES = [
     (0.1, 1e6, 7.200000000288001e-47),
     (0.0, 1e8, 7.2000000000000288e-63),

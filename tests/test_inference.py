@@ -712,6 +712,24 @@ def test_pipeline_coherent_stops_early():
     assert report.kappa_hat is None
 
 
+def test_smeared_fit_reports_no_tau_or_factorization_score():
+    # a smeared excess is (lambda/2) <T> Phi(q) in every column, so its
+    # d_omega^2 slopes are zero and its columns replicas by construction.
+    # On the CLI-default grid smeared over 2/ps, the slice chain read tau
+    # from those slopes on 36 of these 200 surfaces, at 0.03-0.07 ps for a
+    # true 1 ps, with a factorization score beside it
+    q, dw = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 2.0, 9)
+    for case in (A, B, C, D):
+        for seed in range(50):
+            report = fit_surface(surface(case, q, dw,
+                                         noise=NoiseSpec(10 ** 6, seed),
+                                         smear_dw=2.0))
+            assert (report.tau_hat, report.tau_per_q,
+                    report.factorization_score) == (None, None, None), (
+                        case, seed)
+            assert report.kappa_hat is not None
+
+
 def test_report_serialization():
     surf = surface(A, np.linspace(0.0, 3.0, 41), np.linspace(0.0, 1.0, 6))
     text = report_to_text(fit_surface(surf))

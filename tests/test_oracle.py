@@ -45,7 +45,7 @@ def test_rejects_coherent_and_negative_q():
         numeric_correlation(chaotic, -1.0, 0.0)
 
 
-def test_tolerance_self_consistency(monkeypatch):
+def test_tolerance_self_consistency(oracle_tolerance):
     # halving rel_tol never moves a converged result by more than the
     # previous tolerance
     rng = np.random.default_rng(5)
@@ -55,9 +55,9 @@ def test_tolerance_self_consistency(monkeypatch):
         case = cases[rng.integers(len(cases))]
         spec = SourceSpec(case=case, tau=1.0, R=1.0)
         q, dw = rng.uniform(0, 4), rng.uniform(0, 4)
-        monkeypatch.setattr(oracle, "REL_TOL", 1e-8)
+        oracle_tolerance("REL_TOL", 1e-8)
         a = numeric_correlation(spec, q, dw).c
-        monkeypatch.setattr(oracle, "REL_TOL", 5e-9)
+        oracle_tolerance("REL_TOL", 5e-9)
         b = numeric_correlation(spec, q, dw).c
         assert abs(a - b) <= 1e-8 * abs(a) + 1e-11
 
@@ -154,29 +154,6 @@ def test_origin_cache_is_exact():
         assert (warm.c, warm.excess) == (cold.c, cold.excess)
 
 
-@pytest.mark.parametrize("name, value", [("REL_TOL", 1e-10),
-                                         ("ABS_TOL", 1e-13),
-                                         ("MAX_SUBDIVISIONS", 500)])
-def test_origin_recomputed_for_new_tolerances(monkeypatch, name, value):
-    # so are the factors: d_omega 1, 0.5 and 0 (the origin's) for time, q
-    # 1, 2 and 0 for space; a new tolerance recomputes 1 and 0 of each
-    spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    clear_caches()
-    numeric_correlation(spec, 1.0, 1.0)
-    numeric_correlation(spec, 2.0, 0.5)
-    numeric_correlation(spec, 1.0, 1.0)
-    misses = [cached.cache_info().misses for cached in (
-        oracle._origin_transform, oracle._time_amplitude,
-        oracle._space_amplitude)]
-    assert misses == [1, 3, 3]
-    monkeypatch.setattr(oracle, name, value)
-    numeric_correlation(spec, 1.0, 1.0)
-    misses = [cached.cache_info().misses for cached in (
-        oracle._origin_transform, oracle._time_amplitude,
-        oracle._space_amplitude)]
-    assert misses == [2, 5, 5]
-
-
 FACTOR_GRID_Q = (0.0, 0.4, 2.5, 6.0)
 # 0.0 and -0.0 share a cache entry; both take the non-oscillatory rule
 FACTOR_GRID_DW = (0.0, -0.0, -1.3, 0.7, 6.0)
@@ -213,12 +190,12 @@ def test_grid_check_makes_one_quadrature_per_factor(capsys, monkeypatch):
     assert 0 < len(calls) <= 5 + 4 + 2
 
 
-def test_nonconvergence_reported(monkeypatch):
+def test_nonconvergence_reported(monkeypatch, oracle_tolerance):
     # a failure is not cached: the second call runs the quadrature again
     spec = SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0)
-    monkeypatch.setattr(oracle, "REL_TOL", 1e-13)
-    monkeypatch.setattr(oracle, "ABS_TOL", 1e-16)
-    monkeypatch.setattr(oracle, "MAX_SUBDIVISIONS", 10)
+    oracle_tolerance("REL_TOL", 1e-13)
+    oracle_tolerance("ABS_TOL", 1e-16)
+    oracle_tolerance("MAX_SUBDIVISIONS", 10)
     calls = count_quadratures(monkeypatch)
     with pytest.raises(OracleConvergenceError):
         numeric_correlation(spec, 5.7, 3.3)
