@@ -69,6 +69,7 @@ __all__ = [
     "correlation",
     "excess",
     "time_factor",
+    "check_window",
     "mean_time_factor",
     "form_factor",
     "small_q_coefficient",
@@ -136,6 +137,16 @@ def time_factor(case: SourceCase, tau: float, d_omega: Values) -> Values:
     raise ValueError("case E has no factorized time factor")
 
 
+def check_window(case: Optional[SourceCase], window: float) -> None:
+    """ValueError unless a surface of `case` can be smeared over a box
+    window of full width W = window: a factorized case, or None for a
+    surface without a source, and 0 < W < inf."""
+    if case is not None and case not in FACTORIZED_CASES:
+        raise ValueError("smearing of the non-factorized case E is unsupported")
+    if not 0.0 < window < math.inf:
+        raise ValueError("smearing window must be positive and finite")
+
+
 def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
     """<T> over a box window of full width W = window, for the factorized
     cases, in closed form:
@@ -148,10 +159,7 @@ def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
     Below x, y = 1e-3 each takes its Taylor series, whose next term is
     below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
     underflow."""
-    if case not in FACTORIZED_CASES:
-        raise ValueError("smearing of the non-factorized case E is unsupported")
-    if not 0.0 < window < math.inf:
-        raise ValueError("smearing window must be positive and finite")
+    check_window(case, window)
     if case is SourceCase.D_EXPONENTIAL:
         y = 0.5 * _SQRT3 * tau * window
         if y < 1e-3:

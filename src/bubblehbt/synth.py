@@ -13,19 +13,24 @@ q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
 counts n = N c_obs, exact for the accepted 100 <= N <= 2**49, or a
 noiseless surface's c_obs.  A count in the file is ASCII digits with an
 optional '+' and no sign '-', decimal point or exponent, below 2**53: '+5'
-is 5, and '-0', '5.0' and '1e3' are not counts.  The reader takes the grid
-and recomputes c_true and sigma from its metadata.  `inference` reads only
-the observation: the grid, c_obs, N and the smearing window, never c_true,
-sigma or the source.
+is 5, and '-0', '5.0' and '1e3' are not counts.  A file needs the grid
+(`q_values_per_um`, `d_omega_values_per_ps`), with `pairs_per_bin` and
+`seed` for counts; the source keys (`case`, `emission`, `tau_ps`, `R_um`,
+`rdot_um_per_ps`) are optional as a group, since an instrument records
+none: a file names no source or a complete, valid one.  A read surface
+computes c_true and sigma from its source on first access, and has none
+without one.  `inference` reads only the observation: the grid, c_obs, N
+and the smearing window, never c_true, sigma or the source.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .correlators import excess
+from .correlators import check_window, excess
 # generate calls `excess`, not `correlation`; the name stays bound here
 # because perfbench/tracing.py wraps `synth.correlation` (retire it with
 # that wrapper, ROADMAP item 4)
@@ -134,24 +139,30 @@ class CorrelationSurface:
     raveled, which `inference` relies on; a surface made otherwise raises
     ValueError.  When q and d_omega are the grid's own read-only point
     arrays, as `generate` and `read_surface_csv` give them, that holds by
-    construction and only the shapes are checked.  A CSV file holds the
-    observation (counts or c_obs); the grid, c_true and sigma follow from
-    its metadata.
+    construction and only the shapes are checked.
+
+    A CSV file holds the observation (counts or c_obs) and the grid, and
+    may name the source.  When c_true and sigma are both given as None, as
+    `read_surface_csv` gives them, they are computed from `spec` on first
+    access, raising there the error `generate` would raise; without a
+    source (spec None) they stay None.
     """
 
     q: np.ndarray
     d_omega: np.ndarray
-    c_true: np.ndarray
+    c_true: Optional[np.ndarray]
     c_obs: np.ndarray
-    sigma: np.ndarray
-    spec: SourceSpec
+    sigma: Optional[np.ndarray]
+    spec: Optional[SourceSpec]
     grid: GridSpec
     noise: Optional[NoiseSpec] = None
     smear_dw: Optional[float] = None
 
     def __post_init__(self):
         q, dw = self.grid.points()
-        arrays = (self.q, self.d_omega, self.c_true, self.c_obs, self.sigma)
+        deferred = self.c_true is None and self.sigma is None
+        arrays = (self.q, self.d_omega, self.c_obs) + (
+            () if deferred else (self.c_true, self.sigma))
         # the grid's own point arrays are read-only and in order
         own = self.q is q and self.d_omega is dw
         if not (all(np.shape(a) == q.shape for a in arrays)
@@ -159,24 +170,38 @@ class CorrelationSurface:
                              and (self.d_omega == dw).all()))):
             raise ValueError("a surface's arrays must run over its grid's "
                              "points in row-major order")
+        if deferred:
+            # unset, they reach __getattr__ on first access
+            del self.c_true, self.sigma
+
+    def __getattr__(self, name):
+        # called only for an attribute that is not set: c_true and sigma
+        # once __post_init__ has deferred them
+        if name not in ("c_true", "sigma"):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        self.c_true, self.sigma = (
+            (None, None) if self.spec is None
+            else _truth(self.spec, self.grid, self.noise, self.smear_dw))
+        return getattr(self, name)
 
 
 # a closed form that overflows ends in the one error below, not in warnings
 @np.errstate(all="ignore")
 def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
-           smear_dw: Optional[float]) -> Tuple[np.ndarray, ...]:
-    """q, d_omega, c_true and sigma = sqrt(c_true/N) (zeros without noise)
-    of every grid point in row-major order, c_true in one call on the
-    grid's (nq, 1) q column and (nw,) d_omega row, raveled."""
-    q, dw = grid.points()
+           smear_dw: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """c_true and sigma = sqrt(c_true/N) (zeros without noise) of every
+    grid point in row-major order, c_true in one call on the grid's (nq, 1)
+    q column and (nw,) d_omega row, raveled."""
     c_true = 1.0 + excess(spec, grid.q_axis[:, None], grid.d_omega_axis,
                           smear_dw).ravel()
     if not np.isfinite(c_true).all():
         i = np.argmin(np.isfinite(c_true))  # the first non-finite point
+        q, dw = grid.points()
         raise not_finite_error(q[i], dw[i])
     sigma = (np.zeros_like(c_true) if noise is None
              else np.sqrt(c_true / noise.pairs_per_bin))
-    return q, dw, c_true, sigma
+    return c_true, sigma
 
 
 def generate(spec: SourceSpec, grid: GridSpec,
@@ -186,13 +211,14 @@ def generate(spec: SourceSpec, grid: GridSpec,
     `noise`, draw c_obs = n/N with n ~ Poisson(N c_true) and
     sigma = sqrt(c_true/N) per bin, all bins in one call on a generator
     seeded by `noise.seed`, in row-major order."""
-    q, dw, c_true, sigma = _truth(spec, grid, noise, smear_dw)
+    c_true, sigma = _truth(spec, grid, noise, smear_dw)
     if noise is None:
         c_obs = c_true.copy()
     else:
         n_exp = noise.pairs_per_bin
         rng = np.random.default_rng(noise.seed)
         c_obs = rng.poisson(n_exp * c_true) / n_exp
+    q, dw = grid.points()
     return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
                               sigma=sigma, spec=spec, grid=grid, noise=noise,
                               smear_dw=smear_dw)
@@ -242,8 +268,9 @@ def write_metadata(fh, meta: dict) -> None:
 
 
 def surface_metadata(surface: CorrelationSurface) -> dict:
-    meta = {"artifact": "correlation_surface",
-            **spec_metadata(surface.spec)}
+    meta = {"artifact": "correlation_surface"}
+    if surface.spec is not None:
+        meta.update(spec_metadata(surface.spec))
     meta["q_values_per_um"] = " ".join(
         format_value(v) for v in surface.grid.q_values)
     meta["d_omega_values_per_ps"] = " ".join(
@@ -330,6 +357,18 @@ def _axis(n: int, key: str, text: str) -> np.ndarray:
         return np.array([_number(n, key, field) for field in fields])
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(q_line: int, q_text: str, dw_line: int, dw_text: str) -> GridSpec:
+    """The grid of a surface CSV's `q_values_per_um` and
+    `d_omega_values_per_ps` texts, on file lines q_line and dw_line.  The
+    last grid read is kept: the files of a batch share their grid, and a
+    GridSpec is frozen with read-only arrays, so sharing it is safe.  A
+    grid that fails is not kept, so it raises on every read."""
+    return GridSpec(q_values=_axis(q_line, "q_values_per_um", q_text),
+                    d_omega_values=_axis(dw_line, "d_omega_values_per_ps",
+                                         dw_text))
+
+
 def _parse_counts(lines: Sequence[str]) -> np.ndarray:
     """The comma-separated counts of `lines` as an int64 matrix, one row a
     line; ValueError unless every field is a count: ASCII digits with an
@@ -369,12 +408,19 @@ def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
     return f"surface CSV rows need {width} values"
 
 
+# The keys of a surface CSV's source, given all (R_um and rdot_um_per_ps as
+# its case needs them) or none
+_SOURCE_KEYS = ("case", "tau_ps", "emission", "R_um", "rdot_um_per_ps")
+
+
 def read_surface_csv(path: str) -> CorrelationSurface:
     """Read a surface CSV, once: the observation from its rows (c_obs = n/N
-    from the counts of a noisy file, as `generate` divides), the grid and
-    the rest from its metadata, c_true and sigma recomputed from that
-    metadata.  Malformed input raises ValueError; the metadata is checked
-    first, then the header it implies, then the rows."""
+    from the counts of a noisy file, as `generate` divides), the grid, the
+    source if the file names one, and the rest from its metadata.  c_true
+    and sigma are left to be computed on first access (CorrelationSurface).
+    Malformed input raises ValueError, a partial or invalid source and a
+    window the source could not be smeared over included; the metadata is
+    checked first, then the header it implies, then the rows."""
     with open(path) as fh:
         lines = [line.strip() for line in fh]
     # '#' metadata and blank lines, then the header, then the data rows
@@ -383,8 +429,9 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     meta, line_of = _parse_metadata(lines[:i_header])
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
-    required = ["case", "tau_ps", "emission", "q_values_per_um",
-                "d_omega_values_per_ps"]
+    sourced = not meta.keys().isdisjoint(_SOURCE_KEYS)
+    required = (["case", "tau_ps", "emission"] if sourced else []) + [
+        "q_values_per_um", "d_omega_values_per_ps"]
     if "pairs_per_bin" in meta:
         required.append("seed")
     missing = [key for key in required if key not in meta]
@@ -396,20 +443,20 @@ def read_surface_csv(path: str) -> CorrelationSurface:
                                 ("smear_dw_per_ps", float),
                                 ("pairs_per_bin", int), ("seed", int)]
               if key in meta}
-    q_values, d_omega_values = (
-        _axis(line_of[key], key, meta[key])
-        for key in ("q_values_per_um", "d_omega_values_per_ps"))
+    q_key, dw_key = "q_values_per_um", "d_omega_values_per_ps"
+    grid = _grid(line_of[q_key], meta[q_key], line_of[dw_key], meta[dw_key])
     spec = SourceSpec(
         case=SourceCase(meta["case"]),
         tau=number["tau_ps"],
         R=number.get("R_um"),
         r_dot=number.get("rdot_um_per_ps"),
         emission=Emission(meta["emission"]),
-    )
-    grid = GridSpec(q_values=q_values, d_omega_values=d_omega_values)
+    ) if sourced else None
     noise = (NoiseSpec(number["pairs_per_bin"], number["seed"])
              if "pairs_per_bin" in number else None)
     smear_dw = number.get("smear_dw_per_ps")
+    if smear_dw is not None:  # checked whatever the emission, as in excess
+        check_window(None if spec is None else spec.case, smear_dw)
     counts = noise is not None
     expected = "counts" if counts else "c_obs"
     header = lines[i_header] if i_header < len(lines) else None
@@ -438,7 +485,7 @@ def read_surface_csv(path: str) -> CorrelationSurface:
         c_obs = arr.ravel()
     else:
         raise ValueError("surface CSV holds non-finite values")
-    q, dw, c_true, sigma = _truth(spec, grid, noise, smear_dw)
-    return CorrelationSurface(q=q, d_omega=dw, c_true=c_true, c_obs=c_obs,
-                              sigma=sigma, spec=spec, grid=grid, noise=noise,
+    q, dw = grid.points()
+    return CorrelationSurface(q=q, d_omega=dw, c_true=None, c_obs=c_obs,
+                              sigma=None, spec=spec, grid=grid, noise=noise,
                               smear_dw=smear_dw)

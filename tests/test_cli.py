@@ -404,18 +404,6 @@ def synth_case_e_at_huge_d_omega(capsys, tmp_path):
     return result
 
 
-def fit_case_e_at_huge_d_omega(capsys, tmp_path):
-    # a hand-written surface whose metadata grid takes case E's forward
-    # model past its range, where c_true is recomputed on reading
-    path = tmp_path / "hand.csv"
-    path.write_text("# artifact = correlation_surface\n# case = E\n"
-                    "# emission = chaotic\n# tau_ps = 1\n"
-                    "# rdot_um_per_ps = 0.06\n# q_values_per_um = 0 0.5 1\n"
-                    "# d_omega_values_per_ps = 0 5e199 1e200\n"
-                    "c_obs\n" + "1,1,1\n" * 3)
-    return run(capsys, "fit", str(path))
-
-
 NOT_FINITE = ("error: C is not finite at q = 0, "
               "d_omega = 4.9999999999999998e+199\n")
 
@@ -426,12 +414,31 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
              "error: window too narrow: fourth q at X = "),
             (fit_without_q_zero,
              "error: no origin coverage: the grid lacks q = 0"),
-            (synth_case_e_at_huge_d_omega, NOT_FINITE),
-            (fit_case_e_at_huge_d_omega, NOT_FINITE)]:
+            (synth_case_e_at_huge_d_omega, NOT_FINITE)]:
         code, out, err = failing_run(capsys, tmp_path)
         assert (code, out) == (2, ""), failing_run.__name__
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+def test_truth_past_the_forward_model_fails_where_it_is_read(capsys,
+                                                              tmp_path):
+    # a hand-written surface whose metadata grid takes case E's forward
+    # model past its range: the fit reads the observation alone and exits
+    # 0, and the truth fails when c_true is first read, with the line
+    # `synth` gives on that grid
+    path = tmp_path / "hand.csv"
+    path.write_text("# artifact = correlation_surface\n# case = E\n"
+                    "# emission = chaotic\n# tau_ps = 1\n"
+                    "# rdot_um_per_ps = 0.06\n# q_values_per_um = 0 0.5 1\n"
+                    "# d_omega_values_per_ps = 0 5e199 1e200\n"
+                    "c_obs\n" + "1,1,1\n" * 3)
+    code, out, err = run(capsys, "fit", str(path))
+    assert (code, err) == (0, "") and out
+    surface = read_surface_csv(str(path))
+    with pytest.raises(ArithmeticError) as raised:
+        surface.c_true
+    assert f"error: {raised.value}\n" == NOT_FINITE
 
 
 @pytest.mark.parametrize("grid", [
@@ -580,12 +587,16 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
     assert scipy_after(argv) == "0 []"
 
 
-def test_fit_of_an_unsmeared_file_loads_no_scipy(capsys, tmp_path):
-    # the factorization p-value is special_functions.chi2_survival, and an
-    # unsmeared case D truth needs no Si, so `fit` runs on numpy alone
-    path = tmp_path / "d.csv"
-    code, _, _ = run(capsys, "synth", "--case", "D", "--pairs-per-bin",
-                     "1000000", "--seed", "5", "--out", str(path))
+@pytest.mark.parametrize("case, window", [("D", []), ("E", []),
+                                          ("D", ["--smear-dw", "2"])],
+                         ids=["D", "E", "D-smeared"])
+def test_fit_loads_no_scipy(capsys, tmp_path, case, window):
+    # the factorization p-value is special_functions.chi2_survival, and the
+    # reader leaves the truth (case E's dawsn, smeared D's sici) until it
+    # is read, which the fit never does: `fit` runs on numpy alone
+    path = tmp_path / "surf.csv"
+    code, _, _ = run(capsys, "synth", "--case", case, "--pairs-per-bin",
+                     "1000000", "--seed", "5", *window, "--out", str(path))
     assert code == 0
     assert scipy_after(["fit", str(path)]) == "0 []"
 
@@ -828,10 +839,16 @@ def test_fit_rejects_a_metadata_key_given_twice(capsys, tmp_path, key):
 @pytest.mark.parametrize("case, edits", [
     ("A", {"tau_ps": "3", "R_um": "2.5"}),
     ("E", {"tau_ps": "2", "rdot_um_per_ps": "0.2"}),
+    # a valid source whose truth is not finite on this grid
+    ("E", {"tau_ps": "1e200"}),
+    # None deletes the line: a file that names no source
+    ("A", dict.fromkeys(["case", "emission", "tau_ps", "R_um"])),
+    ("E", dict.fromkeys(["case", "emission", "tau_ps", "rdot_um_per_ps"])),
 ])
 def test_fit_reads_no_truth_from_the_metadata(capsys, tmp_path, case, edits):
     # an instrument records the grid, the counts, N and W, not the source:
-    # editing the source's parameters leaves the fit's output unchanged
+    # editing the source's parameters, or deleting them, leaves the fit's
+    # output unchanged
     path = tmp_path / "surf.csv"
     code, _, _ = run(capsys, "synth", "--case", case, "--pairs-per-bin",
                      "1000000", "--seed", "5", "--out", str(path))
@@ -840,11 +857,29 @@ def test_fit_reads_no_truth_from_the_metadata(capsys, tmp_path, case, edits):
     assert before[0] == 0
     text = path.read_text()
     for key, value in edits.items():
-        text, count = re.subn(rf"^# {key} = .*$", f"# {key} = {value}", text,
-                              flags=re.M)
+        text, count = re.subn(rf"^# {key} = .*\n",
+                              "" if value is None else f"# {key} = {value}\n",
+                              text, flags=re.M)
         assert count == 1
     path.write_text(text)
     assert run(capsys, "fit", str(path)) == before
+
+
+@pytest.mark.parametrize("kept, message", [
+    (["R_um"], "metadata lacks case, tau_ps, emission"),
+    (["case", "emission", "tau_ps"], "case A requires a finite R > 0"),
+    (["case", "emission", "R_um"], "metadata lacks tau_ps"),
+])
+def test_fit_rejects_a_partial_source(capsys, tmp_path, kept, message):
+    # the source keys are optional as a group: a file that names part of
+    # a source is malformed, whichever part it keeps
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    source = ("# case =", "# emission =", "# tau_ps =", "# R_um =")
+    head = [line for line in head if not line.startswith(source)
+            or line.split()[1] in kept]
+    path.write_text("".join(head + rows))
+    assert_rejected(capsys, path, message)
 
 
 def test_fit_rejects_non_numeric_field(capsys, tmp_path):

@@ -511,3 +511,112 @@ def test_csv_crlf_and_blank_lines_read_back(tmp_path):
         assert getattr(back, name).tobytes() == getattr(surf, name).tobytes()
     assert back.spec == surf.spec and back.grid == surf.grid
 
+
+
+def test_read_surface_computes_its_truth_on_first_access(tmp_path,
+                                                         monkeypatch):
+    # reading takes the observation alone; the first of c_true and sigma
+    # read computes both in one `_truth` call, bit for bit `generate`'s
+    calls, truth = [], synth._truth
+
+    def counted(*args):
+        calls.append(args)
+        return truth(*args)
+
+    monkeypatch.setattr(synth, "_truth", counted)
+    surf = generate(source(SourceCase.E_EXPANDING_SHOCK), CLI_GRID,
+                    noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=4))
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    calls.clear()
+    back = read_surface_csv(str(path))
+    assert calls == []
+    assert back.sigma.tobytes() == surf.sigma.tobytes()
+    assert back.c_true.tobytes() == surf.c_true.tobytes()
+    assert len(calls) == 1
+
+
+def test_csv_round_trip_without_a_source(tmp_path):
+    # a file from an instrument names no source: it reads back with no
+    # truth, and writes back as the same observation
+    surf = generate(spec_a(), GRID, noise=NoiseSpec(pairs_per_bin=10 ** 6,
+                                                    seed=6), smear_dw=2.0)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surf, str(path))
+    text = path.read_text()
+    for key in ("case", "emission", "tau_ps", "R_um"):
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith(f"# {key} ="))
+    path.write_text(text)
+    back = read_surface_csv(str(path))
+    assert (back.spec, back.c_true, back.sigma) == (None, None, None)
+    again = tmp_path / "again.csv"
+    write_surface_csv(back, str(again))
+    assert again.read_text() == text
+    twice = read_surface_csv(str(again))
+    for name in ("q", "d_omega", "c_obs"):
+        assert getattr(twice, name).tobytes() == getattr(surf, name).tobytes()
+    assert (twice.spec, twice.c_true, twice.sigma) == (None, None, None)
+    assert (twice.grid, twice.noise, twice.smear_dw) == (
+        surf.grid, surf.noise, surf.smear_dw)
+
+
+@pytest.mark.parametrize("source_lines, window, message", [
+    ("# case = E\n# emission = chaotic\n# tau_ps = 1\n"
+     "# rdot_um_per_ps = 0.06\n", "1", "case E is unsupported"),
+    ("", "0", "positive and finite"),
+    ("", "nan", "positive and finite"),
+], ids=["E", "no-source-zero", "no-source-nan"])
+def test_reader_checks_the_window_it_reads(tmp_path, source_lines, window,
+                                           message):
+    # the truth waits for first access, so the reader checks the window as
+    # `excess` does: a source's case, and its width with or without one
+    path = tmp_path / "surface.csv"
+    path.write_text("# artifact = correlation_surface\n" + source_lines
+                    + "# q_values_per_um = 0 1\n# d_omega_values_per_ps = 0\n"
+                    f"# smear_dw_per_ps = {window}\nc_obs\n1.5\n1.2\n")
+    with pytest.raises(ValueError, match=message):
+        read_surface_csv(str(path))
+
+
+def surface_text(q_axis, dw_axis="0 0.5 1"):
+    """A noiseless surface CSV that names no source, on the grid of these
+    axis texts, with one c_obs of 1 a point."""
+    nw = len(dw_axis.split())
+    return ("# artifact = correlation_surface\n"
+            f"# q_values_per_um = {q_axis}\n"
+            f"# d_omega_values_per_ps = {dw_axis}\nc_obs\n"
+            + "".join(",".join(["1"] * nw) + "\n"
+                      for _ in q_axis.split()))
+
+
+def test_reads_on_one_grid_share_its_grid_spec(tmp_path):
+    # a batch of files on one grid parses and checks it once; a file on
+    # another grid gets its own
+    paths = [tmp_path / f"{name}.csv" for name in ("a", "b", "c")]
+    paths[0].write_text(surface_text("0 1 2"))
+    paths[1].write_text(surface_text("0 1 2"))
+    paths[2].write_text(surface_text("0 1 3"))
+    a, b, c = (read_surface_csv(str(p)) for p in paths)
+    assert a.grid is b.grid and a.q is b.q
+    assert c.grid is not a.grid
+    assert c.grid.q_values == (0.0, 1.0, 3.0)
+    assert a.grid == GridSpec(q_values=(0.0, 1.0, 2.0),
+                              d_omega_values=(0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("axis, message", [
+    ("0 1x 2", "surface CSV line 2: q_values_per_um = '1x' is not a number"),
+    ("0 2 1", "q_values must be strictly increasing"),
+], ids=["non-numeric", "non-increasing"])
+def test_a_bad_grid_fails_on_every_read(tmp_path, axis, message):
+    # a failed parse is not kept, so each read of the same text raises
+    # again, and the grid read before it stays shared
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(surface_text("0 1 2"))
+    bad.write_text(surface_text(axis))
+    grid = read_surface_csv(str(good)).grid
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_surface_csv(str(bad))
+    assert read_surface_csv(str(good)).grid is grid
