@@ -15,6 +15,11 @@ All quantities use fixed units: q in 1/um, d_omega in 1/ps, R in um, tau in
 ps; --rdot is a fraction of c.  CSV outputs start with '#'-prefixed
 key = value metadata lines sufficient to regenerate them.
 
+Every source is built from the options by `_spec_from_args`, and the
+grids of `check` and `synth` are checked by the same `GridSpec`.  `eval`
+(on a one-point grid), `check` and `figure1` tabulate the closed forms
+with `synth.tabulate`, which reports a C that is not finite.
+
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
@@ -26,12 +31,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .correlators import FACTORIZED_CASES, correlation, phi_of_X
+from .correlators import FACTORIZED_CASES, phi_of_X
 from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
 from .sources import Emission, SourceCase, SourceSpec
 from .synth import (UNITS, GridSpec, NoiseSpec, format_value, generate,
-                    not_finite_error, read_surface_csv, spec_metadata,
+                    read_surface_csv, spec_metadata, tabulate,
                     write_metadata, write_surface_csv)
 
 __all__ = ["main"]
@@ -94,8 +99,10 @@ def _add_source_args(p: argparse.ArgumentParser):
                    help="coherent emission (C identically 1)")
 
 
-def _spec_from_args(args) -> SourceSpec:
-    case = SourceCase(args.case)
+def _spec_from_args(args, case: str) -> SourceSpec:
+    """The source of case `case` with the parameters and emission in
+    `args`."""
+    case = SourceCase(case)
     emission = Emission.COHERENT if args.coherent else Emission.CHAOTIC
     if case is SourceCase.E_EXPANDING_SHOCK:
         return SourceSpec(case=case, tau=args.tau,
@@ -117,6 +124,7 @@ def _attach_option_values(argv: List[str]) -> List[str]:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """The n points of 'min:max:n'; GridSpec checks their order."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = _finite_float(lo_s), _finite_float(hi_s), int(n_s)
@@ -125,17 +133,20 @@ def _parse_grid(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"bad grid '{text}', expected min:max:n") from exc
     # one point has one value: min:max:1 with min != max would drop max
-    if n < 1 or hi < lo or (n == 1 and hi != lo):
+    if n < 1 or (n == 1 and hi != lo):
         raise ValueError(f"bad grid '{text}'")
     return np.linspace(lo, hi, n)
 
 
+def _grid_from_args(args) -> GridSpec:
+    return GridSpec(q_values=_parse_grid(args.q_grid),
+                    d_omega_values=_parse_grid(args.dw_grid))
+
+
 def _cmd_eval(args) -> int:
-    spec = _spec_from_args(args)
-    c = correlation(spec, args.q, args.dw).c
-    if not math.isfinite(c):
-        raise not_finite_error(args.q, args.dw)
-    print(f"C = {format_value(c)}")
+    spec = _spec_from_args(args, args.case)
+    grid = GridSpec(q_values=(args.q,), d_omega_values=(args.dw,))
+    print(f"C = {format_value(1.0 + tabulate(spec, grid)[0, 0])}")
     return 0
 
 
@@ -143,27 +154,21 @@ def _cmd_check(args) -> int:
     # the oracle, and the scipy.integrate it needs, load only here
     from .oracle import numeric_correlation
 
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, args.case)
     if spec.emission is Emission.COHERENT:
         raise ValueError("check compares chaotic closed forms to the oracle")
-    q_values = _parse_grid(args.q_grid)
-    dw_values = _parse_grid(args.dw_grid)
+    grid = _grid_from_args(args)
     # every row is computed before --out is opened, so an oracle failure
     # mid-grid leaves no partial file behind
     text = io.StringIO()
     write_metadata(text, {**spec_metadata(spec), "units": UNITS})
     text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
-    analytic = correlation(spec, q_values[:, None], dw_values)
-    finite = np.isfinite(analytic.c)
-    if not finite.all():
-        # the first non-finite point in row-major order
-        i, j = np.unravel_index(np.argmin(finite), finite.shape)
-        raise not_finite_error(q_values[i], dw_values[j])
+    analytic = tabulate(spec, grid)
     # (relative deviation of C, q, d_omega) per point, and the relative
     # deviation of the excess where the oracle's is above the floor
     deviations, excess_deviations = [], []
-    for q, ca_row, ea_row in zip(q_values, analytic.c, analytic.excess):
-        for dw, ca, ea in zip(dw_values, ca_row, ea_row):
+    for q, ca_row, ea_row in zip(grid.q_axis, 1.0 + analytic, analytic):
+        for dw, ca, ea in zip(grid.d_omega_axis, ca_row, ea_row):
             num = numeric_correlation(spec, q, dw)
             rel = abs(ca - num.c) / abs(num.c)
             deviations.append((rel, q, dw))
@@ -192,9 +197,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = _spec_from_args(args)
-    grid = GridSpec(q_values=_parse_grid(args.q_grid),
-                    d_omega_values=_parse_grid(args.dw_grid))
+    spec = _spec_from_args(args, args.case)
+    grid = _grid_from_args(args)
     noise = None
     if args.pairs_per_bin is not None:
         noise = NoiseSpec(pairs_per_bin=args.pairs_per_bin, seed=args.seed)
@@ -215,35 +219,30 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    dw = np.linspace(0.0, FIGURE1_DW_MAX, FIGURE1_DW_POINTS)
-    specs = {
-        "A": SourceSpec(case=SourceCase.A_GAUSSIAN, tau=args.tau, R=args.R),
-        "D": SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=args.tau, R=args.R),
-        "E": SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=args.tau,
-                        r_dot=args.rdot * C_UM_PER_PS),
-    }
+    grid = GridSpec(q_values=FIGURE1_Q_VALUES,
+                    d_omega_values=np.linspace(0.0, FIGURE1_DW_MAX,
+                                               FIGURE1_DW_POINTS))
+    specs = {label: _spec_from_args(args, label) for label in "ADE"}
     meta = {"artifact": "figure1",
             "tau_ps": format_value(args.tau),
             "R_um": format_value(args.R),
-            "rdot_um_per_ps": format_value(args.rdot * C_UM_PER_PS),
+            "rdot_um_per_ps": format_value(specs["E"].r_dot),
             "q_values_per_um": " ".join(format_value(q)
-                                        for q in FIGURE1_Q_VALUES),
+                                        for q in grid.q_values),
             "units": UNITS}
-    q_column = np.array(FIGURE1_Q_VALUES)[:, None]
-    curves = [(label, q, excess)
-              for label, spec in specs.items()
-              for q, excess in zip(FIGURE1_Q_VALUES,
-                                   correlation(spec, q_column, dw).excess)]
-    for label, q, excess in curves:
-        if (excess == 0.0).any():
-            raise ValueError(f"case {label} excess is 0 at q = "
-                             f"{format_value(q)} 1/um; log10 of a zero "
-                             f"excess is undefined")
+    curves = []
+    for label, spec in specs.items():
+        for q, excess in zip(grid.q_values, tabulate(spec, grid)):
+            if (excess == 0.0).any():
+                raise ValueError(f"case {label} excess is 0 at q = "
+                                 f"{format_value(q)} 1/um; log10 of a zero "
+                                 f"excess is undefined")
+            curves.append((label, q, excess))
     with open(args.out, "w") as fh:
         write_metadata(fh, meta)
         fh.write("case,q,dw_squared,log10_excess\n")
         for label, q, excess in curves:
-            for w, e in zip(dw, excess):
+            for w, e in zip(grid.d_omega_axis, excess):
                 fh.write(f"{label},{format_value(q)},"
                          f"{format_value(w * w)},"
                          f"{format_value(math.log10(e))}\n")
@@ -301,7 +300,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("figure1", help="log10(C-1) vs (d_omega)^2 plot data")
     _add_parameter_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_figure1)
+    p.set_defaults(func=_cmd_figure1, coherent=False)
 
     p = sub.add_parser("figure2", help="Phi(X) plot data for the four shapes")
     p.add_argument("--out", required=True)

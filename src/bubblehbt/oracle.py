@@ -72,8 +72,10 @@ def _quad(f: Callable[[float], float], a: float, b: float,
         f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS,
         full_output=1, **oscillation)
     if failure:
-        # quadpack's first line names the failure; the rest is advice
-        raise OracleConvergenceError(failure[0].strip().splitlines()[0])
+        # quadpack's first sentence names the failure; the rest is advice.
+        # Its message breaks lines mid-sentence, so whitespace is collapsed
+        sentence, end, _ = " ".join(failure[0].split()).partition(". ")
+        raise OracleConvergenceError(sentence + end.strip())
     if abserr > 100.0 * max(ABS_TOL, REL_TOL * abs(val)):
         raise OracleConvergenceError(
             f"estimated error {abserr:g} exceeds tolerance for value {val:g}")

@@ -3,7 +3,10 @@ file.
 
 A surface tabulates C = 1 + `correlators.excess` on a (q, d_omega) grid,
 energy-smeared over a window smear_dw when one is given; the forward
-model, smearing included, lives in `correlators` alone.  Counting noise is
+model, smearing included, lives in `correlators` alone.  `tabulate` is
+the one tabulation, for surfaces and the CLI alike, and the one place
+that finds a C that is not finite, raising ArithmeticError at the first
+such point in row-major order.  Counting noise is
 Poisson on the coincidence numerator with a fixed expected denominator N
 per bin; the whole surface draws from one stream seeded by the noise seed,
 so generation is deterministic.
@@ -17,10 +20,11 @@ is 5, and '-0', '5.0' and '1e3' are not counts.  A file needs the grid
 (`q_values_per_um`, `d_omega_values_per_ps`), with `pairs_per_bin` and
 `seed` for counts; the source keys (`case`, `emission`, `tau_ps`, `R_um`,
 `rdot_um_per_ps`) are optional as a group, since an instrument records
-none: a file names no source or a complete, valid one.  A read surface
-computes c_true and sigma from its source on first access, and has none
-without one.  `inference` reads only the observation: the grid, c_obs, N
-and the smearing window, never c_true, sigma or the source.
+none: a file names no source or a complete, valid one.  A grid axis that
+fails GridSpec's check is rejected naming its key and file line.  A read
+surface computes c_true and sigma from its source on first access, and
+has none without one.  `inference` reads only the observation: the grid,
+c_obs, N and the smearing window, never c_true, sigma or the source.
 """
 
 import functools
@@ -31,7 +35,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .correlators import check_window, excess
-# generate calls `excess`, not `correlation`; the name stays bound here
+# tabulate calls `excess`, not `correlation`; the name stays bound here
 # because perfbench/tracing.py wraps `synth.correlation` (retire it with
 # that wrapper, ROADMAP item 4)
 from .correlators import correlation  # noqa: F401
@@ -41,16 +45,37 @@ __all__ = [
     "GridSpec",
     "NoiseSpec",
     "CorrelationSurface",
+    "tabulate",
     "generate",
     "write_surface_csv",
     "read_surface_csv",
 ]
 
 
+def _checked_axis(name: str, values) -> np.ndarray:
+    """Grid axis `name` ("q_values" or "d_omega_values") as a float64
+    array: non-empty, finite and strictly increasing, q also non-negative;
+    ValueError otherwise."""
+    a = np.array(values, dtype=np.float64)
+    if a.ndim != 1:
+        raise TypeError("grid values must be a sequence of numbers")
+    if not a.size:
+        raise ValueError("grid must be non-empty")
+    # checked first: every comparison with NaN is False, so the order
+    # checks below would pass it
+    if not np.isfinite(a).all():
+        raise ValueError("grid values must be finite")
+    if (a[1:] <= a[:-1]).any():
+        raise ValueError(f"{name} must be strictly increasing")
+    if name == "q_values" and a[0] < 0.0:
+        raise ValueError("q_values must be non-negative")
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Strictly increasing, finite q (1/um) and d_omega (1/ps) sample
-    values.
+    values, q non-negative.
 
     Each axis is converted and checked once, as a read-only float64 array,
     `q_axis` and `d_omega_axis`; the fields keep the same values as tuples
@@ -61,22 +86,8 @@ class GridSpec:
     d_omega_values: Tuple[float, ...]
 
     def __post_init__(self):
-        q, dw = (np.array(v, dtype=np.float64)
-                 for v in (self.q_values, self.d_omega_values))
-        if q.ndim != 1 or dw.ndim != 1:
-            raise TypeError("grid values must be a sequence of numbers")
-        if not q.size or not dw.size:
-            raise ValueError("grid must be non-empty")
-        # checked first: every comparison with NaN is False, so the order
-        # checks below would pass it
-        if not (np.isfinite(q).all() and np.isfinite(dw).all()):
-            raise ValueError("grid values must be finite")
-        if (q[1:] <= q[:-1]).any():
-            raise ValueError("q_values must be strictly increasing")
-        if (dw[1:] <= dw[:-1]).any():
-            raise ValueError("d_omega_values must be strictly increasing")
-        if q[0] < 0.0:
-            raise ValueError("q_values must be non-negative")
+        q, dw = (_checked_axis(name, getattr(self, name))
+                 for name in ("q_values", "d_omega_values"))
         points = (np.repeat(q, dw.size), np.tile(dw, q.size))
         for a in (q, dw) + points:
             a.flags.writeable = False
@@ -137,9 +148,7 @@ class CorrelationSurface:
     Flat arrays in row-major (q outer, d_omega inner) order: q and d_omega
     are the grid's points, so each array is the grid's (nq, nw) matrix
     raveled, which `inference` relies on; a surface made otherwise raises
-    ValueError.  When q and d_omega are the grid's own read-only point
-    arrays, as `generate` and `read_surface_csv` give them, that holds by
-    construction and only the shapes are checked.
+    ValueError.
 
     A CSV file holds the observation (counts or c_obs) and the grid, and
     may name the source.  When c_true and sigma are both given as None, as
@@ -163,11 +172,8 @@ class CorrelationSurface:
         deferred = self.c_true is None and self.sigma is None
         arrays = (self.q, self.d_omega, self.c_obs) + (
             () if deferred else (self.c_true, self.sigma))
-        # the grid's own point arrays are read-only and in order
-        own = self.q is q and self.d_omega is dw
         if not (all(np.shape(a) == q.shape for a in arrays)
-                and (own or ((self.q == q).all()
-                             and (self.d_omega == dw).all()))):
+                and (self.q == q).all() and (self.d_omega == dw).all()):
             raise ValueError("a surface's arrays must run over its grid's "
                              "points in row-major order")
         if deferred:
@@ -188,17 +194,26 @@ class CorrelationSurface:
 
 # a closed form that overflows ends in the one error below, not in warnings
 @np.errstate(all="ignore")
+def tabulate(spec: SourceSpec, grid: GridSpec,
+             smear_dw: Optional[float] = None) -> np.ndarray:
+    """The excess C - 1 of every grid point as the grid's (nq, nw) matrix,
+    in one call on its (nq, 1) q column and (nw,) d_omega row.  A C that is
+    not finite raises ArithmeticError naming the first such point in
+    row-major order."""
+    e = excess(spec, grid.q_axis[:, None], grid.d_omega_axis, smear_dw)
+    if not np.isfinite(e).all():
+        i = np.argmin(np.isfinite(e))  # the first non-finite point
+        q, dw = grid.points()
+        raise ArithmeticError(f"C is not finite at q = {format_value(q[i])}, "
+                              f"d_omega = {format_value(dw[i])}")
+    return e
+
+
 def _truth(spec: SourceSpec, grid: GridSpec, noise: Optional[NoiseSpec],
            smear_dw: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
     """c_true and sigma = sqrt(c_true/N) (zeros without noise) of every
-    grid point in row-major order, c_true in one call on the grid's (nq, 1)
-    q column and (nw,) d_omega row, raveled."""
-    c_true = 1.0 + excess(spec, grid.q_axis[:, None], grid.d_omega_axis,
-                          smear_dw).ravel()
-    if not np.isfinite(c_true).all():
-        i = np.argmin(np.isfinite(c_true))  # the first non-finite point
-        q, dw = grid.points()
-        raise not_finite_error(q[i], dw[i])
+    grid point in row-major order."""
+    c_true = 1.0 + tabulate(spec, grid, smear_dw).ravel()
     sigma = (np.zeros_like(c_true) if noise is None
              else np.sqrt(c_true / noise.pairs_per_bin))
     return c_true, sigma
@@ -240,12 +255,6 @@ _VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
 
 def format_value(x: float) -> str:
     return _VALUE_FORMAT % x
-
-
-def not_finite_error(q: float, d_omega: float) -> ArithmeticError:
-    """The error for a closed-form C that is not finite at (q, d_omega)."""
-    return ArithmeticError(f"C is not finite at q = {format_value(q)}, "
-                           f"d_omega = {format_value(d_omega)}")
 
 
 def spec_metadata(spec: SourceSpec) -> dict:
@@ -346,15 +355,20 @@ def _number(n: int, key: str, field: str, kind=float):
                          f"is not {noun}") from None
 
 
-def _axis(n: int, key: str, text: str) -> np.ndarray:
-    """The whitespace-separated numbers of metadata `key` on file line n,
-    in one parse; if that fails, `_number` names the field that does not
-    parse."""
+def _axis(n: int, key: str, name: str, text: str) -> np.ndarray:
+    """Grid axis `name` from the whitespace-separated numbers of metadata
+    `key` on file line n, in one parse; if that fails, `_number` names the
+    field that does not parse, and an axis that fails its check raises
+    ValueError naming the line and the key."""
     fields = text.split()
     try:
-        return np.array(fields, dtype=np.float64)
+        values = np.array(fields, dtype=np.float64)
     except ValueError:
-        return np.array([_number(n, key, field) for field in fields])
+        values = [_number(n, key, field) for field in fields]
+    try:
+        return _checked_axis(name, values)
+    except ValueError as exc:
+        raise ValueError(f"surface CSV line {n}: {key}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -364,9 +378,10 @@ def _grid(q_line: int, q_text: str, dw_line: int, dw_text: str) -> GridSpec:
     last grid read is kept: the files of a batch share their grid, and a
     GridSpec is frozen with read-only arrays, so sharing it is safe.  A
     grid that fails is not kept, so it raises on every read."""
-    return GridSpec(q_values=_axis(q_line, "q_values_per_um", q_text),
-                    d_omega_values=_axis(dw_line, "d_omega_values_per_ps",
-                                         dw_text))
+    return GridSpec(
+        q_values=_axis(q_line, "q_values_per_um", "q_values", q_text),
+        d_omega_values=_axis(dw_line, "d_omega_values_per_ps",
+                             "d_omega_values", dw_text))
 
 
 def _parse_counts(lines: Sequence[str]) -> np.ndarray:

@@ -357,7 +357,14 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
      "error: bad grid '0:3', expected min:max:n\n"),
     (["check", "--case", "A", "--coherent", "--out", "{out}"],
      "error: check compares chaotic closed forms to the oracle\n"),
-], ids=["grid-without-n", "coherent-check"])
+    # check builds its grid as synth does: min = max over three points is
+    # one q three times
+    (["check", "--case", "A", "--q-grid", "1:1:3", "--dw-grid", "0:0:2",
+      "--out", "{out}"], "error: q_values must be strictly increasing\n"),
+    (["synth", "--case", "A", "--q-grid", "1:1:3", "--dw-grid", "0:0:2",
+      "--out", "{out}"], "error: q_values must be strictly increasing\n"),
+], ids=["grid-without-n", "coherent-check", "check-repeated-q",
+        "synth-repeated-q"])
 def test_rejected_arguments_exit_1_with_one_line(capsys, tmp_path, argv,
                                                  message):
     out_path = tmp_path / "out.csv"
@@ -404,6 +411,18 @@ def synth_case_e_at_huge_d_omega(capsys, tmp_path):
     return result
 
 
+def eval_case_e_at_huge_d_omega(capsys, tmp_path):
+    return run(capsys, "eval", "--case", "E", "--q", "0", "--dw", "1e100")
+
+
+def check_case_e_at_huge_d_omega(capsys, tmp_path):
+    path = tmp_path / "n.csv"
+    result = run(capsys, "check", "--case", "E", "--q-grid", "0:0.1:2",
+                 "--dw-grid", "0:1e60:2", "--out", str(path))
+    assert not path.exists()
+    return result
+
+
 NOT_FINITE = ("error: C is not finite at q = 0, "
               "d_omega = 4.9999999999999998e+199\n")
 
@@ -414,7 +433,12 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
              "error: window too narrow: fourth q at X = "),
             (fit_without_q_zero,
              "error: no origin coverage: the grid lacks q = 0"),
-            (synth_case_e_at_huge_d_omega, NOT_FINITE)]:
+            (synth_case_e_at_huge_d_omega, NOT_FINITE),
+            (eval_case_e_at_huge_d_omega,
+             "error: C is not finite at q = 0, d_omega = 1e+100\n"),
+            (check_case_e_at_huge_d_omega,
+             "error: C is not finite at q = 0, "
+             "d_omega = 9.9999999999999995e+59\n")]:
         code, out, err = failing_run(capsys, tmp_path)
         assert (code, out) == (2, ""), failing_run.__name__
         assert err.startswith(message)
@@ -526,17 +550,24 @@ def test_missing_file_exit_code(capsys, tmp_path):
 
 
 def test_oracle_nonconvergence_exit_code(capsys, oracle_tolerance, tmp_path):
-    # quadpack's message runs to several lines; one reaches stderr.  With
-    # 6 subdivisions the oracle fails mid-grid, at q = 4 after 8 of the 16
-    # rows, and no partial CSV is left behind
-    oracle_tolerance("MAX_SUBDIVISIONS", 6)
+    # quadpack's message runs to several lines, broken mid-sentence; its
+    # first sentence reaches stderr, on one line, and no partial CSV is
+    # left behind.  At d_omega = 1e300 the time transform meets roundoff;
+    # with 6 subdivisions the oracle fails mid-grid, at q = 4 after 8 of
+    # the 16 rows
     path = tmp_path / "check.csv"
-    code, out, err = run(capsys, "check", "--case", "D", "--q-grid", "0:6:4",
-                         "--dw-grid", "0:6:4", "--out", str(path))
-    assert code == 2
-    assert err.count("\n") == 1
-    assert err.startswith("error: The maximum number of subdivisions (6)")
-    assert not path.exists()
+    for subdivisions, argv, message in [
+            (None, ["--case", "A", "--q-grid", "0:1:2",
+                    "--dw-grid", "0:1e300:2"],
+             "The occurrence of roundoff error is detected, which prevents "
+             "the requested tolerance from being achieved."),
+            (6, ["--case", "D", "--q-grid", "0:6:4", "--dw-grid", "0:6:4"],
+             "The maximum number of subdivisions (6) has been achieved.")]:
+        if subdivisions is not None:
+            oracle_tolerance("MAX_SUBDIVISIONS", subdivisions)
+        code, out, err = run(capsys, "check", *argv, "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():

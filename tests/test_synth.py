@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -88,13 +89,12 @@ def test_surface_off_its_grid_layout_is_a_value_error():
             dataclasses.replace(surf, **{field: getattr(surf, field)[:-1]})
 
 
-def test_layout_check_skips_only_the_grids_own_points():
-    # the element-wise check is skipped for the grid's own point arrays
-    # alone: copies of them pass it in row-major order and fail it in any
-    # other, and a surface on a grid equal to its own is checked in full
+def test_layout_check_compares_every_point():
+    # a surface's q and d_omega are compared with its grid's points element
+    # by element: copies of them pass in row-major order and fail in any
+    # other, and a surface on a grid of the same shape is checked in full
     surf = generate(spec_a(), GRID, noise=NoiseSpec(10 ** 6, 1))
     own_q, own_dw = GRID.points()
-    assert surf.q is own_q and surf.d_omega is own_dw
     q, dw = own_q.copy(), own_dw.copy()
     dataclasses.replace(surf, q=q, d_omega=dw)
     rows_reversed = np.arange(12).reshape(4, 3)[::-1].ravel()
@@ -605,18 +605,30 @@ def test_reads_on_one_grid_share_its_grid_spec(tmp_path):
                               d_omega_values=(0.0, 0.5, 1.0))
 
 
-@pytest.mark.parametrize("axis, message", [
-    ("0 1x 2", "surface CSV line 2: q_values_per_um = '1x' is not a number"),
-    ("0 2 1", "q_values must be strictly increasing"),
-], ids=["non-numeric", "non-increasing"])
-def test_a_bad_grid_fails_on_every_read(tmp_path, axis, message):
-    # a failed parse is not kept, so each read of the same text raises
-    # again, and the grid read before it stays shared
+@pytest.mark.parametrize("q_axis, dw_axis, message", [
+    ("0 1x 2", "0 0.5 1",
+     "surface CSV line 2: q_values_per_um = '1x' is not a number"),
+    ("0 2 1", "0 0.5 1", "surface CSV line 2: q_values_per_um: q_values "
+     "must be strictly increasing"),
+    ("0 inf", "0 0.5 1",
+     "surface CSV line 2: q_values_per_um: grid values must be finite"),
+    ("-1 0 1", "0 0.5 1",
+     "surface CSV line 2: q_values_per_um: q_values must be non-negative"),
+    ("0 1 2", "0 nan", "surface CSV line 3: d_omega_values_per_ps: grid "
+     "values must be finite"),
+    ("0 1 2", "", "surface CSV line 3: d_omega_values_per_ps: grid must be "
+     "non-empty"),
+], ids=["non-numeric", "non-increasing", "non-finite", "negative-q",
+        "non-finite-d_omega", "empty-d_omega"])
+def test_a_bad_grid_fails_on_every_read(tmp_path, q_axis, dw_axis, message):
+    # every grid error names the file line and the key of the axis at
+    # fault; a failed parse is not kept, so each read of the same text
+    # raises again, and the grid read before it stays shared
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text(surface_text("0 1 2"))
-    bad.write_text(surface_text(axis))
+    bad.write_text(surface_text(q_axis, dw_axis))
     grid = read_surface_csv(str(good)).grid
     for _ in range(2):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_surface_csv(str(bad))
     assert read_surface_csv(str(good)).grid is grid
