@@ -18,7 +18,9 @@ key = value metadata lines sufficient to regenerate them.
 Every source is built from the options by `_spec_from_args`, and the
 grids of `check` and `synth` are checked by the same `GridSpec`.  `eval`
 (on a one-point grid), `check` and `figure1` tabulate the closed forms
-with `synth.tabulate`, which reports a C that is not finite.
+with `synth.tabulate`, which reports a C that is not finite.  Every CSV
+is written by `synth.write_table`, and its source keys come from
+`synth.spec_metadata`.  A grid too large to allocate is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -27,6 +29,7 @@ import argparse
 import io
 import math
 import sys
+from itertools import chain, repeat
 from typing import List, Optional
 
 import numpy as np
@@ -35,9 +38,9 @@ from .correlators import FACTORIZED_CASES, phi_of_X
 from .inference import InsufficientDataError, fit_surface, report_to_text
 from .kinematics import C_UM_PER_PS
 from .sources import Emission, SourceCase, SourceSpec
-from .synth import (UNITS, GridSpec, NoiseSpec, format_value, generate,
-                    read_surface_csv, spec_metadata, tabulate,
-                    write_metadata, write_surface_csv)
+from .synth import (UNITS, VALUE_FORMAT, GridSpec, NoiseSpec, format_value,
+                    generate, read_surface_csv, spec_metadata, tabulate,
+                    write_metadata, write_surface_csv, write_table)
 
 __all__ = ["main"]
 
@@ -135,6 +138,8 @@ def _parse_grid(text: str) -> np.ndarray:
     # one point has one value: min:max:1 with min != max would drop max
     if n < 1 or (n == 1 and hi != lo):
         raise ValueError(f"bad grid '{text}'")
+    if math.isinf(hi - lo):  # halving, then doubling, is exact for these
+        return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
     return np.linspace(lo, hi, n)
 
 
@@ -158,35 +163,32 @@ def _cmd_check(args) -> int:
     if spec.emission is Emission.COHERENT:
         raise ValueError("check compares chaotic closed forms to the oracle")
     grid = _grid_from_args(args)
-    # every row is computed before --out is opened, so an oracle failure
+    analytic = tabulate(spec, grid).ravel()
+    q, dw = grid.points()
+    # every point is computed before --out is opened, so an oracle failure
     # mid-grid leaves no partial file behind
+    oracle = np.array([numeric_correlation(spec, *point).excess
+                       for point in zip(q, dw)])
+    c_analytic, c_oracle = 1.0 + analytic, 1.0 + oracle
+    rel = np.abs(c_analytic - c_oracle) / np.abs(c_oracle)
+    # the relative deviation of the excess where the oracle's is above the
+    # floor; nan when none is
+    above = oracle > CHECK_EXCESS_FLOOR
+    worst_excess = max(np.abs(analytic - oracle)[above] / oracle[above],
+                       default=math.nan)
+    worst = np.argmax(rel)  # the first point of the largest deviation
     text = io.StringIO()
-    write_metadata(text, {**spec_metadata(spec), "units": UNITS})
-    text.write("q,d_omega,c_analytic,c_oracle,rel_deviation\n")
-    analytic = tabulate(spec, grid)
-    # (relative deviation of C, q, d_omega) per point, and the relative
-    # deviation of the excess where the oracle's is above the floor
-    deviations, excess_deviations = [], []
-    for q, ca_row, ea_row in zip(grid.q_axis, 1.0 + analytic, analytic):
-        for dw, ca, ea in zip(grid.d_omega_axis, ca_row, ea_row):
-            num = numeric_correlation(spec, q, dw)
-            rel = abs(ca - num.c) / abs(num.c)
-            deviations.append((rel, q, dw))
-            if num.excess > CHECK_EXCESS_FLOOR:
-                excess_deviations.append(abs(ea - num.excess) / num.excess)
-            text.write(f"{format_value(q)},{format_value(dw)},"
-                       f"{format_value(ca)},{format_value(num.c)},"
-                       f"{rel:.3e}\n")
-    # the first point of the largest deviation; nan when no excess is
-    # above the floor
-    worst, worst_q, worst_dw = max(deviations, key=lambda d: d[0])
-    worst_excess = max(excess_deviations, default=math.nan)
+    write_table(text, {**spec_metadata(spec), "units": UNITS},
+                "q,d_omega,c_analytic,c_oracle,rel_deviation",
+                [VALUE_FORMAT] * 4 + ["%.3e"],
+                np.column_stack((q, dw, c_analytic, c_oracle, rel))
+                .ravel().tolist())
     write_metadata(text, {
-        "max_relative_deviation": f"{worst:.6e}",
-        "max_deviation_q_per_um": format_value(worst_q),
-        "max_deviation_d_omega_per_ps": format_value(worst_dw),
+        "max_relative_deviation": f"{rel[worst]:.6e}",
+        "max_deviation_q_per_um": format_value(q[worst]),
+        "max_deviation_d_omega_per_ps": format_value(dw[worst]),
         "max_relative_excess_deviation": f"{worst_excess:.6e}"})
-    summary = f"max relative deviation = {worst:.6e}"
+    summary = f"max relative deviation = {rel[worst]:.6e}"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text.getvalue())
@@ -223,42 +225,40 @@ def _cmd_figure1(args) -> int:
                     d_omega_values=np.linspace(0.0, FIGURE1_DW_MAX,
                                                FIGURE1_DW_POINTS))
     specs = {label: _spec_from_args(args, label) for label in "ADE"}
-    meta = {"artifact": "figure1",
-            "tau_ps": format_value(args.tau),
-            "R_um": format_value(args.R),
-            "rdot_um_per_ps": format_value(specs["E"].r_dot),
-            "q_values_per_um": " ".join(format_value(q)
-                                        for q in grid.q_values),
+    # the parameters of the sources: A's and D's are one R and tau, E's its
+    # r_dot and tau; each curve names its own case, and all are chaotic
+    source = {**spec_metadata(specs["A"]), **spec_metadata(specs["E"])}
+    del source["case"], source["emission"]
+    meta = {"artifact": "figure1", **source,
+            "q_values_per_um": " ".join(map(format_value, grid.q_values)),
             "units": UNITS}
-    curves = []
+    dw_squared = (grid.d_omega_axis * grid.d_omega_axis).tolist()
+    rows = []
     for label, spec in specs.items():
         for q, excess in zip(grid.q_values, tabulate(spec, grid)):
             if (excess == 0.0).any():
                 raise ValueError(f"case {label} excess is 0 at q = "
                                  f"{format_value(q)} 1/um; log10 of a zero "
                                  f"excess is undefined")
-            curves.append((label, q, excess))
+            rows += zip(repeat(label), repeat(q), dw_squared,
+                        map(math.log10, excess.tolist()))
     with open(args.out, "w") as fh:
-        write_metadata(fh, meta)
-        fh.write("case,q,dw_squared,log10_excess\n")
-        for label, q, excess in curves:
-            for w, e in zip(grid.d_omega_axis, excess):
-                fh.write(f"{label},{format_value(q)},"
-                         f"{format_value(w * w)},"
-                         f"{format_value(math.log10(e))}\n")
+        write_table(fh, meta, "case,q,dw_squared,log10_excess",
+                    ["%s"] + [VALUE_FORMAT] * 3,
+                    list(chain.from_iterable(rows)))
     return 0
 
 
 def _cmd_figure2(args) -> int:
     xs = np.linspace(0.0, FIGURE2_X_MAX, FIGURE2_X_POINTS)
+    rows = [row for case in FACTORIZED_CASES
+            for row in zip(repeat(case.value), xs.tolist(),
+                           phi_of_X(case, xs).tolist())]
     with open(args.out, "w") as fh:
-        write_metadata(fh, {"artifact": "figure2",
-                            "X": "sqrt(kappa/2) q, dimensionless"})
-        fh.write("case,X,phi\n")
-        for case in FACTORIZED_CASES:
-            for x, phi in zip(xs, phi_of_X(case, xs)):
-                fh.write(f"{case.value},{format_value(x)},"
-                         f"{format_value(phi)}\n")
+        write_table(fh, {"artifact": "figure2",
+                         "X": "sqrt(kappa/2) q, dimensionless"},
+                    "case,X,phi", ["%s", VALUE_FORMAT, VALUE_FORMAT],
+                    list(chain.from_iterable(rows)))
     return 0
 
 
@@ -318,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InsufficientDataError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -158,12 +158,14 @@ def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
 
     Below x, y = 1e-3 each takes its Taylor series, whose next term is
     below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
-    underflow."""
+    underflow.  Where tau W overflows, each is its limit 0."""
     check_window(case, window)
     if case is SourceCase.D_EXPONENTIAL:
         y = 0.5 * _SQRT3 * tau * window
         if y < 1e-3:
             return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
+        if y == math.inf:  # sin(inf) is undefined; <T> falls as pi / 2y
+            return 0.0
         return float(sine_integral(2.0 * y) - math.sin(y) ** 2 / y) / y
     x = 0.5 * tau * window
     if x < 1e-3:

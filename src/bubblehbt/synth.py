@@ -11,6 +11,8 @@ Poisson on the coincidence numerator with a fixed expected denominator N
 per bin; the whole surface draws from one stream seeded by the noise seed,
 so generation is deterministic.
 
+Every CSV, a surface's and the CLI's other outputs, is written by one
+function, `write_table`: metadata, a header, then all rows in one %.
 Surfaces round-trip through a CSV format of the observation, one line per
 q (`write_surface_csv`, `read_surface_csv`): a noisy surface's integer
 counts n = N c_obs, exact for the accepted 100 <= N <= 2**49, or a
@@ -20,8 +22,11 @@ is 5, and '-0', '5.0' and '1e3' are not counts.  A file needs the grid
 (`q_values_per_um`, `d_omega_values_per_ps`), with `pairs_per_bin` and
 `seed` for counts; the source keys (`case`, `emission`, `tau_ps`, `R_um`,
 `rdot_um_per_ps`) are optional as a group, since an instrument records
-none: a file names no source or a complete, valid one.  A grid axis that
-fails GridSpec's check is rejected naming its key and file line.  A read
+none: a file names no source or a complete, valid one.  One table,
+`_SOURCE_KEYS`, names each source key once with its SourceSpec field and
+parser; `spec_metadata` writes from it and the reader parses from it, so
+a value that does not parse, a bad `case` included, and a grid axis that
+fails GridSpec's check are rejected naming their key and file line.  A read
 surface computes c_true and sigma from its source on first access, and
 has none without one.  `inference` reads only the observation: the grid,
 c_obs, N and the smearing window, never c_true, sigma or the source.
@@ -29,7 +34,7 @@ c_obs, N and the smearing window, never c_true, sigma or the source.
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,34 +251,52 @@ def generate(spec: SourceSpec, grid: GridSpec,
 # both in metadata order.  With `pairs_per_bin` in the metadata the header
 # is `counts` and each value an integer count n = N c_obs below 2**53;
 # without it the header is `c_obs` and each value c_obs with 17 significant
-# digits.  The CLI writes its other CSV outputs with the same formatter and
-# metadata writer.
+# digits.  The CLI writes its other CSV outputs with the same `write_table`
+# and value format.
 
 UNITS = "q in 1/um, d_omega in 1/ps"
-_VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
+VALUE_FORMAT = "%.17g"  # 17 significant digits round-trip every float64
+
+# The source keys in file order: key -> (SourceSpec field, parser of the
+# key's text).  `spec_metadata` writes every key whose field is set, and a
+# surface CSV names no source or all of it: each key whose field cannot be
+# None, with R_um and rdot_um_per_ps as its case needs them.
+_SOURCE_KEYS = {
+    "case": ("case", SourceCase),
+    "emission": ("emission", Emission),
+    "tau_ps": ("tau", float),
+    "R_um": ("R", float),
+    "rdot_um_per_ps": ("r_dot", float),
+}
 
 
 def format_value(x: float) -> str:
-    return _VALUE_FORMAT % x
+    return VALUE_FORMAT % x
 
 
 def spec_metadata(spec: SourceSpec) -> dict:
-    """Metadata entries that pin down a source specification."""
-    meta = {
-        "case": spec.case.value,
-        "emission": spec.emission.value,
-        "tau_ps": format_value(spec.tau),
-    }
-    if spec.R is not None:
-        meta["R_um"] = format_value(spec.R)
-    if spec.r_dot is not None:
-        meta["rdot_um_per_ps"] = format_value(spec.r_dot)
-    return meta
+    """Metadata entries that pin down a source specification: a key for
+    each field that is set, in file order."""
+    return {key: format_value(value) if parse is float else value.value
+            for key, (field, parse) in _SOURCE_KEYS.items()
+            if (value := getattr(spec, field)) is not None}
 
 
 def write_metadata(fh, meta: dict) -> None:
     for key, val in meta.items():
         fh.write(f"# {key} = {val}\n")
+
+
+def write_table(fh, meta: dict, header: str, formats: Sequence[str],
+                values: Sequence) -> None:
+    """Write a CSV to `fh`: the metadata, the header line, then one row per
+    len(formats) of `values`, a flat sequence of whole rows, each value in
+    its column's %-format.  All rows are formatted by one % over `values`,
+    which is faster than a % per row."""
+    write_metadata(fh, meta)
+    fh.write(header + "\n")
+    row = ",".join(formats) + "\n"
+    fh.write((row * (len(values) // len(formats))) % tuple(values))
 
 
 def surface_metadata(surface: CorrelationSurface) -> dict:
@@ -312,18 +335,15 @@ def write_surface_csv(surface: CorrelationSurface, path: str) -> None:
     surface whose c_obs is not counts/N raises ValueError and leaves no
     file.  Counts are formatted as Python ints, which %d writes faster than
     integral floats, with the same text."""
-    nq, nw = len(surface.grid.q_values), len(surface.grid.d_omega_values)
     if surface.noise is None:
-        header, value_format, values = "c_obs", _VALUE_FORMAT, surface.c_obs
+        header, value_format, values = "c_obs", VALUE_FORMAT, surface.c_obs
     else:
         header, value_format, values = "counts", "%d", _counts(
             surface.c_obs, surface.noise.pairs_per_bin)
-    row_format = ",".join([value_format] * nw) + "\n"
-    rows = (row_format * nq) % tuple(values.tolist())
     with open(path, "w") as fh:
-        write_metadata(fh, surface_metadata(surface))
-        fh.write(header + "\n")
-        fh.write(rows)
+        write_table(fh, surface_metadata(surface), header,
+                    [value_format] * len(surface.grid.d_omega_values),
+                    values.tolist())
 
 
 def _parse_metadata(lines: Sequence[str]) -> Tuple[dict, dict]:
@@ -345,12 +365,13 @@ def _parse_metadata(lines: Sequence[str]) -> Tuple[dict, dict]:
 
 def _number(n: int, key: str, field: str, kind=float):
     """`field`, a value of metadata `key` on file line n, parsed by `kind`
-    (float or int); ValueError naming the key and the line if it does not
-    parse."""
+    (float, int or an Enum of str values); ValueError naming the key and
+    the line if it does not parse."""
     try:
         return kind(field)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
+        noun = ("a number" if kind is float else "an integer" if kind is int
+                else "one of " + ", ".join(member.value for member in kind))
         raise ValueError(f"surface CSV line {n}: {key} = '{field}' "
                          f"is not {noun}") from None
 
@@ -360,11 +381,11 @@ def _axis(n: int, key: str, name: str, text: str) -> np.ndarray:
     `key` on file line n, in one parse; if that fails, `_number` names the
     field that does not parse, and an axis that fails its check raises
     ValueError naming the line and the key."""
-    fields = text.split()
+    texts = text.split()
     try:
-        values = np.array(fields, dtype=np.float64)
+        values = np.array(texts, dtype=np.float64)
     except ValueError:
-        values = [_number(n, key, field) for field in fields]
+        values = [_number(n, key, field) for field in texts]
     try:
         return _checked_axis(name, values)
     except ValueError as exc:
@@ -423,11 +444,6 @@ def _row_fault(rows: Sequence, width: int, counts: bool) -> str:
     return f"surface CSV rows need {width} values"
 
 
-# The keys of a surface CSV's source, given all (R_um and rdot_um_per_ps as
-# its case needs them) or none
-_SOURCE_KEYS = ("case", "tau_ps", "emission", "R_um", "rdot_um_per_ps")
-
-
 def read_surface_csv(path: str) -> CorrelationSurface:
     """Read a surface CSV, once: the observation from its rows (c_obs = n/N
     from the counts of a noisy file, as `generate` divides), the grid, the
@@ -445,28 +461,24 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
     sourced = not meta.keys().isdisjoint(_SOURCE_KEYS)
-    required = (["case", "tau_ps", "emission"] if sourced else []) + [
-        "q_values_per_um", "d_omega_values_per_ps"]
+    q_key, dw_key = "q_values_per_um", "d_omega_values_per_ps"
+    # a source needs the key of each field that cannot be None
+    optional = {f.name for f in fields(SourceSpec) if f.default is None}
+    required = [key for key, (field, _) in _SOURCE_KEYS.items()
+                if sourced and field not in optional] + [q_key, dw_key]
     if "pairs_per_bin" in meta:
         required.append("seed")
     missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError("surface CSV metadata lacks " + ", ".join(missing))
+    source = {field: _number(line_of[key], key, meta[key], parse)
+              for key, (field, parse) in _SOURCE_KEYS.items() if key in meta}
     number = {key: _number(line_of[key], key, meta[key], kind)
-              for key, kind in [("tau_ps", float), ("R_um", float),
-                                ("rdot_um_per_ps", float),
-                                ("smear_dw_per_ps", float),
+              for key, kind in [("smear_dw_per_ps", float),
                                 ("pairs_per_bin", int), ("seed", int)]
               if key in meta}
-    q_key, dw_key = "q_values_per_um", "d_omega_values_per_ps"
     grid = _grid(line_of[q_key], meta[q_key], line_of[dw_key], meta[dw_key])
-    spec = SourceSpec(
-        case=SourceCase(meta["case"]),
-        tau=number["tau_ps"],
-        R=number.get("R_um"),
-        r_dot=number.get("rdot_um_per_ps"),
-        emission=Emission(meta["emission"]),
-    ) if sourced else None
+    spec = SourceSpec(**source) if sourced else None
     noise = (NoiseSpec(number["pairs_per_bin"], number["seed"])
              if "pairs_per_bin" in number else None)
     smear_dw = number.get("smear_dw_per_ps")

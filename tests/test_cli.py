@@ -363,8 +363,12 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
       "--out", "{out}"], "error: q_values must be strictly increasing\n"),
     (["synth", "--case", "A", "--q-grid", "1:1:3", "--dw-grid", "0:0:2",
       "--out", "{out}"], "error: q_values must be strictly increasing\n"),
+    # 10**14 points ask numpy for 728 TiB, which it refuses outright
+    (["synth", "--q-grid", "0:1:100000000000000", "--out", "{out}"],
+     "error: Unable to allocate 728. TiB for an array with shape "
+     "(100000000000000,) and data type float64\n"),
 ], ids=["grid-without-n", "coherent-check", "check-repeated-q",
-        "synth-repeated-q"])
+        "synth-repeated-q", "oversized-grid"])
 def test_rejected_arguments_exit_1_with_one_line(capsys, tmp_path, argv,
                                                  message):
     out_path = tmp_path / "out.csv"
@@ -385,6 +389,29 @@ def test_one_point_grid_needs_min_equal_to_max(capsys, tmp_path):
     assert code == 0
     meta = check_metadata(path.read_text())
     assert meta["d_omega_values_per_ps"] == "2"
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_whose_span_overflows(capsys, tmp_path):
+    # 1e308 - (-1e308) is inf, yet every point of the grid is finite
+    path = tmp_path / "o.csv"
+    code, out, err = run(capsys, "synth", "--case", "A", "--dw-grid",
+                         "-1e308:1e308:3", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    meta = check_metadata(path.read_text())
+    assert meta["d_omega_values_per_ps"] == "-1e+308 0 1e+308"
+
+
+@pytest.mark.filterwarnings("error")
+def test_smeared_d_where_tau_w_overflows(capsys, tmp_path):
+    # <T> is its limit 0 there, as case A's is: every C is 1
+    for case in ("A", "D"):
+        path = tmp_path / f"{case}.csv"
+        code, out, err = run(capsys, "synth", "--case", case, "--smear-dw",
+                             "1e308", "--tau", "1e10", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        _, rows = read_csv_columns(path)
+        assert {value for row in rows for value in row} == {"1"}
 
 
 def fit_sparse_surface(capsys, tmp_path, *grid):
@@ -837,6 +864,8 @@ def test_fit_rejects_non_finite_metadata(capsys, tmp_path, key, message,
     ("q_values_per_um", "0x", "a number"),
     ("pairs_per_bin", "1000000.0", "an integer"),
     ("seed", "5.0", "an integer"),
+    ("case", "X", "one of A, B, C, D, E"),
+    ("emission", "loud", "one of chaotic, coherent"),
 ])
 def test_fit_names_the_metadata_value_that_does_not_parse(capsys, tmp_path,
                                                           key, bad, noun):
@@ -897,7 +926,7 @@ def test_fit_reads_no_truth_from_the_metadata(capsys, tmp_path, case, edits):
 
 
 @pytest.mark.parametrize("kept, message", [
-    (["R_um"], "metadata lacks case, tau_ps, emission"),
+    (["R_um"], "metadata lacks case, emission, tau_ps"),
     (["case", "emission", "tau_ps"], "case A requires a finite R > 0"),
     (["case", "emission", "R_um"], "metadata lacks tau_ps"),
 ])

@@ -333,6 +333,12 @@ def test_mean_time_factor_matches_quadrature(case):
                 avg / half, rel=1e-13, abs=0.0)
         # far below the series switch, <T> is 1 to the last bit
         assert mean_time_factor(case, tau, 1e-200 / tau) == 1.0
+    # where tau W overflows, every case is its limit 0, and the smeared
+    # excess with it
+    assert mean_time_factor(case, 1e10, 1e308) == 0.0
+    spec = SourceSpec(case=case, tau=1e10, R=1.0)
+    assert (excess(spec, np.array([0.0, 1.0]), 0.5, smear_dw=1e308)
+            == 0.0).all()
 
 
 def test_mean_time_factor_rejects_bad_windows():
