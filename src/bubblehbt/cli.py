@@ -18,9 +18,13 @@ key = value metadata lines sufficient to regenerate them.
 Every source is built from the options by `_spec_from_args`, and the
 grids of `check` and `synth` are checked by the same `GridSpec`.  `eval`
 (on a one-point grid), `check` and `figure1` tabulate the closed forms
-with `synth.tabulate`, which reports a C that is not finite.  Every CSV
-is written by `synth.write_table`, and its source keys come from
-`synth.spec_metadata`.  A grid too large to allocate is a usage error.
+with `synth.tabulate`, which reports a C that is not finite.  `check`
+leaves the chaotic-only rule to the oracle, and computes every point
+before it opens --out, so a coherent source exits 1 and writes no file.
+Every CSV is written by `synth.write_table`, and its source keys come
+from `synth.spec_metadata`.  A grid too large to allocate is a usage
+error.  A value that starts with '-' may follow a numeric, grid or
+--out option after a space; `fit` takes such a path after '--'.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -53,9 +57,11 @@ DEFAULT_CASE = "A"
 DEFAULT_RDOT_FRACTION = 2e-4
 # `check` compares the excess where the oracle's is above this floor
 CHECK_EXCESS_FLOOR = 1e-12
-# the options that take a number or a grid, whose value may start with '-'
+# the options that take a number, a grid or a path, whose value may start
+# with '-'
 VALUE_OPTIONS = ("--q", "--dw", "--R", "--tau", "--rdot", "--smear-dw",
-                 "--pairs-per-bin", "--seed", "--q-grid", "--dw-grid")
+                 "--pairs-per-bin", "--seed", "--q-grid", "--dw-grid",
+                 "--out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,11 +121,14 @@ def _spec_from_args(args, case: str) -> SourceSpec:
 
 def _attach_option_values(argv: List[str]) -> List[str]:
     """'--dw -1e-3' as '--dw=-1e-3', '--dw-grid -1:1:2' as
-    '--dw-grid=-1:1:2': argparse reads a separate value that starts with
-    '-' and is not a plain decimal as an option."""
+    '--dw-grid=-1:1:2', '--out -a.csv' as '--out=-a.csv': argparse reads a
+    separate value that starts with '-' and is not a plain decimal as an
+    option.  A token that starts with '--' stays an option, so '--out
+    --coherent' lacks its path and writes no file named '--coherent'."""
     joined: List[str] = []
     for token in argv:
-        if joined and joined[-1] in VALUE_OPTIONS:
+        if (joined and joined[-1] in VALUE_OPTIONS
+                and not token.startswith("--")):
             joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
@@ -160,13 +169,11 @@ def _cmd_check(args) -> int:
     from .oracle import numeric_correlation
 
     spec = _spec_from_args(args, args.case)
-    if spec.emission is Emission.COHERENT:
-        raise ValueError("check compares chaotic closed forms to the oracle")
     grid = _grid_from_args(args)
     analytic = tabulate(spec, grid).ravel()
     q, dw = grid.points()
     # every point is computed before --out is opened, so an oracle failure
-    # mid-grid leaves no partial file behind
+    # mid-grid, or its rejection of a coherent source, leaves no file
     oracle = np.array([numeric_correlation(spec, *point).excess
                        for point in zip(q, dw)])
     c_analytic, c_oracle = 1.0 + analytic, 1.0 + oracle

@@ -204,8 +204,9 @@ def fit_tau_slices(surface: CorrelationSurface
     Gaussian) time factors are read at the origin.  A slice is a row of the
     grid, a q value with at least 3 points whose excess is significant at
     3 sigma; a slice with fewer than 3 of them inside the window keeps them
-    all.  Each pass fits every slice at once, from sums down the columns of
-    the grid's transposed c_obs matrix.
+    all.  The points a slice keeps are one mask, which gives its fit and
+    its `n_points` alike.  Each pass fits every slice at once, from sums
+    down the columns of the grid's transposed c_obs matrix.
     """
     x = np.square(surface.grid.d_omega_axis)
     # the transpose of the grid's (nq, nw) c_obs matrix, one column per
@@ -216,13 +217,11 @@ def fit_tau_slices(surface: CorrelationSurface
     excess = c_obs - 1.0
     sig = _errors(c_obs, surface)
     usable = excess > 3.0 * sig
-    n_usable = usable.sum(axis=0)
-    slices = n_usable >= 3
+    slices = usable.sum(axis=0) >= 3
     if slices.sum() < 2:
         raise InsufficientDataError("insufficient significant points")
     excess, sig, usable = (a.compress(slices, axis=1)
                            for a in (excess, sig, usable))
-    n_usable = n_usable[slices]
     y = np.log(excess, out=np.zeros_like(excess), where=usable)
     noisy = surface.noise is not None
     w = np.where(usable, np.square(excess / sig) if noisy else 1.0, 0.0)
@@ -231,15 +230,14 @@ def fit_tau_slices(surface: CorrelationSurface
         raise InsufficientDataError(
             "negative slope variance: fitted slopes are non-negative")
     inside = usable & (x <= TAU_WINDOW / (-pooled))[:, None]
-    n_inside = inside.sum(axis=0)
-    keep = np.where(n_inside < 3, usable, inside)
+    keep = np.where(inside.sum(axis=0) < 3, usable, inside)
+    count = keep.sum(axis=0)
     slope, intercept, sxx = _line_fits(x, y, np.where(keep, w, 0.0))
     # the slope error is from the unscaled (X' W X)^-1, and zero for
     # noiseless data (unit weights): a residual-scaled error would conflate
     # model curvature with statistical scatter, which is exactly what the
     # parallelism test must not do
     slope_err = np.sqrt(1.0 / sxx) if noisy else np.zeros_like(slope)
-    count = np.where(n_inside < 3, n_usable, n_inside)
     resid = np.where(keep, y - (intercept + slope * x[:, None]), 0.0)
     rms = np.sqrt(np.einsum("ij,ij->j", resid, resid) / count)
     fits = SliceFits(np.compress(slices, surface.grid.q_axis), slope,

@@ -6,7 +6,8 @@ energy-smeared over a window smear_dw when one is given; the forward
 model, smearing included, lives in `correlators` alone.  `tabulate` is
 the one tabulation, for surfaces and the CLI alike, and the one place
 that finds a C that is not finite, raising ArithmeticError at the first
-such point in row-major order.  Counting noise is
+such point in row-major order.  Nothing silences numpy here: each closed
+form scopes the overflow that it turns into its limit.  Counting noise is
 Poisson on the coincidence numerator with a fixed expected denominator N
 per bin; the whole surface draws from one stream seeded by the noise seed,
 so generation is deterministic.
@@ -22,13 +23,15 @@ is 5, and '-0', '5.0' and '1e3' are not counts.  A file needs the grid
 (`q_values_per_um`, `d_omega_values_per_ps`), with `pairs_per_bin` and
 `seed` for counts; the source keys (`case`, `emission`, `tau_ps`, `R_um`,
 `rdot_um_per_ps`) are optional as a group, since an instrument records
-none: a file names no source or a complete, valid one.  One table,
-`_SOURCE_KEYS`, names each source key once with its SourceSpec field and
-parser; `spec_metadata` writes from it and the reader parses from it, so
-a value that does not parse, a bad `case` included, and a grid axis that
-fails GridSpec's check are rejected naming their key and file line.  A read
-surface computes c_true and sigma from its source on first access, and
-has none without one.  `inference` reads only the observation: the grid,
+none: a file names no source or a complete, valid one.  Any other key
+than those `surface_metadata` writes is rejected naming its file line,
+so a misspelled key is not ignored; a '#' line without '=' is a comment.
+One table, `_SOURCE_KEYS`, names each source key once with its
+SourceSpec field and parser; `spec_metadata` writes from it and the
+reader parses from it, so a value that does not parse, a bad `case`
+included, and a grid axis that fails GridSpec's check are rejected naming
+their key and file line.  A read surface computes c_true and sigma from
+its source on first access, and has none without one.  `inference` reads only the observation: the grid,
 c_obs, N and the smearing window, never c_true, sigma or the source.
 """
 
@@ -197,14 +200,14 @@ class CorrelationSurface:
         return getattr(self, name)
 
 
-# a closed form that overflows ends in the one error below, not in warnings
-@np.errstate(all="ignore")
 def tabulate(spec: SourceSpec, grid: GridSpec,
              smear_dw: Optional[float] = None) -> np.ndarray:
     """The excess C - 1 of every grid point as the grid's (nq, nw) matrix,
     in one call on its (nq, 1) q column and (nw,) d_omega row.  A C that is
     not finite raises ArithmeticError naming the first such point in
-    row-major order."""
+    row-major order.  Nothing here silences numpy: each closed form scopes
+    the overflow that it turns into its limit, so a point that is not
+    finite reaches this one error, not a warning."""
     e = excess(spec, grid.q_axis[:, None], grid.d_omega_axis, smear_dw)
     if not np.isfinite(e).all():
         i = np.argmin(np.isfinite(e))  # the first non-finite point
@@ -270,6 +273,14 @@ _SOURCE_KEYS = {
 }
 
 
+# Every key that `surface_metadata` writes.  The reader rejects any other
+# key, so a misspelled one, `smear_dw_ps` say, is an error, not a key
+# ignored and a fit made without what it names.
+_SURFACE_KEYS = frozenset(("artifact", *_SOURCE_KEYS, "q_values_per_um",
+                           "d_omega_values_per_ps", "pairs_per_bin", "seed",
+                           "smear_dw_per_ps", "units"))
+
+
 def format_value(x: float) -> str:
     return VALUE_FORMAT % x
 
@@ -320,7 +331,9 @@ def _counts(c_obs: np.ndarray, pairs_per_bin: int) -> np.ndarray:
     """The counts rint(c_obs N) as int64; a ValueError unless each is a
     count n, from 0 (not -0) to 2**53 - 1, whose n/N is c_obs (see
     _MAX_PAIRS_PER_BIN)."""
-    with np.errstate(all="ignore"):  # NaN and overflow fail the check
+    # an overflowing c_obs N fails the check, as NaN and +-inf do (they
+    # raise nothing)
+    with np.errstate(over="ignore"):
         n = np.rint(c_obs * pairs_per_bin)
         exact = (~np.signbit(n) & (n < _COUNT_LIMIT)
                  & (n / pairs_per_bin == c_obs))
@@ -449,7 +462,8 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     from the counts of a noisy file, as `generate` divides), the grid, the
     source if the file names one, and the rest from its metadata.  c_true
     and sigma are left to be computed on first access (CorrelationSurface).
-    Malformed input raises ValueError, a partial or invalid source and a
+    Malformed input raises ValueError, a metadata key that
+    `surface_metadata` does not write, a partial or invalid source and a
     window the source could not be smeared over included; the metadata is
     checked first, then the header it implies, then the rows."""
     with open(path) as fh:
@@ -460,6 +474,10 @@ def read_surface_csv(path: str) -> CorrelationSurface:
     meta, line_of = _parse_metadata(lines[:i_header])
     if meta.get("artifact") != "correlation_surface":
         raise ValueError("not a correlation surface CSV")
+    unknown = next((key for key in meta if key not in _SURFACE_KEYS), None)
+    if unknown is not None:
+        raise ValueError(f"surface CSV line {line_of[unknown]}: unknown "
+                         f"metadata key '{unknown}'")
     sourced = not meta.keys().isdisjoint(_SOURCE_KEYS)
     q_key, dw_key = "q_values_per_um", "d_omega_values_per_ps"
     # a source needs the key of each field that cannot be None

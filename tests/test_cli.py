@@ -182,6 +182,24 @@ def test_negative_exponent_value_after_a_space(capsys):
     assert spaced == joined == (0, "C = 1.1839395366460925\n", "")
 
 
+def test_out_path_that_starts_with_a_dash(capsys, tmp_path, monkeypatch):
+    # '--out -a.csv' reads the path as '--out=-a.csv' does, and fit takes
+    # such a path after '--'
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "synth", "--case", "A", "--out", "-a.csv") == (0, "",
+                                                                      "")
+    assert run(capsys, "synth", "--case", "A", "--out=-b.csv")[0] == 0
+    assert (tmp_path / "-a.csv").read_bytes() == (
+        tmp_path / "-b.csv").read_bytes()
+    code, out, err = run(capsys, "fit", "--", "-a.csv")
+    assert (code, err) == (0, "")
+    assert out.startswith("chaoticity = chaotic\n")
+    # an option after --out is not its path
+    assert run(capsys, "synth", "--case", "A", "--out", "--coherent") == (
+        1, "", "error: argument --out: expected one argument\n")
+    assert not (tmp_path / "--coherent").exists()
+
+
 @pytest.mark.parametrize("argv", [["--d", "-1e-3"], ["--d=-1e-3"]])
 def test_abbreviated_option_is_rejected(capsys, argv):
     # every option has one spelling, so '--d' is not '--dw' after a space
@@ -355,8 +373,10 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--q-grid", "0:3", "--out", "{out}"],
      "error: bad grid '0:3', expected min:max:n\n"),
+    # the oracle's own rule: check computes every point before it opens
+    # --out, so no file is written
     (["check", "--case", "A", "--coherent", "--out", "{out}"],
-     "error: check compares chaotic closed forms to the oracle\n"),
+     "error: the oracle applies to chaotic sources\n"),
     # check builds its grid as synth does: min = max over three points is
     # one q three times
     (["check", "--case", "A", "--q-grid", "1:1:3", "--dw-grid", "0:0:2",
@@ -894,6 +914,38 @@ def test_fit_rejects_a_metadata_key_given_twice(capsys, tmp_path, key):
     path.write_text("".join(head + rows))
     assert_rejected(capsys, path, f"surface CSV lines {line + 1} and "
                     f"{len(head) - 1}: {key} given twice")
+
+
+@pytest.mark.parametrize("old, new", [
+    # with its window key misspelled, a smeared surface would fit as an
+    # unsmeared one and print a tau of 0.046 ps for a true 1 ps
+    ("# smear_dw_per_ps = 2\n", "# smear_dw_ps = 2\n"),
+    ("# units = ", "# detector = spad\n# units = "),
+], ids=["misspelled", "invented"])
+def test_fit_rejects_a_metadata_key_it_does_not_write(capsys, tmp_path, old,
+                                                      new):
+    path = tmp_path / "surf.csv"
+    code, _, _ = run(capsys, "synth", "--case", "D", "--smear-dw", "2",
+                     "--pairs-per-bin", "1000000", "--seed", "2", "--out",
+                     str(path))
+    assert code == 0
+    text = path.read_text()
+    line = text[:text.index(old)].count("\n") + 1
+    key = new[2:].split(" =")[0]
+    path.write_text(text.replace(old, new))
+    assert_rejected(capsys, path, f"surface CSV line {line}: unknown "
+                    f"metadata key '{key}'")
+
+
+def test_fit_reads_a_metadata_line_without_equals_as_a_comment(capsys,
+                                                               tmp_path):
+    path = tmp_path / "surf.csv"
+    head, rows = write_default_surface(capsys, path)
+    before = run(capsys, "fit", str(path))
+    assert before[0] == 0
+    path.write_text("".join(head[:-1] + ["# taken on the bench\n"]
+                            + head[-1:] + rows))
+    assert run(capsys, "fit", str(path)) == before
 
 
 @pytest.mark.parametrize("case, edits", [

@@ -18,7 +18,7 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.synth import (GridSpec, NoiseSpec, generate,
-                             read_surface_csv, write_surface_csv)
+                             read_surface_csv, tabulate, write_surface_csv)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=50)
@@ -75,6 +75,53 @@ def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
     series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
     direct = case_e_excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
     np.testing.assert_allclose(series, direct, rtol=1e-7, atol=0.0)
+
+
+def log_uniform(lo_exp, hi_exp):
+    """Floats 10**e with e uniform in [lo_exp, hi_exp]."""
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(
+        lambda e: 10.0 ** e)
+
+
+magnitudes = log_uniform(-320.0, 308.0)
+
+
+@st.composite
+def extreme_sources(draw):
+    """A source of any case and emission with tau (and R) from 1e-300 to
+    1e300 and r_dot up to 0.0099 c, and a window from 1e-300 to 1e308 or
+    none for A-D (E cannot be smeared)."""
+    case = draw(st.sampled_from(SourceCase))
+    emission = draw(st.sampled_from(Emission))
+    tau = draw(log_uniform(-300.0, 300.0))
+    if case is SourceCase.E_EXPANDING_SHOCK:
+        r_dot = draw(log_uniform(-300.0, math.log10(0.0099))) * C_UM_PER_PS
+        return SourceSpec(case=case, tau=tau, r_dot=r_dot,
+                          emission=emission), None
+    return (SourceSpec(case=case, tau=tau, R=draw(log_uniform(-300.0, 300.0)),
+                       emission=emission),
+            draw(st.none() | log_uniform(-300.0, 308.0)))
+
+
+@PROPERTY_SETTINGS
+@given(extreme_sources(),
+       st.lists(st.just(0.0) | magnitudes, min_size=1, max_size=4,
+                unique=True),
+       st.lists(st.just(0.0) | magnitudes | magnitudes.map(lambda x: -x),
+                min_size=1, max_size=4, unique=True))
+def test_tabulate_is_finite_or_raises_its_one_error(source, q, d_omega):
+    # nothing in tabulate silences numpy: tier-1 turns a RuntimeWarning
+    # from any closed form into a failure, so each must scope the overflow
+    # that it turns into its limit
+    spec, smear_dw = source
+    grid = GridSpec(q_values=sorted(q), d_omega_values=sorted(d_omega))
+    try:
+        e = tabulate(spec, grid, smear_dw)
+    except ArithmeticError as exc:
+        assert str(exc).startswith("C is not finite at q = ")
+        return
+    assert e.shape == (len(q), len(d_omega))
+    assert np.isfinite(e).all()
 
 
 # --- the input boundary -----------------------------------------------------
