@@ -29,28 +29,44 @@ a± = 1 ± mu z±,
     Re I = 2 (a+ D(z+) - a- D(z-) - mu),
     Im I = -sqrt(pi) (a+ exp(-z+^2) - a- exp(-z-^2)).
 
-Below mu = 0.01 the 0/0 form is replaced by its series through mu^4,
-s = 2 M_3 - (mu^2/5) M_5 + (mu^4/140) M_7 with |s| = |F/F(0,0)|, M_n the
-moment of x^n exp(-x^2 + i y x) over x = t/tau > 0.  Their recurrence
-2 M_n = i y M_{n-1} + (n-1) M_{n-2} (+1 at n = 1) from M_0 = a + i b,
-a = (sqrt(pi)/2) exp(-y^2/4) and b = D(y/2), sums to s = P (b - i a) + Q:
+The direct form is 0/0 at mu = 0 and loses about eps/mu^3 of its relative
+accuracy to cancellation above it.  So small mu takes the series of
+s = F/F(0,0) in powers of mu^2, a sum over orders k carried through mu^14:
 
-    P = y [y^2/4 - 3/2 + mu^2 (y^4/160 - y^2/8 + 3/8)
-           + mu^4 (y^6/17920 - 3 y^4/1280 + 3 y^2/128 - 3/64)],
-    Q = 1 - y^2/4 + mu^2 (-y^4/160 + 9 y^2/80 - 1/5)
-        + mu^4 (-y^6/17920 + y^4/448 - 87 y^2/4480 + 3/140),
+    s = 6 sum_(k=0..7) (-1)^k mu^(2k) (2k+2)/(2k+3)! M_(2k+3)(y),
 
-so the series excess (1/2) [(P D(y/2) + Q)^2 + (pi/4) P^2 exp(-y^2/2)] is
-real arithmetic too.  Smeared case D takes Si from `sine_integral`.
+with M_n the moment of x^n exp(-x^2 + i y x) over x = t/tau > 0.  Their
+recurrence 2 M_n = i y M_(n-1) + (n-1) M_(n-2) (+1 at n = 1) from
+M_0 = a + i b, a = (sqrt(pi)/2) exp(-y^2/4) and b = D(y/2), sums to
+s = P (b - i a) + Q, with P / y and Q polynomials in y^2 and mu^2 whose
+coefficients `tools/case_e_series.py` writes (`_SERIES_P`, `_SERIES_Q`).
+Through mu^2,
+
+    P = y [y^2/4 - 3/2 + mu^2 (y^4/160 - y^2/8 + 3/8) + ...],
+    Q = 1 - y^2/4 + mu^2 (-y^4/160 + 9 y^2/80 - 1/5) + ...,
+
+so the series excess (1/2) [(P b + Q)^2 + (P a)^2] is real arithmetic too.
+Each order's P / y and Q, D(y/2) and exp(-y^2/4) are computed on y's
+shape, a grid's d_omega row; only the sums of P / y and Q over the powers
+of mu^2, and the last few products, run on the broadcast shape.
+
+Two thresholds pick the branch: the series where mu <= MU_SERIES_MAX and
+mu |y| <= MU_Y_SERIES_MAX, the direct form elsewhere, where mu > 0.  The
+series' P b + Q cancels like the upward moment recurrence (Gautschi, SIAM
+Review 9 (1967) 24), and the terms of its sum over orders grow like
+(mu y)^(2k), so large mu |y| takes the direct form.  Both branches lose
+every digit far out in |y| (ROADMAP item 6).  Smeared case D takes Si from
+`sine_integral`.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
 `case_e_excess` broadcast q against d_omega (a `(nq, 1)` q column and an
 `(nw,)` d_omega row give the `(nq, nw)` grid), so a whole surface is one
 call; case E picks the direct form or the series per point by a mask on
-mu.  Scalars in give a scalar out.
+mu and mu |y|.  Scalars in give a scalar out.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -94,12 +110,68 @@ _SHAPE_CONSTANT = {SourceCase.A_GAUSSIAN: 1.0, SourceCase.B_SHELL: 1.0 / 3.0,
 
 FACTORIZED_CASES = tuple(_SHAPE_CONSTANT)
 
-# Switch to the series branch of case E below this mu: the direct form loses
-# ~|eps/mu^3| relative accuracy to cancellation, the series is exact to
-# O(mu^6) there.
-MU_SERIES_MAX = 0.01
+# Case E takes its series where mu <= MU_SERIES_MAX and
+# mu |y| <= MU_Y_SERIES_MAX, and the direct form elsewhere.  Both bounds and
+# the series' order are read off the mpmath table in tests/data, which
+# tools/mpmath_references.py writes and reports on: below them the series
+# through mu^14 is within 7e-14 of it for |y| <= 5, the direct form is
+# within 6e-14 above mu = 0.55, and for |y| <= 1e8 the excess stays in
+# [0, 1/2] (through mu^12, no switch gets both branches within 1e-13).
+MU_SERIES_MAX = 0.55
+MU_Y_SERIES_MAX = 3.0
+
+# Case E's series, s = P (b - i a) + Q (module docstring), written by
+# tools/case_e_series.py: row k holds the coefficients of y^0, y^2, ... in
+# the mu^(2k) term of P / y and of Q.
+_SERIES_P = (
+    (-3 / 2, 1 / 4),
+    (3 / 8, -1 / 8, 1 / 160),
+    (-3 / 64, 3 / 128, -3 / 1280, 1 / 17920),
+    (1 / 256, -1 / 384, 1 / 2560, -1 / 53760, 1 / 3870720),
+    (-1 / 4096, 5 / 24576, -1 / 24576, 1 / 344064, -1 / 12386304,
+     1 / 1362493440),
+    (1 / 81920, -1 / 81920, 1 / 327680, -1 / 3440640, 1 / 82575360,
+     -1 / 4541644800, 1 / 708496588800),
+    (-1 / 1966080, 7 / 11796480, -7 / 39321600, 1 / 47185920, -1 / 849346560,
+     1 / 31142707200, -1 / 2429131161600, 1 / 510117543936000),
+    (1 / 55050240, -1 / 41287680, 1 / 117964800, -1 / 825753600,
+     1 / 11890851840, -1 / 326998425600, 1 / 17003918131200,
+     -1 / 1785411403776000, 1 / 485631901827072000),
+)
+_SERIES_Q = (
+    (1, -1 / 4),
+    (-1 / 5, 9 / 80, -1 / 160),
+    (3 / 140, -87 / 4480, 1 / 448, -1 / 17920),
+    (-1 / 630, 65 / 32256, -23 / 64512, 1 / 55296, -1 / 3870720),
+    (1 / 11088, -281 / 1892352, 29 / 811008, -67 / 24330240, 1 / 12615680,
+     -1 / 1362493440),
+    (-1 / 240240, 119 / 14057472, -1093 / 421724160, 63 / 234291200,
+     -23 / 1968046080, 1 / 4600627200, -1 / 708496588800),
+    (1 / 6177600, -9949 / 25303449600, 103 / 702873600, -647 / 33737932800,
+     1 / 894566400, -121 / 3864526848000, 1 / 2452488192000,
+     -1 / 510117543936000),
+    (-1 / 183783600, 6871 / 446090444800, -10889 / 1605925601280,
+     1567 / 1459932364800, -1607 / 20439053107200, 139 / 47167045632000,
+     -1 / 17326669824000, 1 / 1798636673433600, -1 / 485631901827072000),
+)
+
+
+def _series_coefficients(p_rows, q_rows) -> np.ndarray:
+    """The (J, K, 2) array of the coefficients in rows like `_SERIES_P`
+    and `_SERIES_Q`: entry [j, k] belongs to y^(2 (J-1-j)) mu^(2 (K-1-k)).
+    Highest powers come first, so for mu < 1 each sum over orders adds its
+    smallest terms first."""
+    coef = np.zeros((max(map(len, p_rows)), len(p_rows), 2))
+    for k, (p, q) in enumerate(zip(p_rows, q_rows)):
+        coef[:len(p), k, 0] = p
+        coef[:len(q), k, 1] = q
+    return coef[::-1, ::-1].copy()
+
+
+_SERIES_COEF = _series_coefficients(_SERIES_P, _SERIES_Q)
 
 _SQRT3 = math.sqrt(3.0)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -255,66 +327,84 @@ def phi_of_X(case: SourceCase, X: Values) -> Values:
 
 
 def _case_e_direct(y: Values, mu: Values) -> np.ndarray:
-    """9 |I|^2 / (8 mu^6) at points with mu > MU_SERIES_MAX, from Re I
-    and Im I in real arithmetic (module docstring)."""
-    # far out on either axis mu^2, z±^2 and mu z± overflow to inf, which is
-    # handled below; numpy would warn, so each of them is computed here
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu2 = mu * mu
-        z_plus, z_minus = (y + mu) / 2.0, (y - mu) / 2.0
-        mz_plus, mz_minus = mu * z_plus, mu * z_minus
-        a_plus, a_minus = 1.0 + mz_plus, 1.0 - mz_minus
-        re_i = 2.0 * (a_plus * dawson(z_plus) - a_minus * dawson(z_minus)
-                      - mu)
-        # Im I = -sqrt(pi) im_i, so |I|^2 takes pi im_i^2
-        im_i = (a_plus * np.exp(-np.square(z_plus))
-                - a_minus * np.exp(-np.square(z_minus)))
-        mu6 = mu2 * mu2 * mu2
-        value = 9.0 * (re_i * re_i + math.pi * (im_i * im_i)) / (8.0 * mu6)
-    # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu), the
-    # excess is below 1e-200, and the direct form gives 0 or NaN there:
-    # return its q, d_omega -> inf limit 0.
-    far = np.isinf(mu6) | np.isinf(mz_plus) | np.isinf(mz_minus)
+    """9 |I|^2 / (8 mu^6) at points with mu > 0, from Re I and Im I in
+    real arithmetic (module docstring)."""
+    mu2 = mu * mu
+    z_plus, z_minus = (y + mu) / 2.0, (y - mu) / 2.0
+    mz_plus, mz_minus = mu * z_plus, mu * z_minus
+    a_plus, a_minus = 1.0 + mz_plus, 1.0 - mz_minus
+    re_i = 2.0 * (a_plus * dawson(z_plus) - a_minus * dawson(z_minus) - mu)
+    # Im I = -sqrt(pi) im_i, so |I|^2 takes pi im_i^2
+    im_i = (a_plus * np.exp(-np.square(z_plus))
+            - a_minus * np.exp(-np.square(z_minus)))
+    mu6 = mu2 * mu2 * mu2
+    value = 9.0 * (re_i * re_i + math.pi * (im_i * im_i)) / (8.0 * mu6)
+    # Where mu^6 or mu z± overflow (mu > 1e51, or |z±| > 1e257 / mu), or
+    # mu^6 underflows and the quotient is inf (mu < 1e-51, so |y| > 1e51
+    # here), the excess is below 1e-200, and the direct form gives 0, inf
+    # or NaN there: return its limit 0.
+    far = (np.isinf(mu6) | np.isinf(value) | np.isinf(mz_plus)
+           | np.isinf(mz_minus))
     return np.where(far, 0.0, value)
 
 
-# far out in y the series is NaN, which callers report; numpy would warn
-@np.errstate(over="ignore", invalid="ignore")
-def _case_e_series(y: Values, mu: Values) -> Values:
-    """(1/2) |s|^2 from P and Q (module docstring), exact to O(mu^6)."""
-    y2, mu2 = y * y, mu * mu
-    mu4 = mu2 * mu2
-    P = y * ((y2 / 4.0 - 1.5) + mu2 * (0.375 - y2 * (0.125 - y2 / 160.0))
-             - mu4 * (3.0 / 64.0 - y2 * (3.0 / 128.0 - y2 * (
-                 3.0 / 1280.0 - y2 / 17920.0))))
-    Q = ((1.0 - y2 / 4.0) - mu2 * (0.2 - y2 * (9.0 / 80.0 - y2 / 160.0))
-         + mu4 * (3.0 / 140.0 - y2 * (87.0 / 4480.0 - y2 * (
-             1.0 / 448.0 - y2 / 17920.0))))
-    re_s = P * dawson(0.5 * y) + Q
-    return CHAOTICITY * (re_s * re_s
-                         + (math.pi / 4.0) * (P * P) * np.exp(-0.5 * y2))
+@functools.lru_cache(maxsize=None)
+def _exponents(n: int, ndim: int) -> np.ndarray:
+    """n - 1, ..., 1, 0 along the first of 1 + ndim axes."""
+    return np.arange(n - 1, -1, -1, dtype=float).reshape((n,) + (1,) * ndim)
 
 
+def _case_e_series(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(1/2) |s|^2 through mu^14 (module docstring).
+
+    Each sum is one `einsum` over the first axis of its operands, which the
+    output lacks; the output's last axis is contiguous, and so is an
+    operand along it.  That holds for any shapes of y and mu, so einsum
+    runs its loop along that axis, and every output element takes its
+    terms in order, one multiply-add each: a point gives the same bits
+    alone and in a grid."""
+    y2 = y * y
+    n_y, n_mu, _ = _SERIES_COEF.shape
+    # P / y and Q of every order at y, (K, 2, *y.shape)
+    pq = np.einsum("jkc,j...->kc...", _SERIES_COEF,
+                   y2 ** _exponents(n_y, y2.ndim))
+    # their sums over the orders, weighted by mu^(2k)
+    mu2 = mu * mu
+    p_sum, q_sum = np.einsum("k...,kc...->c...",
+                             mu2 ** _exponents(n_mu, mu2.ndim), pq)
+    # s = y p_sum (b - i a) + q_sum
+    re = y * dawson(0.5 * y) * p_sum + q_sum
+    im = y * (_HALF_SQRT_PI * np.exp(-0.25 * y2)) * p_sum
+    return CHAOTICITY * (re * re + im * im)
+
+
+# Far out on either axis the squares and products in both branches
+# overflow, the direct form's limit is taken at the points where they do,
+# and the series is NaN there, which callers report: numpy's warnings would
+# only be noise on stderr.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
-    """C - 1 for case E with q broadcast against d_omega: the direct
-    form where mu = r_dot tau q > MU_SERIES_MAX, the small-mu
-    series elsewhere.  Each branch is evaluated once, on the points the
-    mask on mu gives it, or on the inputs as they are when it has them
-    all.  A negative or NaN q raises ValueError."""
+    """C - 1 for case E with q broadcast against d_omega: the small-mu
+    series where mu = r_dot tau q <= MU_SERIES_MAX and
+    mu |d_omega tau| <= MU_Y_SERIES_MAX, the direct form elsewhere.  Each
+    branch is evaluated once, on the points the mask gives it, or on the
+    inputs as they are when it has them all.  A negative or NaN q raises
+    ValueError."""
     if spec.case is not SourceCase.E_EXPANDING_SHOCK:
         raise ValueError("case_e_excess is defined for case E only")
-    # [()] keeps a scalar q a numpy scalar, whose arithmetic costs less
-    # than a 0-d array's
+    # [()] keeps a scalar q or d_omega a numpy scalar, whose arithmetic
+    # costs less than a 0-d array's and whose ndim the series reads
     q = np.asarray(q, dtype=float)[()]
-    with np.errstate(over="ignore"):
-        mu = spec.r_dot * spec.tau * q
-        y = d_omega * spec.tau
-    direct = mu > MU_SERIES_MAX
-    if direct.all():  # mu > MU_SERIES_MAX > 0, so every q is positive
+    mu = spec.r_dot * spec.tau * q
+    y = np.asarray(d_omega, dtype=float)[()] * spec.tau
+    # a negative, 0 or NaN mu fails both tests, so the direct form gets
+    # mu > 0 only; q >= 0 fails for a NaN q too
+    direct = (mu > MU_SERIES_MAX) | (mu * abs(y) > MU_Y_SERIES_MAX)
+    if not np.count_nonzero(direct | ~(q >= 0.0)):
+        return _case_e_series(y, mu)[()]
+    if direct.all():
         return _case_e_direct(y, mu)[()]
     _check_q(q)
-    if not direct.any():
-        return _case_e_series(y, mu)[()]
     y, mu, direct = np.broadcast_arrays(y, mu, direct)
     series = ~direct
     out = np.empty(mu.shape)

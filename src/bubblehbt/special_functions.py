@@ -12,6 +12,7 @@ half-plane, its parts are +-inf.  This is the one module that loads
 scipy.special: `faddeeva`, `dawson` and `sine_integral`, each when called.
 """
 
+import functools
 import math
 from typing import Union
 
@@ -28,6 +29,15 @@ _LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
 _TINY = float(np.finfo(float).tiny)
 
 
+@functools.lru_cache(maxsize=None)
+def _scipy_special():
+    """scipy.special, imported on the first call that needs it; an import
+    statement in each function would cost more than dawsn itself."""
+    from scipy import special
+
+    return special
+
+
 def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz), whole complex plane.
 
@@ -35,9 +45,7 @@ def faddeeva(z: Union[complex, np.ndarray]) -> Union[complex, np.ndarray]:
     half-plane itself, where w grows like exp(Im(z)^2); a part too large
     for double precision is +-inf.
     """
-    from scipy import special
-
-    return special.wofz(np.asarray(z, dtype=complex))
+    return _scipy_special().wofz(np.asarray(z, dtype=complex))
 
 
 def dawson(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -47,16 +55,12 @@ def dawson(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     scipy's dawsn is the same Faddeeva Package as `faddeeva`, so
     D(x) = (sqrt(pi)/2) Im w(x) there.
     """
-    from scipy import special
-
-    return special.dawsn(np.asarray(x, dtype=float))
+    return _scipy_special().dawsn(np.asarray(x, dtype=float))
 
 
 def sine_integral(x: float) -> float:
     """Si(x) = integral_0^x sin(t)/t dt for real x, from scipy's sici."""
-    from scipy import special
-
-    return special.sici(x)[0]
+    return _scipy_special().sici(x)[0]
 
 
 def erfc_real(x: float) -> float:

@@ -53,17 +53,23 @@ ROWS = [
     *(Row(f"check --case {case} --q-grid 0:6:5 --dw-grid 0:6:5")
       for case in "BCD"),
     Row("check --case E --q-grid 0.2:2:4 --dw-grid 0:2:4"),
-    # through case E's q = 0 integrand and negative QAWO frequencies, and on
-    # its small-mu series (mu <= 0.0096 at the default r_dot)
+    # through case E's q = 0 integrand and negative QAWO frequencies, on its
+    # small-mu series (mu <= 0.12 and mu <= 0.0096 at the default r_dot),
+    # and on the series from mu = 0.0102, just above its old switch at 0.01,
+    # to 0.546, just below MU_SERIES_MAX: against mpmath the oracle's excess
+    # is within 3e-9 there out to |d_omega tau| = 8 (1e-8 to 3e-8 at 10)
     *(Row(f"check --case E {grid} --out {name}", err=1,
           grep=[(name, r"^# max_relative_(?:excess_)?deviation = (\S+)$", 2,
                  1e-8)])
       for grid, name in [("--q-grid 0:2:5 --dw-grid -2:2:5", "e_check.csv"),
-                         ("--q-grid 0:0.16:5 --dw-grid -5:5:11", "es.csv")]),
+                         ("--q-grid 0:0.16:5 --dw-grid -5:5:11", "es.csv"),
+                         ("--q-grid 0.17:9.1:5 --dw-grid -8:8:9",
+                          "em.csv")]),
     Row("eval --q 1 --d -1e-3", code=1,
         err="error: unrecognized arguments: --d -1e-3\n"),
-    # past case E's series range (d_omega tau from 6e23 to 4e51 as mu falls
-    # from 0.0099 to 0) C is NaN; check says so before any oracle call
+    # at q = 0 case E takes its series whatever d_omega, and past
+    # d_omega tau = 2.5e19 its powers of y^2 overflow: C is NaN; check says
+    # so before any oracle call
     Row("eval --case E --q 0 --dw 1e100", code=2,
         err="error: C is not finite at q = 0, d_omega = 1e+100\n"),
     Row("check --case E --q-grid 0:0.1:2 --dw-grid 0:1e60:2 --out nan.csv",

@@ -1,6 +1,8 @@
 """Closed-form correlators: frozen values, invariants, oracle agreement."""
 
+import csv
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -224,24 +226,28 @@ def test_case_e_branches_agree_in_their_overlap(monkeypatch):
 
 
 def series_reference(y, mu):
-    """(1/2) |2 M_3 - (mu^2/5) M_5 + (mu^4/140) M_7|^2, the series that
-    `case_e_excess` sums below MU_SERIES_MAX, at 50 digits: M_0 from
-    exp and erfi, the moments by their recurrence."""
+    """(1/2) |s|^2 at 50 digits, s = 6 sum_k (-1)^k mu^(2k) (2k+2)/(2k+3)!
+    M_(2k+3) over the orders that `case_e_excess` sums below MU_SERIES_MAX:
+    M_0 from exp and erfi, the moments by their recurrence."""
+    orders = corr._SERIES_COEF.shape[1]
     with mpmath.workdps(50):
         y, mu = mpmath.mpf(y), mpmath.mpf(mu)
         a = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-y * y / 4)
         m = [mpmath.mpc(a, a * mpmath.erfi(y / 2))]
         m.append((1j * y * m[0] + 1) / 2)
-        for n in range(2, 8):
+        for n in range(2, 2 * orders + 2):
             m.append((1j * y * m[n - 1] + (n - 1) * m[n - 2]) / 2)
-        s = 2 * m[3] - mu ** 2 / 5 * m[5] + mu ** 4 / 140 * m[7]
+        s = sum(6 * (-1) ** k * mu ** (2 * k) * (2 * k + 2)
+                / mpmath.factorial(2 * k + 3) * m[2 * k + 3]
+                for k in range(orders))
         return float(abs(s) ** 2 / 2)
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.003, 0.0099])
+@pytest.mark.parametrize("mu", [0.0, 0.003, 0.0099, 0.54])
 def test_case_e_series_matches_its_high_precision_sum(mu):
-    # the series' polynomials against the same series summed at 50 digits;
-    # both lose digits to the same cancellation as |y| grows
+    # the series' polynomials against the same series summed at 50 digits,
+    # up to just below MU_SERIES_MAX; both lose digits to the same
+    # cancellation as |y| grows
     s = spec(E)
     q = mu / (s.r_dot * s.tau)
     mu = s.r_dot * s.tau * q  # the mu that case_e_excess computes
@@ -276,8 +282,9 @@ def test_case_e_depends_on_tau_only_through_scaled_arguments(tau):
     # the excess is a function of mu = r_dot tau q and d_omega tau alone, so
     # (q/tau, d_omega/tau) at tau gives the value at tau = 1.  Just above
     # MU_SERIES_MAX the direct form amplifies the rounding of q/tau by about
-    # 1/mu^3; the series branch carries no power of tau
-    q = np.linspace(0.0, 3.0, 61)[:, None]
+    # 1/mu^3; the series branch carries no power of tau.  q reaches
+    # mu = 0.72, past MU_SERIES_MAX, and mu |y| stays below MU_Y_SERIES_MAX
+    q = np.linspace(0.0, 12.0, 61)[:, None]
     dw = np.linspace(-2.0, 2.0, 41)
     reference = case_e_excess(spec(E), q, dw)
     scaled = case_e_excess(spec(E, tau=tau), q / tau, dw / tau)
@@ -303,7 +310,8 @@ def test_case_e_against_oracle():
 # mpmath at 80 digits (140 digits agree to 4e-35 relative): for mu > 0 the
 # direct form with w(x) = exp(-x^2) erfc(-ix), at mu = 0 its limit
 # (1/2) |2 M_3 / tau^4|^2, with M_n from the recurrence on M_0.  Q_E puts
-# mu = 0.0101 just above MU_SERIES_MAX, the direct form's worst point.
+# mu = 0.0101 just above the series switch of 0.01 that case E had until
+# the switch moved to MU_SERIES_MAX, where the direct form was worst.
 Q_E = 0.0101 / REFERENCE_RDOT
 CASE_E_REFERENCES = [
     (0.0, 0.0, 0.5),
@@ -341,6 +349,63 @@ CASE_E_FAILING_REFERENCES = [
 def test_case_e_matches_pinned_references(q, dw, reference):
     got = correlation(spec(E), q, dw).excess
     assert abs(got - reference) <= 1e-8 * reference
+
+
+# --- case E against the mpmath table -----------------------------------------
+
+def mpmath_table(form):
+    """(arg0, arg1, value) arrays of the rows of `form` in the table that
+    tools/mpmath_references.py writes."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "mpmath_references.csv")
+    with open(path) as fh:
+        rows = [row for row in csv.DictReader(
+            line for line in fh if not line.startswith("#"))
+            if row["form"] == form]
+    return tuple(np.array([float(row[key]) for row in rows])
+                 for key in ("arg0", "arg1", "value"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_case_e_matches_the_mpmath_table():
+    # the table's arguments are mu and y; at tau = 1 and r_dot = 1 they are
+    # q and d_omega themselves
+    mu, y, reference = mpmath_table("case_e_excess")
+    s = spec(E, r_dot=1.0)
+    got = case_e_excess(s, mu, y)
+    rel = np.abs(got - reference) / reference
+    grid = np.abs(y) <= 10.0
+    assert mu[grid].max() == 1.0 and np.abs(y[grid]).max() == 10.0
+    assert ((mu == 0.0) & (y == 0.0)).any()
+    # both branches and the switches between them: 6.7e-14 at worst
+    assert rel[np.abs(y) <= 5.0].max() <= 1e-13
+    # further out both branches cancel (ROADMAP item 6): 1.4e-11 at worst
+    assert rel[grid].max() <= 3e-11
+    # the three points past the grid are the pinned references' xfails
+    onset = np.abs(y) > 10.0
+    np.testing.assert_allclose(reference[onset], [
+        r for *_, r in CASE_E_FAILING_REFERENCES], rtol=1e-15, atol=0.0)
+
+
+# mu = r_dot tau q and |y| = |d_omega| tau on log grids from 1e-12 and 1e-3,
+# each with 0
+BOUNDS_MU = np.concatenate(([0.0], np.geomspace(1e-12, 3.2, 300)))
+BOUNDS_Y = np.concatenate(([0.0], np.geomspace(1e-3, 1e9, 200)))
+
+
+@pytest.mark.parametrize("far", [False, pytest.param(True, marks=(
+    pytest.mark.xfail(strict=True, reason="past |y| = 1.2e8 both case E "
+                      "branches cancel to any value (ROADMAP item 6)")))],
+    ids=["y_to_1e8", "y_past_1e8"])
+def test_case_e_excess_lies_between_0_and_one_half(far):
+    # the chaotic bound holds at every (mu, y) with |y| <= 1e8.  Before the
+    # branch rule took mu |y| into account, 4,127 of the 60,501 points fell
+    # outside it, 2,355 of them with |y| <= 1e8, up to 7.5e50, and
+    # `eval --case E --q 0.01668 --dw 1e6` printed C = 33554433
+    s = spec(E, r_dot=1.0)
+    y = BOUNDS_Y[(BOUNDS_Y > 1e8) == far]
+    excess = case_e_excess(s, BOUNDS_MU[:, None], y)
+    assert ((0.0 <= excess) & (excess <= CHAOTICITY)).all()
 
 
 # --- q broadcast against d_omega ---------------------------------------------

@@ -67,14 +67,15 @@ def test_coherent_correlation_is_one(spec, q, d_omega):
        st.floats(min_value=-5.0, max_value=5.0))
 def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
     # just below and just above mu = MU_SERIES_MAX, the series and the
-    # direct form give the same excess.  |d_omega tau| stays <= 5: further
-    # out, the series' P D(y/2) + Q loses digits to cancellation (a 7e-6
-    # gap at d_omega tau = 20-30, ROADMAP item 6), which this does not test.
+    # direct form give the same excess: both are within 1e-13 of mpmath
+    # there (tests/data/mpmath_references.csv).  |d_omega tau| stays <= 5,
+    # so mu |y| stays below MU_Y_SERIES_MAX: further out, both branches lose
+    # digits to cancellation (ROADMAP item 6), which this does not test.
     q_switch = MU_SERIES_MAX / (spec.r_dot * spec.tau)
     d_omega = np.array([d_omega_tau / spec.tau])
     series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
     direct = case_e_excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
-    np.testing.assert_allclose(series, direct, rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(series, direct, rtol=1e-12, atol=0.0)
 
 
 def log_uniform(lo_exp, hi_exp):

@@ -171,11 +171,10 @@ def test_c_true_equals_pointwise_correlation():
                                                  surf.d_omega[i]).c
 
 
-def test_case_e_surface_is_one_evaluation(monkeypatch):
-    # the first rows take the series, the others the direct form: two
-    # Dawson calls (z+ and z-) for the direct form, then one (y/2) for the
-    # series' polynomials, each on all of its branch's points; w is never
-    # called, and a smeared D surface takes Si from special_functions
+@pytest.fixture
+def special_calls(monkeypatch):
+    """The shapes that correlators passes to faddeeva, dawson and
+    sine_integral, per function, from here on."""
     calls = {"faddeeva": [], "dawson": [], "sine_integral": []}
 
     def counted(name, func):
@@ -187,9 +186,19 @@ def test_case_e_surface_is_one_evaluation(monkeypatch):
     for name, func in [("faddeeva", faddeeva), ("dawson", dawson),
                        ("sine_integral", sine_integral)]:
         monkeypatch.setattr(correlators, name, counted(name, func))
+    return calls
+
+
+def test_case_e_surface_is_one_evaluation(special_calls):
+    # the first rows take the series, the others the direct form: two
+    # Dawson calls (z+ and z-) for the direct form, then one (y/2) for the
+    # series, each on all of its branch's points; w is never called, and a
+    # smeared D surface takes Si from special_functions.  q reaches
+    # mu = 0.72 at the default r_dot, past MU_SERIES_MAX
+    calls = special_calls
     shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
                        r_dot=2e-4 * C_UM_PER_PS)
-    grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, 61)),
+    grid = GridSpec(q_values=tuple(np.linspace(0.0, 12.0, 61)),
                     d_omega_values=tuple(np.linspace(0.0, 2.0, 9)))
     generate(shock, grid, noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=1))
     series_rows = int(np.sum(shock.r_dot * np.asarray(grid.q_values)
@@ -202,6 +211,22 @@ def test_case_e_surface_is_one_evaluation(monkeypatch):
     generate(SourceSpec(case=SourceCase.D_EXPONENTIAL, tau=1.0, R=1.0), grid,
              smear_dw=2.0)
     assert calls["sine_integral"] == [()]
+
+
+@pytest.mark.parametrize("nq, nw", [(61, 9), (151, 51)],
+                         ids=["cli_default", "surface_scan"])
+def test_case_e_series_grid_calls_dawson_once_on_its_row(special_calls, nq,
+                                                         nw):
+    # below MU_SERIES_MAX the whole grid takes the series, whose D(y/2)
+    # depends on d_omega alone: one call on the d_omega row, however many
+    # q values there are
+    shock = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0,
+                       r_dot=2e-4 * C_UM_PER_PS)
+    grid = GridSpec(q_values=tuple(np.linspace(0.0, 3.0, nq)),
+                    d_omega_values=tuple(np.linspace(0.0, 2.0, nw)))
+    generate(shock, grid, noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=1))
+    assert special_calls == {"faddeeva": [], "dawson": [(nw,)],
+                             "sine_integral": []}
 
 
 def test_coherent_surface_is_flat():
