@@ -48,15 +48,24 @@ Through mu^2,
 so the series excess (1/2) [(P b + Q)^2 + (P a)^2] is real arithmetic too.
 Each order's P / y and Q, D(y/2) and exp(-y^2/4) are computed on y's
 shape, a grid's d_omega row; only the sums of P / y and Q over the powers
-of mu^2, and the last few products, run on the broadcast shape.
+of mu^2, and the last few products, run on the broadcast shape.  Each sum
+adds its terms one at a time, highest power first, whatever the shapes
+and memory layouts of y and mu, so a point gives the same bits alone and
+in a grid: the powers of mu^2 hold the order axis first in memory, or
+last for a q column against a d_omega row, and either way einsum's inner
+loop runs along an axis of the output, not along the orders
+(`_case_e_series`).
 
 Two thresholds pick the branch: the series where mu <= MU_SERIES_MAX and
 mu |y| <= MU_Y_SERIES_MAX, the direct form elsewhere, where mu > 0.  The
 series' P b + Q cancels like the upward moment recurrence (Gautschi, SIAM
 Review 9 (1967) 24), and the terms of its sum over orders grow like
-(mu y)^(2k), so large mu |y| takes the direct form.  Both branches lose
-every digit far out in |y| (ROADMAP item 6).  Smeared case D takes Si from
-`sine_integral`.
+(mu y)^(2k), so large mu |y| takes the direct form.  Whether every point
+takes the series is read off the axes: each mu against MU_SERIES_MAX and,
+times the largest |y|, against MU_Y_SERIES_MAX.  Rounded products are
+monotone, so no point's mu |y| exceeds that, and the mask per point is
+built only where the test fails.  Both branches lose every digit far out
+in |y| (ROADMAP item 6).  Smeared case D takes Si from `sine_integral`.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -357,25 +366,39 @@ def _exponents(n: int, ndim: int) -> np.ndarray:
 def _case_e_series(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """(1/2) |s|^2 through mu^14 (module docstring).
 
-    Each sum is one `einsum` over the first axis of its operands, which the
-    output lacks; the output's last axis is contiguous, and so is an
-    operand along it.  That holds for any shapes of y and mu, so einsum
-    runs its loop along that axis, and every output element takes its
-    terms in order, one multiply-add each: a point gives the same bits
-    alone and in a grid."""
+    Each sum is one `einsum` over an order axis that the output lacks.  It
+    adds every point's terms one at a time, highest power first, as long
+    as einsum's inner loop runs along an axis of the output: a loop along
+    the orders keeps partial sums, which group the terms otherwise.  With
+    the order axis first in memory in both operands, the loop over the
+    orders is the outermost.  For a q column against a d_omega row the
+    powers of mu^2 hold it last, so the loop over the orders runs inside
+    the q loop and outside the d_omega row, and each q row's sums stay in
+    cache; the inner loop runs along that row, on which mu is constant."""
     y2 = y * y
     n_y, n_mu, _ = _SERIES_COEF.shape
     # P / y and Q of every order at y, (K, 2, *y.shape)
     pq = np.einsum("jkc,j...->kc...", _SERIES_COEF,
                    y2 ** _exponents(n_y, y2.ndim))
-    # their sums over the orders, weighted by mu^(2k)
+    # their sums over the orders, weighted by mu^(2k); the powers of mu^2
+    # are (K, *mu.shape), the order axis last in memory where mu is
+    # constant along the last axis and y is not
     mu2 = mu * mu
-    p_sum, q_sum = np.einsum("k...,kc...->c...",
-                             mu2 ** _exponents(n_mu, mu2.ndim), pq)
+    if y2.ndim and y2.shape[-1] > 1 and mu2.shape[-1:] == (1,):
+        powers = np.moveaxis(mu2[..., None] ** _exponents(n_mu, 0), -1, 0)
+    else:
+        powers = mu2 ** _exponents(n_mu, mu2.ndim)
+    p_sum, q_sum = np.einsum("k...,kc...->c...", powers, pq)
     # s = y p_sum (b - i a) + q_sum
-    re = y * dawson(0.5 * y) * p_sum + q_sum
-    im = y * (_HALF_SQRT_PI * np.exp(-0.25 * y2)) * p_sum
-    return CHAOTICITY * (re * re + im * im)
+    re = y * dawson(0.5 * y) * p_sum
+    re += q_sum
+    im = p_sum
+    im *= y * (_HALF_SQRT_PI * np.exp(-0.25 * y2))
+    re *= re
+    im *= im
+    re += im
+    re *= CHAOTICITY
+    return re
 
 
 # Far out on either axis the squares and products in both branches
@@ -397,11 +420,22 @@ def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
     q = np.asarray(q, dtype=float)[()]
     mu = spec.r_dot * spec.tau * q
     y = np.asarray(d_omega, dtype=float)[()] * spec.tau
-    # a negative, 0 or NaN mu fails both tests, so the direct form gets
+    # Every point takes the series if each mu passes the mask with the
+    # largest |y|, which reads the axes, not the grid: rounded products are
+    # monotone, so no point's mu |y| exceeds mu max|y|.  fmax skips a NaN
+    # y, which fails neither bound, and one y is its own largest.  A
+    # negative, 0 or NaN mu fails both tests, so the direct form gets
     # mu > 0 only; q >= 0 fails for a NaN q too
-    direct = (mu > MU_SERIES_MAX) | (mu * abs(y) > MU_Y_SERIES_MAX)
+    abs_y = abs(y)
+    y_max = (abs_y if abs_y.size == 1
+             else np.fmax.reduce(abs_y, axis=None, initial=0.0))
+    if not np.count_nonzero((mu > MU_SERIES_MAX)
+                            | (mu * y_max > MU_Y_SERIES_MAX) | ~(q >= 0.0)):
+        return _case_e_series(y, mu)
+    # the mask per point, where q and d_omega are paired or a point fails
+    direct = (mu > MU_SERIES_MAX) | (mu * abs_y > MU_Y_SERIES_MAX)
     if not np.count_nonzero(direct | ~(q >= 0.0)):
-        return _case_e_series(y, mu)[()]
+        return _case_e_series(y, mu)
     if direct.all():
         return _case_e_direct(y, mu)[()]
     _check_q(q)

@@ -65,8 +65,12 @@ ROWS = [
                          ("--q-grid 0:0.16:5 --dw-grid -5:5:11", "es.csv"),
                          ("--q-grid 0.17:9.1:5 --dw-grid -8:8:9",
                           "em.csv")]),
+    # every option has one spelling, so '--d' is not '--dw' after a space
+    # or an '=' alike
     Row("eval --q 1 --d -1e-3", code=1,
         err="error: unrecognized arguments: --d -1e-3\n"),
+    Row("eval --q 1 --d=-1e-3", code=1,
+        err="error: unrecognized arguments: --d=-1e-3\n"),
     # at q = 0 case E takes its series whatever d_omega, and past
     # d_omega tau = 2.5e19 its powers of y^2 overflow: C is NaN; check says
     # so before any oracle call
@@ -80,12 +84,22 @@ ROWS = [
     Row("synth --case E --q-grid 0:1:3 --dw-grid 0:1e200:3 --out bad.csv",
         code=2, err="error: C is not finite at q = 0, "
         "d_omega = 4.9999999999999998e+199\n"),
+    # the oracle's own rule: check computes every point before it opens
+    # --out, so no file is written
     Row("check --case A --coherent --q-grid 0:1:2 --dw-grid 0:1:2 "
         "--out coh.csv", code=1,
         err="error: the oracle applies to chaotic sources\n"),
-    Row("check --case A --q-grid 1:1:3 --dw-grid 0:0:2 --out g.csv", code=1,
-        err="error: q_values must be strictly increasing\n"),
-    Row("synth --q-grid 0:1:100000000000000 --out h.csv", code=1, err=1),
+    # check builds its grid as synth does: min = max over three points is
+    # one q three times
+    *(Row(f"{command} --case A --q-grid 1:1:3 --dw-grid 0:0:2 --out {name}",
+          code=1, err="error: q_values must be strictly increasing\n")
+      for command, name in [("check", "g.csv"), ("synth", "gs.csv")]),
+    Row("synth --q-grid 0:3 --out g3.csv", code=1,
+        err="error: bad grid '0:3', expected min:max:n\n"),
+    # 10**14 points ask numpy for 728 TiB, which it refuses outright
+    Row("synth --q-grid 0:1:100000000000000 --out h.csv", code=1,
+        err="error: Unable to allocate 728. TiB for an array with shape "
+        "(100000000000000,) and data type float64\n"),
     # bounds whose difference overflows give their finite points
     Row("synth --case A --dw-grid -1e308:1e308:3 --out o.csv", out="",
         grep=[("o.csv", r"^# d_omega_values_per_ps = -1e\+308 0 1e\+308$",

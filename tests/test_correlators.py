@@ -1,6 +1,7 @@
 """Closed-form correlators: frozen values, invariants, oracle agreement."""
 
 import csv
+import importlib.util
 import math
 import os
 
@@ -10,12 +11,14 @@ import pytest
 
 import bubblehbt.correlators as corr
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
-                                   MU_SERIES_MAX, case_e_excess, correlation,
+                                   MU_SERIES_MAX, MU_Y_SERIES_MAX,
+                                   case_e_excess, correlation,
                                    form_factor,
                                    kappa_analytic, kappa_to_radius, phi_of_X,
                                    small_q_coefficient, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.oracle import numeric_correlation
+from bubblehbt.special_functions import dawson
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 
 A, B, C, D, E = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
@@ -421,16 +424,15 @@ FAR_Q = np.geomspace(1.0, 1e200, 9)
 FAR_DW = np.array([-1e300, -1e100, -3.0, 0.0, 0.7, 1e10, 1e300])
 
 
-def assert_each_point_is_the_scalar_call(fn, q_col, dw_row):
-    grid = fn(q_col, dw_row)
-    assert grid.shape == (q_col.size, dw_row.size)
-    for i, q in enumerate(q_col[:, 0]):
-        for j, dw in enumerate(dw_row):
-            scalar = fn(q, dw)
-            assert np.ndim(scalar) == 0 and not isinstance(scalar,
-                                                           np.ndarray)
-            assert grid[i, j].tobytes() == np.float64(scalar).tobytes(), (
-                q, dw)
+def assert_each_point_is_the_scalar_call(fn, q, dw):
+    grid = fn(q, dw)
+    q, dw = np.broadcast_arrays(q, dw)
+    assert grid.shape == q.shape
+    for i in np.ndindex(grid.shape):
+        scalar = fn(q[i], dw[i])
+        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+        assert grid[i].tobytes() == np.float64(scalar).tobytes(), (q[i],
+                                                                   dw[i])
 
 
 @pytest.mark.filterwarnings("error")
@@ -470,6 +472,162 @@ def test_case_e_mixed_points_bit_for_bit():
     for i in range(q.size):
         assert mixed[i].tobytes() == np.float64(
             case_e_excess(s, q[i], dw[i])).tobytes()
+
+
+# q below MU_SERIES_MAX with mu |y| <= MU_Y_SERIES_MAX: every point of a
+# grid of these takes the series, so the mask is read off the axes
+SERIES_Q = np.linspace(0.0, 0.5, 6) * Q_SWITCH
+
+
+def strided_column(values):
+    # a column view whose rows are three floats apart
+    wide = np.zeros((values.size, 3))
+    wide[:, 0] = values
+    return wide[:, :1]
+
+
+def fortran_pair(q, dw):
+    # q and d_omega of one shape, paired point by point, in Fortran order
+    return tuple(map(np.asfortranarray, np.broadcast_arrays(q, dw)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_values", [SERIES_Q, NEAR_Q],
+                         ids=["series", "switch"])
+@pytest.mark.parametrize("layout", [
+    lambda q, dw: (q[:, None], dw),
+    lambda q, dw: (q[None, :], dw[:, None]),
+    lambda q, dw: (q[:, None, None], dw[:, None] * [1.0, -0.5, 0.3]),
+    lambda q, dw: (strided_column(q), dw),
+    lambda q, dw: (strided_column(q)[::-1], dw[::-2]),
+    lambda q, dw: fortran_pair(q[:, None], dw),
+], ids=["q_column", "q_row_dw_column", "3d", "strided_q_column",
+        "reversed_strided", "fortran_paired"])
+def test_case_e_layouts_bit_for_bit(layout, q_values):
+    # every memory layout of q and d_omega gives each point's own bits, on
+    # a grid wholly on the series and on one across both switches
+    s = spec(E)
+    assert_each_point_is_the_scalar_call(
+        lambda q, w: case_e_excess(s, q, w), *layout(q_values, NEAR_DW))
+
+
+def series_summed_in_order(y, mu):
+    """`_case_e_series` with each sum written out as a loop that adds one
+    term at a time, highest power first, from the same power tables."""
+    coef = corr._SERIES_COEF
+    n_y, n_mu, _ = coef.shape
+    y2, mu2 = y * y, mu * mu
+    y_pow = y2 ** corr._exponents(n_y, y2.ndim)
+    mu_pow = mu2 ** corr._exponents(n_mu, mu2.ndim)
+    sums = []
+    for c in range(2):
+        total = 0.0
+        for k in range(n_mu):
+            order = 0.0
+            for j in range(n_y):
+                order = order + coef[j, k, c] * y_pow[j]
+            total = total + mu_pow[k] * order
+        sums.append(total)
+    p_sum, q_sum = sums
+    re = y * dawson(0.5 * y) * p_sum + q_sum
+    im = y * (corr._HALF_SQRT_PI * np.exp(-0.25 * y2)) * p_sum
+    return CHAOTICITY * (re * re + im * im)
+
+
+IN_ORDER_MU = np.random.default_rng(38).uniform(0.45, MU_SERIES_MAX, 50000)
+IN_ORDER_Y = np.random.default_rng(39).uniform(-5.4, 5.4, 50000)
+
+
+@pytest.mark.parametrize("y, mu", [
+    (IN_ORDER_Y, IN_ORDER_MU),
+    (IN_ORDER_Y[:, None], IN_ORDER_MU[:, None]),
+    (IN_ORDER_Y[:101], IN_ORDER_MU[:301, None]),
+    (IN_ORDER_Y[:101, None], IN_ORDER_MU[:301]),
+], ids=["paired", "paired_columns", "q_column", "q_row"])
+def test_case_e_series_sums_each_order_in_turn(y, mu):
+    # near MU_SERIES_MAX every order counts: a sum that grouped its terms
+    # otherwise, as einsum's loop along the order axis does with its
+    # partial sums, differs from this one at one or two points in 10^4
+    got = corr._case_e_series(y, mu)
+    expected = series_summed_in_order(y, mu)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def branch(take_series, y, mu):
+    """The bits of the branch the per-point rule names at (y, mu)."""
+    y, mu = np.float64(y), np.float64(mu)
+    value = (corr._case_e_series(y, mu) if take_series
+             else corr._case_e_direct(y, mu))
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_case_e_axes_test_meets_the_per_point_rule():
+    # at tau = 1 and r_dot = 1, mu = q and y = d_omega exactly.  mu at and
+    # just past MU_SERIES_MAX, and mu |y| at and just past MU_Y_SERIES_MAX
+    s = spec(E, r_dot=1.0)
+    past_mu = np.nextafter(MU_SERIES_MAX, 1.0)
+    y_at = MU_Y_SERIES_MAX / 0.5  # mu = 0.5 gives mu |y| = 3 exactly
+    past_y = np.nextafter(y_at, np.inf)
+    assert 0.5 * y_at == MU_Y_SERIES_MAX < 0.5 * past_y
+    for q, dw, all_series in [
+            ([0.0, MU_SERIES_MAX], [-2.0, 0.0, 1.0], True),
+            ([0.0, MU_SERIES_MAX, past_mu], [-2.0, 0.0, 1.0], False),
+            ([0.0, 0.5], [0.0, y_at, -y_at], True),
+            ([0.0, 0.5], [0.0, y_at, -past_y, past_y], False)]:
+        q, dw = np.array(q)[:, None], np.array(dw)
+        assert_each_point_is_the_scalar_call(
+            lambda q, w: case_e_excess(s, q, w), q, dw)
+        series = corr._case_e_series(dw, q).tobytes()
+        assert (case_e_excess(s, q, dw).tobytes() == series) is all_series
+    # and each point at a switch takes the branch the rule names
+    excess = case_e_excess(s, np.array([[MU_SERIES_MAX], [past_mu], [0.5]]),
+                           np.array([1.0, y_at, past_y]))
+    assert excess[0, 0].tobytes() == branch(True, 1.0, MU_SERIES_MAX)
+    assert excess[1, 0].tobytes() == branch(False, 1.0, past_mu)
+    assert excess[2, 1].tobytes() == branch(True, y_at, 0.5)
+    assert excess[2, 2].tobytes() == branch(False, past_y, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, dw", [
+    # every mu |y| is 0 on the q = 0 row, which takes the series, whose
+    # powers of y^2 overflow to NaN; q = 0.3 takes the direct form's limit
+    ([0.0], [1e300, -1e300, 0.5]),
+    ([0.0, 0.3], [1e300, -1e300, 0.5]),
+    # a NaN d_omega fails neither bound; every point on its column is NaN
+    ([0.0, 0.3], [0.0, np.nan, 1.0, -2.0]),
+    ([0.0, 0.3, 0.6], [0.0, np.nan, 1.0, -2.0]),
+    ([0.0, 0.3], [0.0, np.inf, -np.inf, 1.0]),
+], ids=["q0_huge_y", "huge_y", "nan_series", "nan_mixed", "inf"])
+def test_case_e_non_finite_and_huge_d_omega_bit_for_bit(q, dw):
+    s = spec(E, r_dot=1.0)
+    grid = case_e_excess(s, np.array(q)[:, None], np.array(dw))
+    scalars = np.array([[case_e_excess(s, a, b) for b in dw] for a in q])
+    # NaN where the scalar call gives NaN, whose sign bit tells nothing (a
+    # direct point's differs between the two); the bits elsewhere
+    nan = np.isnan(scalars)
+    np.testing.assert_array_equal(np.isnan(grid), nan)
+    assert grid[~nan].tobytes() == scalars[~nan].tobytes()
+
+
+def test_case_e_series_rows_are_the_generators():
+    # the committed coefficient rows are those tools/case_e_series.py
+    # derives, each the float nearest its rational
+    sympy = pytest.importorskip("sympy")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "case_e_series.py")
+    loader = importlib.util.spec_from_file_location("case_e_series", path)
+    tool = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tool)
+    order = len(corr._SERIES_P) - 1
+    P, Q = tool.series_polynomials(order)
+    for committed, poly in [(corr._SERIES_P, sympy.expand(P / tool.y)),
+                            (corr._SERIES_Q, Q)]:
+        rows = tool.coefficient_rows(poly, order)
+        assert [[float(c) for c in row] for row in rows] == [
+            list(row) for row in committed]
 
 
 # a q column across the branch switch, and d_omega past the series' reach
