@@ -177,6 +177,14 @@ def test_out_path_that_starts_with_a_dash(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "--coherent").exists()
 
 
+@pytest.mark.parametrize("argv", [["--d", "-1e-3"]])
+def test_abbreviated_option_is_rejected(capsys, argv):
+    # every option has one spelling, so '--d' is not '--dw'
+    code, out, err = run(capsys, "eval", "--q", "1", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
+
+
 def test_negative_tau_after_a_space_is_a_value_error(capsys):
     code, out, err = run(capsys, "eval", "--q", "1", "--tau", "-1e-3")
     assert (code, out) == (1, "")
@@ -338,6 +346,28 @@ def test_non_finite_floats_are_usage_errors(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the oracle's own rule: check computes every point before it opens
+    # --out, so no file is written
+    (["check", "--case", "A", "--coherent", "--out", "{out}"],
+     "error: the oracle applies to chaotic sources\n"),
+    # check builds its grid as synth does: min = max over three points is
+    # one q three times
+    (["check", "--case", "A", "--q-grid", "1:1:3", "--dw-grid", "0:0:2",
+      "--out", "{out}"], "error: q_values must be strictly increasing\n"),
+    # 10**14 points ask numpy for 728 TiB, which it refuses outright
+    (["synth", "--q-grid", "0:1:100000000000000", "--out", "{out}"],
+     "error: Unable to allocate 728. TiB for an array with shape "
+     "(100000000000000,) and data type float64\n"),
+], ids=["coherent-check", "check-repeated-q", "oversized-grid"])
+def test_rejected_arguments_exit_1_with_one_line(capsys, tmp_path, argv,
+                                                 message):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *[a.format(out=out_path) for a in argv])
+    assert (code, out, err) == (1, "", message)
+    assert not out_path.exists()
+
+
 def test_one_point_grid_needs_min_equal_to_max(capsys, tmp_path):
     # linspace(2, 5, 1) is [2]: a one-point grid would silently drop max
     path = tmp_path / "p.csv"
@@ -467,12 +497,11 @@ def test_renormalization_failure_exit_code(capsys, tmp_path):
     assert err.startswith("error: cannot renormalize")
 
 
-# a zero window is the CLI table's row `synth --case A --coherent
-# --smear-dw 0`
 @pytest.mark.parametrize("case, window, message", [
     ("A", "-1", "smearing window must be positive and finite"),
+    ("A", "0", "smearing window must be positive and finite"),
     ("E", "2", "smearing of the non-factorized case E is unsupported"),
-], ids=["A-negative", "E"])
+], ids=["A-negative", "A-zero", "E"])
 def test_synth_checks_the_window_whatever_the_emission(capsys, tmp_path,
                                                        case, window, message):
     # a coherent surface's C is 1 at any window, but a window it could not
