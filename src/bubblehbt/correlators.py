@@ -60,12 +60,9 @@ Two thresholds pick the branch: the series where mu <= MU_SERIES_MAX and
 mu |y| <= MU_Y_SERIES_MAX, the direct form elsewhere, where mu > 0.  The
 series' P b + Q cancels like the upward moment recurrence (Gautschi, SIAM
 Review 9 (1967) 24), and the terms of its sum over orders grow like
-(mu y)^(2k), so large mu |y| takes the direct form.  Whether every point
-takes the series is read off the axes: each mu against MU_SERIES_MAX and,
-times the largest |y|, against MU_Y_SERIES_MAX.  Rounded products are
-monotone, so no point's mu |y| exceeds that, and the mask per point is
-built only where the test fails.  Both branches lose every digit far out
-in |y| (ROADMAP item 6).  Smeared case D takes Si from `sine_integral`.
+(mu y)^(2k), so large mu |y| takes the direct form.  Both branches lose
+every digit far out in |y| (ROADMAP item 6).  Smeared case D takes Si from
+`sine_integral`.
 
 The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
 and `phi_of_X` a q or X array.  `excess`, `correlation` and
@@ -390,15 +387,9 @@ def _case_e_series(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
         powers = mu2 ** _exponents(n_mu, mu2.ndim)
     p_sum, q_sum = np.einsum("k...,kc...->c...", powers, pq)
     # s = y p_sum (b - i a) + q_sum
-    re = y * dawson(0.5 * y) * p_sum
-    re += q_sum
-    im = p_sum
-    im *= y * (_HALF_SQRT_PI * np.exp(-0.25 * y2))
-    re *= re
-    im *= im
-    re += im
-    re *= CHAOTICITY
-    return re
+    re = y * dawson(0.5 * y) * p_sum + q_sum
+    im = p_sum * (y * (_HALF_SQRT_PI * np.exp(-0.25 * y2)))
+    return (re * re + im * im) * CHAOTICITY
 
 
 # Far out on either axis the squares and products in both branches
@@ -411,8 +402,10 @@ def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
     series where mu = r_dot tau q <= MU_SERIES_MAX and
     mu |d_omega tau| <= MU_Y_SERIES_MAX, the direct form elsewhere.  Each
     branch is evaluated once, on the points the mask gives it, or on the
-    inputs as they are when it has them all.  A negative or NaN q raises
-    ValueError."""
+    inputs as they are when it has them all: the series for a grid within
+    both bounds with every q >= 0 (the CLI's default), the direct form for
+    one with each point past a bound (say every mu > MU_SERIES_MAX).  A
+    negative or NaN q raises ValueError."""
     if spec.case is not SourceCase.E_EXPANDING_SHOCK:
         raise ValueError("case_e_excess is defined for case E only")
     # [()] keeps a scalar q or d_omega a numpy scalar, whose arithmetic
@@ -420,20 +413,9 @@ def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
     q = np.asarray(q, dtype=float)[()]
     mu = spec.r_dot * spec.tau * q
     y = np.asarray(d_omega, dtype=float)[()] * spec.tau
-    # Every point takes the series if each mu passes the mask with the
-    # largest |y|, which reads the axes, not the grid: rounded products are
-    # monotone, so no point's mu |y| exceeds mu max|y|.  fmax skips a NaN
-    # y, which fails neither bound, and one y is its own largest.  A
-    # negative, 0 or NaN mu fails both tests, so the direct form gets
+    # A negative, 0 or NaN mu fails both tests, so the direct form gets
     # mu > 0 only; q >= 0 fails for a NaN q too
-    abs_y = abs(y)
-    y_max = (abs_y if abs_y.size == 1
-             else np.fmax.reduce(abs_y, axis=None, initial=0.0))
-    if not np.count_nonzero((mu > MU_SERIES_MAX)
-                            | (mu * y_max > MU_Y_SERIES_MAX) | ~(q >= 0.0)):
-        return _case_e_series(y, mu)
-    # the mask per point, where q and d_omega are paired or a point fails
-    direct = (mu > MU_SERIES_MAX) | (mu * abs_y > MU_Y_SERIES_MAX)
+    direct = (mu > MU_SERIES_MAX) | (mu * abs(y) > MU_Y_SERIES_MAX)
     if not np.count_nonzero(direct | ~(q >= 0.0)):
         return _case_e_series(y, mu)
     if direct.all():

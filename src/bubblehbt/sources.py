@@ -76,6 +76,10 @@ class SourceSpec:
     emission: Emission = Emission.CHAOTIC
 
     def __post_init__(self):
+        # a value spelled as its string becomes the member; any other value
+        # raises ValueError
+        object.__setattr__(self, "case", SourceCase(self.case))
+        object.__setattr__(self, "emission", Emission(self.emission))
         # the comparisons are False for NaN, and the upper bounds reject inf
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")

@@ -475,8 +475,11 @@ def test_case_e_mixed_points_bit_for_bit():
 
 
 # q below MU_SERIES_MAX with mu |y| <= MU_Y_SERIES_MAX: every point of a
-# grid of these takes the series, so the mask is read off the axes
+# grid of these takes the series, which gets the inputs as they are
 SERIES_Q = np.linspace(0.0, 0.5, 6) * Q_SWITCH
+# q past MU_SERIES_MAX: every point takes the direct form, which gets the
+# inputs as they are
+DIRECT_Q = np.linspace(1.1, 2.0, 6) * Q_SWITCH
 
 
 def strided_column(values):
@@ -492,8 +495,8 @@ def fortran_pair(q, dw):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("q_values", [SERIES_Q, NEAR_Q],
-                         ids=["series", "switch"])
+@pytest.mark.parametrize("q_values", [SERIES_Q, NEAR_Q, DIRECT_Q],
+                         ids=["series", "switch", "direct"])
 @pytest.mark.parametrize("layout", [
     lambda q, dw: (q[:, None], dw),
     lambda q, dw: (q[None, :], dw[:, None]),
@@ -505,7 +508,8 @@ def fortran_pair(q, dw):
         "reversed_strided", "fortran_paired"])
 def test_case_e_layouts_bit_for_bit(layout, q_values):
     # every memory layout of q and d_omega gives each point's own bits, on
-    # a grid wholly on the series and on one across both switches
+    # a grid wholly on the series, on one across both switches and on one
+    # wholly on the direct form
     s = spec(E)
     assert_each_point_is_the_scalar_call(
         lambda q, w: case_e_excess(s, q, w), *layout(q_values, NEAR_DW))
@@ -564,7 +568,9 @@ def branch(take_series, y, mu):
 
 @pytest.mark.filterwarnings("error")
 def test_case_e_axes_test_meets_the_per_point_rule():
-    # at tau = 1 and r_dot = 1, mu = q and y = d_omega exactly.  mu at and
+    # the one per-point rule at both switches: a grid takes the series on
+    # the inputs as they are exactly when no point is past either bound.
+    # At tau = 1 and r_dot = 1, mu = q and y = d_omega exactly.  mu at and
     # just past MU_SERIES_MAX, and mu |y| at and just past MU_Y_SERIES_MAX
     s = spec(E, r_dot=1.0)
     past_mu = np.nextafter(MU_SERIES_MAX, 1.0)

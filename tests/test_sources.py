@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bubblehbt.correlators import excess
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import (Emission, SourceCase, SourceSpec,
                                radial_profile, shock_amplitude, time_profile)
@@ -196,6 +197,23 @@ def test_spec_validation():
             SourceSpec(case=SourceCase.C_SPHERE, tau=1.0, R=bad)
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=bad, r_dot=0.06)
+
+
+def test_spec_takes_case_and_emission_through_their_enums():
+    # a value spelled as its string is the member, so the `is` tests on
+    # case and emission downstream see it
+    spec = SourceSpec(case="A", tau=1.0, R=1.0, emission="coherent")
+    assert spec.case is SourceCase.A_GAUSSIAN
+    assert spec.emission is Emission.COHERENT
+    assert excess(spec, 0.5, 0.5) == 0.0
+    assert SourceSpec(case="E", tau=1.0, r_dot=0.06).case is (
+        SourceCase.E_EXPANDING_SHOCK)
+    # and any other value is no case or emission at all
+    with pytest.raises(ValueError):
+        SourceSpec(case="Z", tau=1.0, R=1.0)
+    with pytest.raises(ValueError):
+        SourceSpec(case=SourceCase.A_GAUSSIAN, tau=1.0, R=1.0,
+                   emission="laser")
 
 
 def test_emission_default_is_chaotic():
