@@ -39,7 +39,7 @@ with M_n the moment of x^n exp(-x^2 + i y x) over x = t/tau > 0.  Their
 recurrence 2 M_n = i y M_(n-1) + (n-1) M_(n-2) (+1 at n = 1) from
 M_0 = a + i b, a = (sqrt(pi)/2) exp(-y^2/4) and b = D(y/2), sums to
 s = P (b - i a) + Q, with P / y and Q polynomials in y^2 and mu^2 whose
-coefficients `tools/case_e_series.py` writes (`_SERIES_P`, `_SERIES_Q`).
+coefficients `_series_coefficients` derives from it in integers.
 Through mu^2,
 
     P = y [y^2/4 - 3/2 + mu^2 (y^4/160 - y^2/8 + 3/8) + ...],
@@ -126,55 +126,41 @@ FACTORIZED_CASES = tuple(_SHAPE_CONSTANT)
 MU_SERIES_MAX = 0.55
 MU_Y_SERIES_MAX = 3.0
 
-# Case E's series, s = P (b - i a) + Q (module docstring), written by
-# tools/case_e_series.py: row k holds the coefficients of y^0, y^2, ... in
-# the mu^(2k) term of P / y and of Q.
-_SERIES_P = (
-    (-3 / 2, 1 / 4),
-    (3 / 8, -1 / 8, 1 / 160),
-    (-3 / 64, 3 / 128, -3 / 1280, 1 / 17920),
-    (1 / 256, -1 / 384, 1 / 2560, -1 / 53760, 1 / 3870720),
-    (-1 / 4096, 5 / 24576, -1 / 24576, 1 / 344064, -1 / 12386304,
-     1 / 1362493440),
-    (1 / 81920, -1 / 81920, 1 / 327680, -1 / 3440640, 1 / 82575360,
-     -1 / 4541644800, 1 / 708496588800),
-    (-1 / 1966080, 7 / 11796480, -7 / 39321600, 1 / 47185920, -1 / 849346560,
-     1 / 31142707200, -1 / 2429131161600, 1 / 510117543936000),
-    (1 / 55050240, -1 / 41287680, 1 / 117964800, -1 / 825753600,
-     1 / 11890851840, -1 / 326998425600, 1 / 17003918131200,
-     -1 / 1785411403776000, 1 / 485631901827072000),
-)
-_SERIES_Q = (
-    (1, -1 / 4),
-    (-1 / 5, 9 / 80, -1 / 160),
-    (3 / 140, -87 / 4480, 1 / 448, -1 / 17920),
-    (-1 / 630, 65 / 32256, -23 / 64512, 1 / 55296, -1 / 3870720),
-    (1 / 11088, -281 / 1892352, 29 / 811008, -67 / 24330240, 1 / 12615680,
-     -1 / 1362493440),
-    (-1 / 240240, 119 / 14057472, -1093 / 421724160, 63 / 234291200,
-     -23 / 1968046080, 1 / 4600627200, -1 / 708496588800),
-    (1 / 6177600, -9949 / 25303449600, 103 / 702873600, -647 / 33737932800,
-     1 / 894566400, -121 / 3864526848000, 1 / 2452488192000,
-     -1 / 510117543936000),
-    (-1 / 183783600, 6871 / 446090444800, -10889 / 1605925601280,
-     1567 / 1459932364800, -1607 / 20439053107200, 139 / 47167045632000,
-     -1 / 17326669824000, 1 / 1798636673433600, -1 / 485631901827072000),
-)
 
-
-def _series_coefficients(p_rows, q_rows) -> np.ndarray:
-    """The (J, K, 2) array of the coefficients in rows like `_SERIES_P`
-    and `_SERIES_Q`: entry [j, k] belongs to y^(2 (J-1-j)) mu^(2 (K-1-k)).
+def _series_coefficients(order: int) -> np.ndarray:
+    """The (J, K, 2) array of the coefficients of case E's P / y and Q
+    through mu^(2 order), J = order + 2 and K = order + 1 (module
+    docstring): entry [j, k] belongs to y^(2 (J-1-j)) mu^(2 (K-1-k)).
     Highest powers come first, so for mu < 1 each sum over orders adds its
-    smallest terms first."""
-    coef = np.zeros((max(map(len, p_rows)), len(p_rows), 2))
-    for k, (p, q) in enumerate(zip(p_rows, q_rows)):
-        coef[:len(p), k, 0] = p
-        coef[:len(q), k, 1] = q
-    return coef[::-1, ::-1].copy()
+    smallest terms first.
+
+    The moment recurrence runs in integers: 2^n M_n = a_n M_0 + b_n, with
+    a_n and b_n polynomials in t = i y that follow
+    a_n = t a_(n-1) + 2 (n-1) a_(n-2) from a = (1, t) and b = (0, 1).  Each
+    coefficient is one ratio of integers, whose float is the one nearest
+    the rational."""
+    # the coefficients of t^0, t^1, ... of a_n and of b_n
+    a, b = [[1], [0, 1]], [[0], [1]]
+    for n in range(2, 2 * order + 4):
+        for poly in (a, b):
+            poly.append([0, *poly[n - 1]])
+            for i, c in enumerate(poly[n - 2]):
+                poly[n][i] += 2 * (n - 1) * c
+    coef = np.zeros((order + 2, order + 1, 2))
+    for k in range(order + 1):
+        n = 2 * k + 3
+        num, den = 6 * (-1) ** k * (2 * k + 2), math.factorial(n) * 2 ** n
+        # M_0 = i (b - i a), so the mu^(2k) terms are P = i a_n num / den
+        # and Q = b_n num / den, with a_n odd in t and b_n even:
+        # i t^(2j+1) = -(-1)^j y^(2j+1) and t^(2j) = (-1)^j y^(2j)
+        for j in range(k + 2):
+            sign = (-1) ** j
+            coef[-1 - j, -1 - k] = (-sign * a[n][2 * j + 1] * num / den,
+                                    sign * b[n][2 * j] * num / den)
+    return coef
 
 
-_SERIES_COEF = _series_coefficients(_SERIES_P, _SERIES_Q)
+_SERIES_COEF = _series_coefficients(7)
 
 _SQRT3 = math.sqrt(3.0)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
@@ -236,8 +222,11 @@ def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
 
     Below x, y = 1e-3 each takes its Taylor series, whose next term is
     below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
-    underflow.  Where tau W overflows, each is its limit 0."""
+    underflow.  Where tau W overflows, each is its limit 0.  A tau that
+    is not positive and finite raises ValueError."""
     check_window(case, window)
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if case is SourceCase.D_EXPONENTIAL:
         y = 0.5 * _SQRT3 * tau * window
         if y < 1e-3:
@@ -266,8 +255,12 @@ def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def form_factor(case: SourceCase, R: float, q: Values) -> Values:
-    """Phi(q): squared normalized spatial transform, Phi(0) = 1."""
+    """Phi(q): squared normalized spatial transform, Phi(0) = 1.  A
+    negative or NaN q, or an R that is not positive and finite, raises
+    ValueError."""
     _check_q(q)
+    if not 0.0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     x = q * R
     if case is SourceCase.A_GAUSSIAN:
         return np.exp(-x * x)

@@ -1,7 +1,6 @@
 """Closed-form correlators: frozen values, invariants, oracle agreement."""
 
 import csv
-import importlib.util
 import math
 import os
 
@@ -13,8 +12,8 @@ import bubblehbt.correlators as corr
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    MU_SERIES_MAX, MU_Y_SERIES_MAX,
                                    case_e_excess, correlation,
-                                   form_factor,
-                                   kappa_analytic, kappa_to_radius, phi_of_X,
+                                   form_factor, kappa_analytic,
+                                   kappa_to_radius, mean_time_factor, phi_of_X,
                                    small_q_coefficient, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.oracle import numeric_correlation
@@ -124,6 +123,20 @@ def test_factorized_rejects_case_e():
         form_factor(E, 1.0, 1.0)
     with pytest.raises(ValueError, match="case E has no shape constant"):
         small_q_coefficient(E, 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
+    # below x = 1e-2 and 1e-3 each takes its Taylor series, which a
+    # negative R or tau reached: case C's Phi(5) at R = -1 read 0.0908
+    # (0.00326 at R = 1), and case A's <T> over W = 2 at tau = -1 read
+    # 0.7667 (0.7468 at tau = 1)
+    for case in FACTORIZED_CASES:
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            form_factor(case, bad, 5.0)
+        with pytest.raises(ValueError,
+                           match="tau must be positive and finite"):
+            mean_time_factor(case, bad, 2.0)
 
 
 def test_factorized_consistency():
@@ -619,21 +632,38 @@ def test_case_e_non_finite_and_huge_d_omega_bit_for_bit(q, dw):
 
 
 def test_case_e_series_rows_are_the_generators():
-    # the committed coefficient rows are those tools/case_e_series.py
-    # derives, each the float nearest its rational
+    # the coefficients derived in integers are, bit for bit, those of an
+    # independent derivation in sympy's complex rationals, each the float
+    # nearest its rational, at every order through mu^20
     sympy = pytest.importorskip("sympy")
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        "case_e_series.py")
-    loader = importlib.util.spec_from_file_location("case_e_series", path)
-    tool = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(tool)
-    order = len(corr._SERIES_P) - 1
-    P, Q = tool.series_polynomials(order)
-    for committed, poly in [(corr._SERIES_P, sympy.expand(P / tool.y)),
-                            (corr._SERIES_Q, Q)]:
-        rows = tool.coefficient_rows(poly, order)
-        assert [[float(c) for c in row] for row in rows] == [
-            list(row) for row in committed]
+    y, mu = sympy.symbols("y mu", real=True)
+    # M_n = A_n M_0 + B_n, from 2 M_n = i y M_(n-1) + (n-1) M_(n-2)
+    # (+1 at n = 1)
+    A = [sympy.Integer(1), sympy.I * y / 2]
+    B = [sympy.Integer(0), sympy.Rational(1, 2)]
+    for n in range(2, 24):
+        A.append(sympy.expand((sympy.I * y * A[n - 1] + (n - 1) * A[n - 2])
+                              / 2))
+        B.append(sympy.expand((sympy.I * y * B[n - 1] + (n - 1) * B[n - 2])
+                              / 2))
+    for order in range(11):
+        a_s = b_s = sympy.Integer(0)
+        for k in range(order + 1):
+            c = (6 * (-1) ** k * mu ** (2 * k)
+                 * sympy.Rational(2 * k + 2, sympy.factorial(2 * k + 3)))
+            a_s += c * A[2 * k + 3]
+            b_s += c * B[2 * k + 3]
+        # M_0 = a + i b = i (b - i a), so s = (i a_s) (b - i a) + b_s
+        expected = np.zeros((order + 2, order + 1, 2))
+        for i, poly in enumerate([sympy.I * a_s / y, b_s]):
+            for (n_y, n_mu), value in sympy.Poly(sympy.expand(poly), y,
+                                                 mu).terms():
+                assert n_y % 2 == n_mu % 2 == 0
+                assert n_y <= 2 * order + 2 and n_mu <= 2 * order
+                expected[order + 1 - n_y // 2, order - n_mu // 2,
+                         i] = float(value)
+        got = corr._series_coefficients(order)
+        assert got.tobytes() == expected.tobytes(), order
 
 
 # a q column across the branch switch, and d_omega past the series' reach

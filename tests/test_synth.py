@@ -567,6 +567,29 @@ def test_read_surface_computes_its_truth_on_first_access(tmp_path,
     assert len(calls) == 1
 
 
+def test_read_surface_copies_compute_generates_truth(tmp_path):
+    # on a surface just read, whose truth is deferred, a name that is no
+    # field is an AttributeError naming it; a copy, a deep copy, a pickled
+    # copy and a `dataclasses.replace` of it each give `generate`'s c_true
+    # and sigma
+    surf = generate(source(SourceCase.E_EXPANDING_SHOCK), CLI_GRID,
+                    noise=NoiseSpec(pairs_per_bin=10 ** 6, seed=4))
+    path = str(tmp_path / "surface.csv")
+    write_surface_csv(surf, path)
+    back = read_surface_csv(path)
+    with pytest.raises(AttributeError, match=re.escape(
+            "'CorrelationSurface' object has no attribute 'no_such_field'")):
+        getattr(back, "no_such_field")
+    assert not hasattr(back, "no_such_field")
+    for make in (copy.copy, copy.deepcopy,
+                 lambda s: pickle.loads(pickle.dumps(s)),
+                 dataclasses.replace):
+        other = make(read_surface_csv(path))
+        for name in ("c_true", "sigma"):
+            assert (getattr(other, name).tobytes()
+                    == getattr(surf, name).tobytes())
+
+
 def test_csv_round_trip_without_a_source(tmp_path):
     # a file from an instrument names no source: it reads back with no
     # truth, and writes back as the same observation

@@ -16,9 +16,9 @@ sees, and the value is rounded to 17 significant digits.  For the form
 
 `report` reads the table and prints the worst relative error of
 `case_e_excess`, of its direct form and of its series on each band of mu
-and |y|.  With ORDERs it also prints the series through mu^(2 ORDER),
-whose coefficients tools/case_e_series.py derives (this needs sympy).
-Both run offline; the tests read only the table.
+and |y|.  With ORDERs it also prints the series through mu^(2 ORDER), with
+the coefficients that `correlators._series_coefficients` derives.  Both
+run offline; the tests read only the table.
 """
 
 import csv
@@ -34,7 +34,8 @@ TABLE = os.path.join(HERE, os.pardir, "tests", "data",
                      "mpmath_references.csv")
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
-C_UM_PER_PS = 299.792458  # bubblehbt.kinematics
+from bubblehbt.kinematics import C_UM_PER_PS  # noqa: E402
+
 REFERENCE_RDOT = 2e-4 * C_UM_PER_PS
 # mu and |y| of the case E grid.  mu takes a log grid, both sides of 0.01
 # (the series switch until ROADMAP item 18) and a step of 0.01 over
@@ -130,20 +131,11 @@ def report(orders):
                                correlators._case_e_direct(y, mu), np.nan),
             "series": correlators._case_e_series(y, mu),
         }
-        if orders:
-            sys.path.insert(0, HERE)
-            import case_e_series
-            import sympy
-            coef = correlators._SERIES_COEF
-            for order in orders:
-                P, Q = case_e_series.series_polynomials(order)
-                rows = [[[float(c) for c in row] for row in
-                         case_e_series.coefficient_rows(poly, order)]
-                        for poly in (sympy.expand(P / case_e_series.y), Q)]
-                correlators._SERIES_COEF = (
-                    correlators._series_coefficients(*rows))
-                columns[f"mu^{2 * order}"] = correlators._case_e_series(y, mu)
-            correlators._SERIES_COEF = coef
+        coef = correlators._SERIES_COEF
+        for order in orders:
+            correlators._SERIES_COEF = correlators._series_coefficients(order)
+            columns[f"mu^{2 * order}"] = correlators._case_e_series(y, mu)
+        correlators._SERIES_COEF = coef
     mu_edges = [0.0, 1e-4, 0.0101, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.6, 0.7,
                 1.0]
     y_edges = [0.0, 2.0, 5.0, 7.5, 10.0]
