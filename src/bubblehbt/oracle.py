@@ -7,14 +7,16 @@ Oscillatory integrands pass their bare density to QUADPACK's rule for a
 cos or sin weight (QAWO), which integrates the oscillation by modified
 Clenshaw-Curtis moments instead of sampling it.
 
-For cases A-D the transform factorizes, F(q, d_omega) = T(d_omega) S(q),
-and each factor is computed once per (source, argument): a grid of
-nq x nw points costs nq + nw quadratures.  B's space factor, sinc(q R) in
-closed form, is cached the same way.  Case E does not factorize and costs
-two quadratures per point, of the integrand closure that
-`sources.shock_amplitude` defines (the lapse times the ball's space
-integral in closed form): one Python call per quadrature node.  F(0,0) is
-computed once per source.
+numeric_correlation is the one reader of the source's scale.  The excess
+depends on x = q R (mu = q r_dot tau for E) and y = d_omega tau alone, so
+the rest of the oracle integrates the unit-scale profiles of `sources` in
+them: ABS_TOL means one accuracy at every scale, F(0,0) is one number per
+case, and the caches key on the case and x or y.  For A-D the transform
+factorizes, F = T(y) S(x), and each factor is computed once per (case,
+argument): a grid of nq x nw points costs nq + nw quadratures (B's S,
+sinc(x) in closed form, is cached the same way).  Case E does not
+factorize and costs two quadratures per point, of the closure
+`sources.shock_amplitude` defines: one Python call per quadrature node.
 
 numeric_correlation converts q and d_omega to Python floats once, so each
 point is evaluated in Python floats, also when the caller passes numpy
@@ -83,50 +85,47 @@ def _quad(f: Callable[[float], float], a: float, b: float,
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _time_amplitude(spec: SourceSpec, d_omega: float) -> float:
-    """integral rho_t(t) cos(d_omega t) dt over the time support (real by
+def _time_amplitude(case: SourceCase, y: float) -> float:
+    """integral rho_t(s) cos(y s) ds over the time support (real by
     symmetry for A-D)."""
-    rho, (t0, t1) = time_profile(spec)
-    return _quad(rho, t0, t1, "cos", d_omega)
+    rho, (s0, s1) = time_profile(case)
+    return _quad(rho, s0, s1, "cos", y)
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _space_amplitude(spec: SourceSpec, q: float) -> float:
-    """The space factor of F, 4 pi integral r^2 rho_s(r) sinc(q r) dr up to
+def _space_amplitude(case: SourceCase, x: float) -> float:
+    """The space factor of F, 4 pi integral u^2 rho_s(u) sinc(x u) du up to
     constant factors.  For the delta shell B, whose radial measure picks
-    out r = R, it is sinc(q R); for A, C and D a quadrature over the radial
-    support.  For q > 0 that integrand is written r rho_s(r) / q with a
-    sin(q r) weight, which has no removable singularity."""
-    if spec.case is SourceCase.B_SHELL:
-        return float(sinc(q * spec.R))
-    rho, edge = radial_profile(spec)
-    if q > 0.0:
-        return _quad(lambda r: r * rho(r) / q, 0.0, edge, "sin", q)
-    return _quad(lambda r: r * r * rho(r), 0.0, edge)
+    out u = 1, it is sinc(x); for A, C and D a quadrature over the radial
+    support.  For x > 0 that integrand is written u rho_s(u) / x with a
+    sin(x u) weight, which has no removable singularity."""
+    if case is SourceCase.B_SHELL:
+        return float(sinc(x))
+    rho, edge = radial_profile(case)
+    if x > 0.0:
+        return _quad(lambda u: u * rho(u) / x, 0.0, edge, "sin", x)
+    return _quad(lambda u: u * u * rho(u), 0.0, edge)
 
 
-def _transform(spec: SourceSpec, q: float, d_omega: float) -> complex:
-    """F(q, d_omega) up to constant factors.  For A-D it is the product of
-    the time and space amplitudes; for the expanding shock, the cos and sin
-    transforms of `shock_amplitude`'s integrand, which QUADPACK calls once
-    per node."""
-    if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        f, (t0, t1) = shock_amplitude(spec, q)
-        return complex(_quad(f, t0, t1, "cos", d_omega),
-                       _quad(f, t0, t1, "sin", d_omega))
-    return _time_amplitude(spec, d_omega) * _space_amplitude(spec, q)
+def _transform(case: SourceCase, x: float, y: float) -> complex:
+    """F up to constant factors.  For A-D it is the product of the time and
+    space amplitudes; for the expanding shock, the cos and sin transforms
+    of `shock_amplitude`'s integrand, which QUADPACK calls once per node."""
+    if case is SourceCase.E_EXPANDING_SHOCK:
+        f, (s0, s1) = shock_amplitude(x)
+        if math.isinf(x * s1):
+            raise OracleConvergenceError(
+                f"mu s overflows in case E's integrand at mu = {x:g}")
+        return complex(_quad(f, s0, s1, "cos", y),
+                       _quad(f, s0, s1, "sin", y))
+    return _time_amplitude(case, y) * _space_amplitude(case, x)
 
 
-@functools.lru_cache(maxsize=32)
-def _origin_transform(spec: SourceSpec) -> complex:
-    """F(0, 0), which depends on the source alone; for A-D a product of
-    two cached factors.  Every C divides by it, so a zero F(0, 0) raises
-    OracleConvergenceError."""
-    f0 = _transform(spec, 0.0, 0.0)
-    if f0 == 0.0:
-        raise OracleConvergenceError(
-            f"F(0,0) underflows to 0 at tau = {spec.tau:g} ps")
-    return f0
+@functools.lru_cache(maxsize=None)
+def _origin_transform(case: SourceCase) -> complex:
+    """F(0, 0), one number per case (1/6 for E); for A-D a product of two
+    cached factors."""
+    return _transform(case, 0.0, 0.0)
 
 
 def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
@@ -141,9 +140,12 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
     q, d_omega = float(q), float(d_omega)
     if not (math.isfinite(q) and math.isfinite(d_omega)):
         raise ValueError("q and d_omega must be finite")
-    f = _transform(spec, q, d_omega)
-    f0 = _origin_transform(spec)
-    excess = CHAOTICITY * abs(f / f0) ** 2
+    if spec.case is SourceCase.E_EXPANDING_SHOCK:
+        x = q * spec.r_dot * spec.tau
+    else:
+        x = q * spec.R
+    f = _transform(spec.case, x, d_omega * spec.tau)
+    excess = CHAOTICITY * abs(f / _origin_transform(spec.case)) ** 2
     return CorrelationValue(c=1.0 + excess, excess=excess)
 
 

@@ -15,12 +15,14 @@ kept exactly as defined.
 
 This module is the one definition of each source: each profile returns
 its support with it, so a case's hard edges (C's ball, D's time box, E's
-onset) and cutoffs sit in one branch.  `time_profile` and `radial_profile`
-give the factors of A-D.  Case E does not factorize, and `shock_amplitude`
-defines its whole source once: the lapse, its onset and cutoff, the front
-r_dot t and the ball's space integral in closed form, as one closure of t
-at every q, which the oracle integrates with one Python call per node.
-The quadrature oracle integrates these profiles over these supports.
+onset) and cutoffs sit in one branch.  Each takes the case alone, in
+s = t/tau and u = r/R (r in units of r_dot tau for E): the scale is read
+from the `SourceSpec` by the oracle only.  `time_profile` and
+`radial_profile` give the factors of A-D.  Case E does not factorize,
+and `shock_amplitude` defines its whole source once: the lapse, its onset
+and cutoff, the front and the ball's space integral in closed form, as
+one closure of s at every mu = q r_dot tau, which the oracle integrates
+with one Python call per node.
 """
 
 import math
@@ -95,74 +97,63 @@ class SourceSpec:
                     f"case {self.case.value} requires a finite R > 0")
 
 
-def time_profile(spec: SourceSpec
+def time_profile(case: SourceCase
                  ) -> Tuple[Callable[[float], float], Tuple[float, float]]:
-    """rho_t(t) of cases A-D and the interval (t0, t1) outside which it is
+    """rho_t(s) of cases A-D and the interval (s0, s1) outside which it is
     below DENSITY_CUTOFF of its peak: the Gaussian lapse of A-C, D's box
     (exactly zero outside).  Case E's lapse is part of `shock_amplitude`.
     """
-    tau = spec.tau
-    if spec.case is SourceCase.D_EXPONENTIAL:
-        w = math.sqrt(3.0) * tau
-        return (lambda t: 1.0 if -w <= t <= w else 0.0), (-w, w)
-    if spec.case is SourceCase.E_EXPANDING_SHOCK:
-        raise ValueError("case E has no factorized time profile")
-    two_tau2 = 2.0 * tau * tau
-    w = _GAUSS_CUT * tau
-    return (lambda t: math.exp(-t * t / two_tau2)), (-w, w)
-
-
-def radial_profile(spec: SourceSpec
-                   ) -> Tuple[Callable[[float], float], float]:
-    """rho_s(r) of cases A, C and D and the radius beyond which it is below
-    DENSITY_CUTOFF of its peak (C's edge, where it is exactly zero).  Case B
-    is a delta shell and case E's ball grows with t (see shock_amplitude)."""
-    case, R = spec.case, spec.R
-    if case is SourceCase.A_GAUSSIAN:
-        two_R2 = 2.0 * R * R
-        return (lambda r: math.exp(-r * r / two_R2)), _GAUSS_CUT * R
-    if case is SourceCase.C_SPHERE:
-        return (lambda r: 1.0 if r <= R else 0.0), R
     if case is SourceCase.D_EXPONENTIAL:
-        return (lambda r: math.exp(-r / R)), _EXP_CUT * R
+        w = math.sqrt(3.0)
+        return (lambda s: 1.0 if -w <= s <= w else 0.0), (-w, w)
+    if case is SourceCase.E_EXPANDING_SHOCK:
+        raise ValueError("case E has no factorized time profile")
+    return (lambda s: math.exp(-s * s / 2.0)), (-_GAUSS_CUT, _GAUSS_CUT)
+
+
+def radial_profile(case: SourceCase
+                   ) -> Tuple[Callable[[float], float], float]:
+    """rho_s(u) of cases A, C and D and the u beyond which it is below
+    DENSITY_CUTOFF of its peak (C's edge, where it is exactly zero).  Case B
+    is a delta shell and case E's ball grows with s (see shock_amplitude)."""
+    if case is SourceCase.A_GAUSSIAN:
+        return (lambda u: math.exp(-u * u / 2.0)), _GAUSS_CUT
+    if case is SourceCase.C_SPHERE:
+        return (lambda u: 1.0 if u <= 1.0 else 0.0), 1.0
+    if case is SourceCase.D_EXPONENTIAL:
+        return (lambda u: math.exp(-u)), _EXP_CUT
     raise ValueError(f"case {case.value} has no pointwise radial profile")
 
 
-def shock_amplitude(spec: SourceSpec, q: float
+def shock_amplitude(mu: float
                     ) -> Tuple[Callable[[float], float], Tuple[float, float]]:
-    """Case E's space-time integrand at momentum q and its support (t0, t1):
+    """Case E's space-time integrand at mu and its support (s0, s1):
 
-        f(t) = rho_t(t) integral_0^{r_dot t} r^2 sinc(q r) dr,
+        f(s) = exp(-s^2) integral_0^s u^2 sinc(mu u) du,
 
-    the one-sided lapse rho_t(t) = exp(-t^2/tau^2), exactly zero before the
-    onset t0 = 0 and below DENSITY_CUTOFF past t1 = tau sqrt(ln(1/cutoff)),
-    times the space integral over the ball r <= r_dot t.  That integral is
-    (sin x - x cos x) / q^3 with x = q r_dot t, and its Taylor series below
-    x = 1e-3, where the direct form cancels; at q = 0, where x = 0, the
-    series is (r_dot t)^3 / 3, so one closure serves every q.
-    The space-time transform of the source is the Fourier integral of f
-    over (t0, t1)."""
-    if spec.case is not SourceCase.E_EXPANDING_SHOCK:
-        raise ValueError(f"case {spec.case.value} is not the expanding shock")
-    if not q >= 0.0:
-        raise ValueError("q must be non-negative")
-    tau, r_dot = spec.tau, spec.r_dot
-    tau2 = tau * tau
+    the one-sided lapse, exactly zero before the onset s0 = 0 and below
+    DENSITY_CUTOFF past s1 = sqrt(ln(1/cutoff)), times the space integral
+    over the ball u <= s, whose front is r_dot t.  That integral is
+    (sin x - x cos x) / mu^3 with x = mu s, and its Taylor series below
+    x = 1e-3, where the direct form cancels; at mu = 0, where x = 0, the
+    series is s^3 / 3, so one closure serves every mu.  The source's
+    transform at (q, d_omega) is (r_dot tau)^3 tau times the Fourier
+    integral of f at y = d_omega tau."""
+    if not mu >= 0.0:
+        raise ValueError("mu must be non-negative")
     exp, sin, cos = math.exp, math.sin, math.cos
-    # exp(-t^2/tau^2) < cutoff for t > tau*sqrt(ln(1/cutoff))
-    support = (0.0, tau * math.sqrt(_EXP_CUT))
-    q3 = q * q * q
+    mu3 = mu * mu * mu
 
-    def amplitude(t: float) -> float:
-        if t < 0.0:
+    def amplitude(s: float) -> float:
+        if s < 0.0:
             return 0.0
-        a = r_dot * t
-        x = q * a
+        x = mu * s
         if x < 1e-3:
-            # a^3/3 - a^5 q^2/30 + a^7 q^4/840
-            inner = a ** 3 * (1.0 / 3.0
+            # s^3/3 - s^3 x^2/30 + s^3 x^4/840
+            inner = s ** 3 * (1.0 / 3.0
                               + x * x * (-1.0 / 30.0 + x * x / 840.0))
         else:
-            inner = (sin(x) - x * cos(x)) / q3
-        return exp(-t * t / tau2) * inner
-    return amplitude, support
+            inner = (sin(x) - x * cos(x)) / mu3
+        return exp(-s * s) * inner
+    # exp(-s^2) < cutoff for s > sqrt(ln(1/cutoff))
+    return amplitude, (0.0, math.sqrt(_EXP_CUT))

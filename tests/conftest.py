@@ -6,10 +6,10 @@ import pytest
 @pytest.fixture
 def oracle_tolerance():
     """A setter of the oracle's tolerance constants for one test.  The
-    oracle's caches key on the source and the argument only, so they are
-    emptied whenever a constant is set, and again once the constants are
-    restored: no value computed at a patched tolerance is read by another
-    call."""
+    oracle's caches key on the case and a dimensionless argument only, so
+    they are emptied whenever a constant is set, and again once the
+    constants are restored: no value computed at a patched tolerance is read
+    by another call."""
     from bubblehbt import oracle
 
     def clear_caches():

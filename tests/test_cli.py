@@ -98,16 +98,6 @@ def test_check_without_excess_above_floor(capsys):
             meta["max_deviation_d_omega_per_ps"]) == ("50", "50")
 
 
-def test_check_names_an_origin_transform_that_underflows(capsys):
-    # at tau = 1e-100 ps the shock's F(0,0) underflows to 0, which every C
-    # divides by: one line naming it, exit 2, not a ZeroDivisionError's
-    code, out, err = run(capsys, "check", "--case", "E", "--tau", "1e-100",
-                         "--q-grid", "0:1:2", "--dw-grid", "0:1:2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: F(0,0) underflows to 0 at tau = 1e-100 ps\n"
-
-
 @pytest.mark.filterwarnings("error")
 def test_check_reports_a_non_finite_closed_form(capsys, monkeypatch,
                                                 tmp_path):

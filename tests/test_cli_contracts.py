@@ -65,6 +65,16 @@ ROWS = [
                          ("--q-grid 0:0.16:5 --dw-grid -5:5:11", "es.csv"),
                          ("--q-grid 0.17:9.1:5 --dw-grid -8:8:9",
                           "em.csv")]),
+    # the oracle integrates in d_omega tau and q r_dot tau, so it keeps its
+    # accuracy at any tau: each grid is one of tau = 1 scaled by 1/tau
+    *(Row(f"check --case E --tau {tau} --q-grid 0:{q}:3 --dw-grid 0:{dw}:3",
+          grep=[("stdout", r"^# max_relative_deviation = (\S+)$", 1, 1e-10)])
+      for tau, q, dw in [("1e-100", "1e100", "1e100"),
+                         ("1e-3", "1300", "700")]),
+    # q r_dot t overflows in case E's integrand, where sin(inf) is no number
+    Row("check --case E --tau 10 --q-grid 0:1e308:2 --dw-grid 0:0:1", code=2,
+        err="error: mu s overflows in case E's integrand at mu = "
+        "5.99585e+307\n"),
     # every option has one spelling, so '--d' is not '--dw' after a space
     # or an '=' alike
     Row("eval --q 1 --d -1e-3", code=1,

@@ -63,14 +63,19 @@ def test_tolerance_self_consistency(oracle_tolerance):
 
 
 def test_factorized_closed_forms_over_range():
+    # the excess depends on q R and d_omega tau alone, and the oracle
+    # integrates in them, so ABS_TOL holds it to criterion 1's 1e-6 at any
+    # scale as at tau = R = 1
     from bubblehbt.correlators import correlation
-    for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
-                 SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL):
-        spec = SourceSpec(case=case, tau=1.0, R=1.0)
-        for q in np.linspace(0.0, 6.0, 4):
-            for dw in np.linspace(0.0, 6.0, 4):
-                assert numeric_correlation(spec, q, dw).c == pytest.approx(
-                    correlation(spec, q, dw).c, rel=1e-6)
+    for tau, R in [(1.0, 1.0), (1e-3, 1e3), (1e3, 1e-3)]:
+        for case in (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
+                     SourceCase.C_SPHERE, SourceCase.D_EXPONENTIAL):
+            spec = SourceSpec(case=case, tau=tau, R=R)
+            for x in np.linspace(0.0, 6.0, 4):
+                for y in np.linspace(0.0, 6.0, 4):
+                    q, dw = x / R, y / tau
+                    assert numeric_correlation(spec, q, dw).c == (
+                        pytest.approx(correlation(spec, q, dw).c, rel=1e-6))
 
 
 def test_slow_shock_reduces_to_one_sided_gaussian():
@@ -117,12 +122,7 @@ def test_high_frequency_matches_closed_forms():
         assert compared > 0
 
 
-@pytest.mark.parametrize("tau", [1.0] + [
-    pytest.param(tau, marks=pytest.mark.xfail(strict=True, reason=(
-        "ABS_TOL = 1e-12 is absolute in F, and case E's F(0,0) = "
-        "r_dot^3 tau^4 / 6 shrinks with tau: the FOUND on the oracle's "
-        "absolute tolerance in CHANGES.md is the mend")))
-    for tau in (1e-3, 1e-6)])
+@pytest.mark.parametrize("tau", [1.0, 1e-3, 1e-6])
 def test_case_e_oracle_keeps_checks_bound_at_any_tau(tau):
     # the excess depends on r_dot tau q and d_omega tau alone, so this point
     # has one excess at every tau; `check` holds the oracle to 1e-8 on it
@@ -169,6 +169,34 @@ def test_origin_cache_is_exact():
         cold = numeric_correlation(spec, 1.3, 0.7)
         warm = numeric_correlation(spec, 1.3, 0.7)
         assert (warm.c, warm.excess) == (cold.c, cold.excess)
+
+
+def test_sources_at_any_scale_share_cache_entries(monkeypatch):
+    # (2q, d_omega/2) at (tau, R) = (2, 0.5) is (q, d_omega) at unit scale,
+    # in the same bits: the caches key on the case and q R or d_omega tau
+    unit = {}
+    clear_caches()
+    for spec in ORACLE_SPECS[:4]:
+        v = numeric_correlation(spec, 1.3, 0.7)
+        unit[spec.case] = (v.c, v.excess)
+    calls = count_quadratures(monkeypatch)
+    for case in unit:
+        v = numeric_correlation(SourceSpec(case=case, tau=2.0, R=0.5),
+                                2.6, 0.35)
+        assert (v.c, v.excess) == unit[case]
+    assert not calls
+
+
+def test_case_e_sources_share_one_origin_transform(monkeypatch):
+    # F(0,0) is one number per case: a second source at another tau costs
+    # its point's cos and sin transforms, and no quadrature of F(0,0)
+    clear_caches()
+    numeric_correlation(ORACLE_SPECS[4], 1.3, 0.7)
+    calls = count_quadratures(monkeypatch)
+    spec = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1e-3,
+                      r_dot=ORACLE_SPECS[4].r_dot)
+    numeric_correlation(spec, 1.3e3, 0.7e3)
+    assert len(calls) == 2
 
 
 FACTOR_GRID_Q = (0.0, 0.4, 2.5, 6.0)
