@@ -64,12 +64,18 @@ Review 9 (1967) 24), and the terms of its sum over orders grow like
 every digit far out in |y| (ROADMAP item 6).  Smeared case D takes Si from
 `sine_integral`.
 
-The closed forms take arrays: `time_factor` a d_omega array, `form_factor`
-and `phi_of_X` a q or X array.  `excess`, `correlation` and
-`case_e_excess` broadcast q against d_omega (a `(nq, 1)` q column and an
-`(nw,)` d_omega row give the `(nq, nw)` grid), so a whole surface is one
-call; case E picks the direct form or the series per point by a mask on
-mu and mu |y|.  Scalars in give a scalar out.
+Each kernel takes the source's dimensionless argument alone:
+`form_factor` x = q R, `time_factor` y = d_omega tau, `mean_time_factor`
+t = tau W, `case_e_excess` mu = r_dot tau q and y.  `excess` alone reads
+the source's scale, as `oracle.numeric_correlation` does for the
+quadratures, and silences numpy's warnings where a product or a square
+overflows to its limit, as `phi_of_X` does for its own; the kernels are
+plain numpy.  `time_factor`, `form_factor` and `phi_of_X` take arrays,
+and `excess`, `correlation` and `case_e_excess` broadcast q against
+d_omega, or mu against y (a `(nq, 1)` q column and an `(nw,)` d_omega row
+give the `(nq, nw)` grid), so a whole surface is one call; case E picks
+the direct form or the series per point by a mask on mu and mu |y|.
+Scalars in give a scalar out.
 """
 
 import functools
@@ -109,7 +115,7 @@ CHAOTICITY = 0.5
 
 # Shape constant c of each factorized case: Phi(q) = 1 - c (q R)^2 + O(q^4).
 # The curvature kappa = -Phi''(0) is 2 c R^2, and on the rescaled axis
-# X = sqrt(kappa/2) q every shape reads Phi = form_factor(case, 1, X/sqrt(c)).
+# X = sqrt(kappa/2) q every shape reads Phi = form_factor(case, X/sqrt(c)).
 _SHAPE_CONSTANT = {SourceCase.A_GAUSSIAN: 1.0, SourceCase.B_SHELL: 1.0 / 3.0,
                    SourceCase.C_SPHERE: 1.0 / 5.0,
                    SourceCase.D_EXPONENTIAL: 4.0}
@@ -187,17 +193,13 @@ def _shape_constant(case: SourceCase) -> float:
     return _SHAPE_CONSTANT[case]
 
 
-# Far out on either axis the squares in the closed forms overflow to inf,
-# which gives their exact limit 0 (exp(-inf), 1/inf); numpy's overflow
-# warning would only be noise on stderr.
-@np.errstate(over="ignore")
-def time_factor(case: SourceCase, tau: float, d_omega: Values) -> Values:
-    """T(d_omega): squared normalized temporal transform, T(0) = 1."""
+def time_factor(case: SourceCase, y: Values) -> Values:
+    """T at y = d_omega tau, the squared normalized temporal transform:
+    exp(-y^2) for A-C, sinc^2(sqrt(3) y) for D; T(0) = 1."""
     if case is SourceCase.D_EXPONENTIAL:
-        return np.square(sinc(_SQRT3 * tau * d_omega))
+        return np.square(sinc(_SQRT3 * y))
     if case in FACTORIZED_CASES:
-        x = d_omega * tau
-        return np.exp(-x * x)
+        return np.exp(-y * y)
     raise ValueError("case E has no factorized time factor")
 
 
@@ -211,30 +213,31 @@ def check_window(case: Optional[SourceCase], window: float) -> None:
         raise ValueError("smearing window must be positive and finite")
 
 
-def mean_time_factor(case: SourceCase, tau: float, window: float) -> float:
-    """<T> over a box window of full width W = window, for the factorized
-    cases, in closed form:
+def mean_time_factor(case: SourceCase, t: float) -> float:
+    """<T> over a box window of full width W, at t = tau W, for the
+    factorized cases, in closed form:
 
         A-C  T = exp(-(tau w)^2):         <T> = sqrt(pi) erf(x) / (2 x),
-             x = tau W / 2;
+             x = t / 2;
         D    T = sinc^2(sqrt(3) tau w):   <T> = (Si(2y) - sin^2(y) / y) / y,
-             y = sqrt(3) tau W / 2.
+             y = sqrt(3) t / 2.
 
     Below x, y = 1e-3 each takes its Taylor series, whose next term is
     below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
-    underflow.  Where tau W overflows, each is its limit 0.  A tau that
-    is not positive and finite raises ValueError."""
-    check_window(case, window)
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
+    underflow.  At t = inf, where tau W overflows, each is its limit 0.  A
+    negative or NaN t raises ValueError."""
+    if not t >= 0.0:
+        raise ValueError("tau W must be non-negative")
     if case is SourceCase.D_EXPONENTIAL:
-        y = 0.5 * _SQRT3 * tau * window
+        y = 0.5 * _SQRT3 * t
         if y < 1e-3:
             return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
         if y == math.inf:  # sin(inf) is undefined; <T> falls as pi / 2y
             return 0.0
         return float(sine_integral(2.0 * y) - math.sin(y) ** 2 / y) / y
-    x = 0.5 * tau * window
+    if case not in FACTORIZED_CASES:
+        raise ValueError("case E has no factorized time factor")
+    x = 0.5 * t
     if x < 1e-3:
         return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
     return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
@@ -253,15 +256,10 @@ def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
                      where=x >= 1e-2)
 
 
-@np.errstate(over="ignore")
-def form_factor(case: SourceCase, R: float, q: Values) -> Values:
-    """Phi(q): squared normalized spatial transform, Phi(0) = 1.  A
-    negative or NaN q, or an R that is not positive and finite, raises
-    ValueError."""
-    _check_q(q)
-    if not 0.0 < R < math.inf:
-        raise ValueError("R must be positive and finite")
-    x = q * R
+def form_factor(case: SourceCase, x: Values) -> Values:
+    """Phi at x = q R, the squared normalized spatial transform;
+    Phi(0) = 1.  A negative or NaN x raises ValueError."""
+    _check_q(x)
     if case is SourceCase.A_GAUSSIAN:
         return np.exp(-x * x)
     if case is SourceCase.B_SHELL:
@@ -274,24 +272,30 @@ def form_factor(case: SourceCase, R: float, q: Values) -> Values:
     raise ValueError("case E has no factorized form factor")
 
 
+# Far out on either axis the scale products and the kernels' squares
+# overflow to inf, where each kernel takes its limit (case E's series is NaN
+# there, which callers report): numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def excess(spec: SourceSpec, q: Values, d_omega: Values,
            smear_dw: Optional[float] = None) -> Values:
     """C - 1 with q broadcast against d_omega; coherent emission gives 0
     exactly.  With an energy window smear_dw, T is its box average <T> at
     every d_omega; the window is checked whatever the emission.  A
-    negative or NaN q raises ValueError (for A-D and E in `form_factor`
-    and `case_e_excess`)."""
-    mean_t = (None if smear_dw is None
-              else mean_time_factor(spec.case, spec.tau, smear_dw))
+    negative or NaN q raises ValueError.  The one reader of the source's
+    scale: each kernel gets x = q R, y = d_omega tau, t = tau W or
+    mu = r_dot tau q."""
+    if smear_dw is not None:
+        check_window(spec.case, smear_dw)
     if spec.emission is Emission.COHERENT:
         _check_q(q)
         return np.zeros(np.broadcast_shapes(np.shape(q),
                                             np.shape(d_omega)))[()]
     if spec.case in FACTORIZED_CASES:
-        t = (time_factor(spec.case, spec.tau, d_omega) if mean_t is None
-             else np.full(np.shape(d_omega), mean_t)[()])
-        return CHAOTICITY * t * form_factor(spec.case, spec.R, q)
-    return case_e_excess(spec, q, d_omega)
+        t = (time_factor(spec.case, d_omega * spec.tau) if smear_dw is None
+             else np.full(np.shape(d_omega), mean_time_factor(
+                 spec.case, spec.tau * smear_dw))[()])
+        return CHAOTICITY * t * form_factor(spec.case, q * spec.R)
+    return case_e_excess(spec.r_dot * spec.tau * q, d_omega * spec.tau)
 
 
 def correlation(spec: SourceSpec, q: Values, d_omega: Values
@@ -319,10 +323,12 @@ def kappa_to_radius(case: SourceCase, kappa: float) -> float:
     return math.sqrt(kappa / (2.0 * _shape_constant(case)))
 
 
+# where x^2 overflows, Phi takes its limit 0 without numpy's warning
+@np.errstate(over="ignore")
 def phi_of_X(case: SourceCase, X: Values) -> Values:
     """Phi on the rescaled axis X = sqrt(kappa/2) q; every case starts as
     1 - X^2 + O(X^4)."""
-    return form_factor(case, 1.0, X / math.sqrt(_shape_constant(case)))
+    return form_factor(case, X / math.sqrt(_shape_constant(case)))
 
 
 def _case_e_direct(y: Values, mu: Values) -> np.ndarray:
@@ -385,35 +391,27 @@ def _case_e_series(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return (re * re + im * im) * CHAOTICITY
 
 
-# Far out on either axis the squares and products in both branches
-# overflow, the direct form's limit is taken at the points where they do,
-# and the series is NaN there, which callers report: numpy's warnings would
-# only be noise on stderr.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def case_e_excess(spec: SourceSpec, q: Values, d_omega: Values) -> Values:
-    """C - 1 for case E with q broadcast against d_omega: the small-mu
-    series where mu = r_dot tau q <= MU_SERIES_MAX and
-    mu |d_omega tau| <= MU_Y_SERIES_MAX, the direct form elsewhere.  Each
-    branch is evaluated once, on the points the mask gives it, or on the
-    inputs as they are when it has them all: the series for a grid within
-    both bounds with every q >= 0 (the CLI's default), the direct form for
-    one with each point past a bound (say every mu > MU_SERIES_MAX).  A
-    negative or NaN q raises ValueError."""
-    if spec.case is not SourceCase.E_EXPANDING_SHOCK:
-        raise ValueError("case_e_excess is defined for case E only")
-    # [()] keeps a scalar q or d_omega a numpy scalar, whose arithmetic
-    # costs less than a 0-d array's and whose ndim the series reads
-    q = np.asarray(q, dtype=float)[()]
-    mu = spec.r_dot * spec.tau * q
-    y = np.asarray(d_omega, dtype=float)[()] * spec.tau
+def case_e_excess(mu: Values, y: Values) -> Values:
+    """C - 1 for case E at mu = r_dot tau q and y = d_omega tau, mu
+    broadcast against y: the small-mu series where mu <= MU_SERIES_MAX and
+    mu |y| <= MU_Y_SERIES_MAX, the direct form elsewhere.  Each branch is
+    evaluated once, on the points the mask gives it, or on the inputs as
+    they are when it has them all: the series for a grid within both
+    bounds with every mu >= 0 (the CLI's default), the direct form for one
+    with each point past a bound (say every mu > MU_SERIES_MAX).  A
+    negative or NaN mu raises ValueError."""
+    # [()] keeps a scalar mu or y a numpy scalar, whose arithmetic costs
+    # less than a 0-d array's and whose ndim the series reads
+    mu = np.asarray(mu, dtype=float)[()]
+    y = np.asarray(y, dtype=float)[()]
     # A negative, 0 or NaN mu fails both tests, so the direct form gets
-    # mu > 0 only; q >= 0 fails for a NaN q too
+    # mu > 0 only; mu >= 0 fails for a NaN mu too
     direct = (mu > MU_SERIES_MAX) | (mu * abs(y) > MU_Y_SERIES_MAX)
-    if not np.count_nonzero(direct | ~(q >= 0.0)):
+    if not np.count_nonzero(direct | ~(mu >= 0.0)):
         return _case_e_series(y, mu)
     if direct.all():
         return _case_e_direct(y, mu)[()]
-    _check_q(q)
+    _check_q(mu)
     y, mu, direct = np.broadcast_arrays(y, mu, direct)
     series = ~direct
     out = np.empty(mu.shape)

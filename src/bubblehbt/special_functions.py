@@ -3,7 +3,7 @@
 These are the numerical bedrock for the expanding-shock correlator, the
 space/time form factors and the inference's p-values: the Faddeeva
 function w(z) = exp(-z^2) erfc(-iz), Dawson's integral D(x), the sine
-integral Si(x), erfc, sin(x)/x with its removable singularity handled, and
+integral Si(x), sin(x)/x with its removable singularity handled, and
 the chi-square survival function for integer degrees of freedom.  On the
 real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x); case E, whose arguments
 are real, takes w from D.  `faddeeva`, `dawson` and `sinc` take a scalar
@@ -18,8 +18,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["faddeeva", "dawson", "sine_integral", "erfc_real", "sinc",
-           "chi2_survival"]
+__all__ = ["faddeeva", "dawson", "sine_integral", "sinc", "chi2_survival"]
 
 # Below this |x| the direct sin(x)/x suffers catastrophic cancellation in the
 # deviation from 1; switch to the Taylor polynomial.
@@ -63,11 +62,6 @@ def sine_integral(x: float) -> float:
     return _scipy_special().sici(x)[0]
 
 
-def erfc_real(x: float) -> float:
-    """Complementary error function for real argument."""
-    return math.erfc(x)
-
-
 def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(x)/x, exactly 1 at x = 0 and its limit 0 at x = +-inf.
 
@@ -101,7 +95,7 @@ def chi2_survival(k: int, x: float) -> float:
     a = 0.5 * x
     odd = k % 2
     n = k // 2
-    q = erfc_real(math.sqrt(a)) if odd else 0.0
+    q = math.erfc(math.sqrt(a)) if odd else 0.0
     if n:
         log_t0 = -a + (0.5 * math.log(a) + _LOG_2_OVER_SQRT_PI if odd else 0.0)
         logs = np.empty(n)

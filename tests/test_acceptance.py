@@ -20,7 +20,7 @@ from bubblehbt.inference import (Chaoticity, chaoticity_test,
 from bubblehbt.kinematics import C_UM_PER_PS, resolution_ratio
 from bubblehbt.oracle import numeric_correlation, numeric_curvature
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.special_functions import erfc_real, faddeeva
+from bubblehbt.special_functions import chi2_survival, faddeeva
 from bubblehbt.synth import CorrelationSurface, GridSpec, NoiseSpec, generate
 
 A, B, C, D, E = (SourceCase.A_GAUSSIAN, SourceCase.B_SHELL,
@@ -76,7 +76,7 @@ def test_criterion_3():
     for case, coeff in expected.items():
         assert small_q_coefficient(case, 1.0) == pytest.approx(coeff,
                                                                rel=1e-12)
-        est = (1.0 - form_factor(case, 1.0, q)) / (q * q)
+        est = (1.0 - form_factor(case, q)) / (q * q)
         assert est == pytest.approx(coeff, rel=1e-5)
 
 
@@ -84,7 +84,7 @@ def test_criterion_3():
 def test_criterion_4():
     for case in (A, B, C, D):
         kappa, _ = numeric_curvature(
-            lambda q: form_factor(case, 1.0, q), h=1e-2)
+            lambda q: form_factor(case, q), h=1e-2)
         assert kappa_to_radius(case, kappa) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -246,9 +246,9 @@ def test_criterion_10():
         lhs = faddeeva(-z) + faddeeva(z)
         rhs = 2.0 * np.exp(-z * z)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs) + 1e-12
-    assert erfc_real(0.0) == 1.0
-    assert erfc_real(1.0) == pytest.approx(0.15729921, abs=1e-8)
-    assert erfc_real(-0.7) == pytest.approx(2.0 - erfc_real(0.7), rel=1e-12)
+    # erfc(x) = Q(1/2, x^2), the chi-square survival at k = 1 and 2 x^2
+    assert chi2_survival(1, 0.0) == 1.0
+    assert chi2_survival(1, 2.0) == pytest.approx(0.15729921, abs=1e-8)
     w1 = faddeeva(complex(1.0, 0.0))
     assert w1.real == pytest.approx(0.3678794, abs=1e-7)
     assert w1.imag == pytest.approx(0.6071577, abs=1e-7)

@@ -39,7 +39,7 @@ def surface(case, q_values, dw_values, R=1.0, tau=1.0, r_dot=REFERENCE_RDOT,
 
 def exact_phi_samples(case, q_values, R=1.0):
     q = np.asarray(q_values, dtype=float)
-    phi = np.array([form_factor(case, R, qi) for qi in q])
+    phi = np.array([form_factor(case, qi * R) for qi in q])
     return FormFactorSamples(q=q, phi_hat=phi, phi_err=np.zeros_like(q))
 
 
@@ -444,7 +444,7 @@ def test_renormalization_cancels_smearing():
     for case in (A, D):
         surf = surface(case, q, (0.0,), smear_dw=3.0)
         samples = renormalize_at_origin(surf)
-        expected = np.array([form_factor(case, 1.0, qi) for qi in q])
+        expected = np.array([form_factor(case, qi) for qi in q])
         np.testing.assert_allclose(samples.phi_hat, expected, rtol=1e-12)
         assert samples.phi_hat[0] == 1.0
 
@@ -487,7 +487,7 @@ def test_shapes_indistinguishable_near_origin():
 def test_shape_separation_under_percent_noise():
     rng = np.random.default_rng(11)
     q = np.linspace(0.0, 3.0 * math.sqrt(5.0), 61)  # X up to 3 for kappa=2/5
-    phi = np.array([form_factor(C, 1.0, qi) for qi in q])
+    phi = np.array([form_factor(C, qi) for qi in q])
     err = np.full_like(q, 0.01)
     noisy = phi + rng.normal(0.0, 0.01, size=q.size)
     samples = FormFactorSamples(q=q, phi_hat=noisy, phi_err=err)

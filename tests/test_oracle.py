@@ -306,14 +306,14 @@ def test_numpy_and_python_floats_give_same_bits(spec):
 
 def test_curvature_gaussian():
     kappa, err = numeric_curvature(
-        lambda q: form_factor(SourceCase.A_GAUSSIAN, 1.0, q), h=1e-2)
+        lambda q: form_factor(SourceCase.A_GAUSSIAN, q), h=1e-2)
     assert kappa == pytest.approx(2.0, abs=1e-6)
     assert err >= 0.0
 
 
 def test_curvature_exponential():
     kappa, _ = numeric_curvature(
-        lambda q: form_factor(SourceCase.D_EXPONENTIAL, 1.0, q), h=1e-2)
+        lambda q: form_factor(SourceCase.D_EXPONENTIAL, q), h=1e-2)
     assert kappa == pytest.approx(8.0, abs=1e-5)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bubblehbt.cli import main
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
-                                   MU_SERIES_MAX, case_e_excess, correlation)
+                                   MU_SERIES_MAX, correlation, excess)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.synth import (GridSpec, NoiseSpec, generate,
@@ -73,8 +73,8 @@ def test_case_e_branches_agree_at_the_series_switch(spec, d_omega_tau):
     # digits to cancellation (ROADMAP item 6), which this does not test.
     q_switch = MU_SERIES_MAX / (spec.r_dot * spec.tau)
     d_omega = np.array([d_omega_tau / spec.tau])
-    series = case_e_excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
-    direct = case_e_excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
+    series = excess(spec, (1.0 - 1e-12) * q_switch, d_omega)
+    direct = excess(spec, (1.0 + 1e-12) * q_switch, d_omega)
     np.testing.assert_allclose(series, direct, rtol=1e-12, atol=0.0)
 
 

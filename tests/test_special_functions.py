@@ -1,4 +1,4 @@
-"""Faddeeva / erfc / sinc checks against independent series oracles,
+"""Faddeeva and sinc checks against independent series oracles,
 Dawson's integral against mpmath, and the chi-square survival function
 against scipy's."""
 
@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bubblehbt.special_functions import (chi2_survival, dawson, erfc_real,
-                                         faddeeva, sinc)
+from bubblehbt.special_functions import (chi2_survival, dawson, faddeeva,
+                                         sinc)
 
 
 # --- independent oracles (series / continued fraction, no scipy) -----------
@@ -146,23 +146,6 @@ def test_faddeeva_imaginary_part_on_the_real_axis_is_dawson():
     np.testing.assert_array_less(
         np.abs(im_w - 2.0 / math.sqrt(math.pi) * dawson(x)),
         4.0 * np.spacing(np.abs(im_w)) + 1e-300)
-
-
-# --- erfc -------------------------------------------------------------------
-
-def test_erfc_trivial():
-    assert erfc_real(0.0) == 1.0
-
-
-def test_erfc_against_oracle():
-    for x in [0.1, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 10.0]:
-        assert erfc_real(x) == pytest.approx(erfc_oracle(x), rel=1e-12)
-    assert erfc_real(1.0) == pytest.approx(0.15729921, abs=5e-9)
-
-
-def test_erfc_reflection():
-    x = 0.7
-    assert erfc_real(-x) == pytest.approx(2.0 - erfc_real(x), rel=1e-14)
 
 
 # --- chi-square survival ----------------------------------------------------

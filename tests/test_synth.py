@@ -18,8 +18,7 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    form_factor, mean_time_factor, time_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
-from bubblehbt.special_functions import (dawson, erfc_real, faddeeva,
-                                         sine_integral)
+from bubblehbt.special_functions import dawson, faddeeva, sine_integral
 from bubblehbt.synth import (GridSpec, NoiseSpec, format_value, generate,
                              read_surface_csv, write_surface_csv)
 
@@ -305,7 +304,7 @@ def test_smearing_narrow_window_limit():
 
 def test_smearing_gaussian_window():
     # <T> = (1/2) int_{-1}^{1} exp(-x^2) dx = (sqrt(pi)/2) erf(1)
-    mean_t = math.sqrt(math.pi) / 2.0 * (1.0 - erfc_real(1.0))
+    mean_t = math.sqrt(math.pi) / 2.0 * (1.0 - math.erfc(1.0))
     assert mean_t == pytest.approx(0.746824, abs=1e-6)
     assert 1.0 + excess(spec_a(), 0.0, 0.0, smear_dw=2.0) == pytest.approx(
         1.0 + 0.5 * mean_t, rel=1e-9)
@@ -317,8 +316,8 @@ def test_smearing_gaussian_window():
 
 
 def test_smearing_monotone_in_window():
-    vals = [mean_time_factor(SourceCase.A_GAUSSIAN, 1.0, w)
-            for w in [0.5, 1.0, 2.0, 4.0, 8.0]]
+    vals = [mean_time_factor(SourceCase.A_GAUSSIAN, t)
+            for t in [0.5, 1.0, 2.0, 4.0, 8.0]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -331,36 +330,37 @@ def test_smeared_excess_is_mean_time_factor_times_form_factor(case):
     spec = SourceSpec(case=case, tau=0.8, R=1.3)
     for window in (1e-6, 0.7, 2.0, 50.0):
         smeared = excess(spec, q, dw, smear_dw=window)
-        expected = (CHAOTICITY * mean_time_factor(case, 0.8, window)
-                    * form_factor(case, 1.3, q))
+        expected = (CHAOTICITY * mean_time_factor(case, 0.8 * window)
+                    * form_factor(case, q * 1.3))
         assert smeared.shape == (7, 5)
         assert (smeared == expected).all()
     assert excess(spec, 0.5, 1.0, smear_dw=2.0) == (
-        CHAOTICITY * mean_time_factor(case, 0.8, 2.0)
-        * form_factor(case, 1.3, 0.5))
+        CHAOTICITY * mean_time_factor(case, 0.8 * 2.0)
+        * form_factor(case, 0.5 * 1.3))
 
 
 @pytest.mark.parametrize("case", FACTORIZED_CASES)
 def test_mean_time_factor_matches_quadrature(case):
-    # the closed forms against a box average of T by adaptive quadrature,
-    # over [0, W/2] by symmetry, split at the zeros of case D's sinc^2
-    for tau in (0.3, 1.0, 3.0):
-        for tau_w in np.geomspace(1e-8, 300.0, 25):
-            half = 0.5 * tau_w / tau
-            zero = math.pi / (math.sqrt(3.0) * tau)
-            points = None
-            if case is SourceCase.D_EXPONENTIAL and half > zero:
-                points = zero * np.arange(1, int(half / zero) + 1)
-            avg, _ = integrate.quad(
-                lambda w: float(time_factor(case, tau, w)), 0.0, half,
-                points=points, epsabs=0.0, epsrel=2e-14, limit=500)
-            assert mean_time_factor(case, tau, tau_w / tau) == pytest.approx(
-                avg / half, rel=1e-13, abs=0.0)
-        # far below the series switch, <T> is 1 to the last bit
-        assert mean_time_factor(case, tau, 1e-200 / tau) == 1.0
+    # the closed forms in t = tau W against a box average of T(y),
+    # y = d_omega tau, by adaptive quadrature, over [0, t/2] by symmetry,
+    # split at the zeros of case D's sinc^2
+    zero = math.pi / math.sqrt(3.0)
+    for t in np.geomspace(1e-8, 300.0, 25):
+        half = 0.5 * t
+        points = None
+        if case is SourceCase.D_EXPONENTIAL and half > zero:
+            points = zero * np.arange(1, int(half / zero) + 1)
+        avg, _ = integrate.quad(
+            lambda y: float(time_factor(case, y)), 0.0, half,
+            points=points, epsabs=0.0, epsrel=2e-14, limit=500)
+        assert mean_time_factor(case, t) == pytest.approx(
+            avg / half, rel=1e-13, abs=0.0)
+    # far below the series switch, <T> is 1 to the last bit, and at t = 0
+    assert mean_time_factor(case, 1e-200) == 1.0
+    assert mean_time_factor(case, 0.0) == 1.0
     # where tau W overflows, every case is its limit 0, and the smeared
     # excess with it
-    assert mean_time_factor(case, 1e10, 1e308) == 0.0
+    assert mean_time_factor(case, math.inf) == 0.0
     spec = SourceSpec(case=case, tau=1e10, R=1.0)
     assert (excess(spec, np.array([0.0, 1.0]), 0.5, smear_dw=1e308)
             == 0.0).all()
@@ -369,7 +369,11 @@ def test_mean_time_factor_matches_quadrature(case):
 def test_mean_time_factor_rejects_bad_windows():
     for window in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            mean_time_factor(SourceCase.A_GAUSSIAN, 1.0, window)
+            correlators.check_window(SourceCase.A_GAUSSIAN, window)
+        # <T> takes t = tau W >= 0, whose limits 0 and inf it reaches
+        if not window >= 0.0:
+            with pytest.raises(ValueError, match="tau W must be non-neg"):
+                mean_time_factor(SourceCase.A_GAUSSIAN, window)
         # the window is checked whatever the emission
         for emission in Emission:
             with pytest.raises(ValueError, match="positive and finite"):

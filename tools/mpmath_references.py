@@ -6,13 +6,22 @@ against, and a report of each case E branch's error on it.
 
 `write` computes every reference at 100 digits, checks it against the same
 value at 130 digits, and writes tests/data/mpmath_references.csv.  Its rows
-are `form,arg0,arg1,value`; each argument is the float the closed form
-sees, and the value is rounded to 17 significant digits.  For the form
-`case_e_excess` the arguments are mu = r_dot tau q and y = d_omega tau:
+are `form,arg0,arg1,value`; each argument is the float the kernel of
+`correlators` takes, the value is rounded to 17 significant digits, and a
+form of one argument leaves arg1 empty.  The forms:
 
-  - a mu grid over (0, 1] and mu = 0, against |y| <= 10;
-  - the three points where both branches of case E lose every digit
-    (ROADMAP item 6), at tau = 1 ps and r_dot = 2e-4 c.
+  - `case_e_excess` at mu = r_dot tau q and y = d_omega tau: a mu grid
+    over (0, 1] and mu = 0, against |y| <= 10, and the three points where
+    both branches of case E lose every digit (ROADMAP item 6), at
+    tau = 1 ps and r_dot = 2e-4 c;
+  - `form_factor_A` to `form_factor_D` at x = q R, on a log grid of x up
+    to 10 and x = 0, with points on both sides of sinc's switch at 1e-4
+    and of C's series switch at 1e-2;
+  - `time_factor_D` at y = d_omega tau, on the same grid with points on
+    both sides of sinc's switch at sqrt(3) y = 1e-4;
+  - `mean_time_factor_A` (the closed form of A-C) and `mean_time_factor_D`
+    at t = tau W, on a log grid of t up to 1e3 and t = 0, with points on
+    both sides of each Taylor switch (t/2 and sqrt(3) t/2 = 1e-3).
 
 `report` reads the table and prints the worst relative error of
 `case_e_excess`, of its direct form and of its series on each band of mu
@@ -47,6 +56,17 @@ CASE_E_MU = sorted({*np.geomspace(1e-4, 1.0, 33).tolist(), 1e-8, 1e-6,
 CASE_E_Y = [0.0, 1e-3, 0.1, *(0.25 * k for k in range(1, 41))]
 # (q, d_omega) of the points where both branches cancel, at tau = 1 ps
 CASE_E_ONSET = [(0.1, 1e6), (0.0, 1e8), (0.0101 / REFERENCE_RDOT, 1e4)]
+# x = q R of the form factors and y = d_omega tau of D's time factor, and
+# t = tau W of the box averages: log grids, 0, and both sides of each switch
+SINC_SWITCH = 1e-4
+X_GRID = sorted({0.0, *np.geomspace(1e-6, 10.0, 71).tolist(),
+                 *(f * SINC_SWITCH for f in (0.99, 1.0, 1.01)),
+                 *(f * 1e-2 for f in (0.99, 1.0, 1.01, 1.07))})
+Y_GRID = sorted({*X_GRID, *(f * SINC_SWITCH / math.sqrt(3.0)
+                            for f in (0.99, 1.0, 1.01))})
+T_GRID = sorted({0.0, *np.geomspace(1e-6, 1e3, 91).tolist(),
+                 *(f * 2e-3 for f in (0.99, 1.0, 1.01)),
+                 *(f * 2e-3 / math.sqrt(3.0) for f in (0.99, 1.0, 1.01))})
 
 
 def case_e_excess(mu, y):
@@ -76,20 +96,62 @@ def case_e_excess(mu, y):
 def case_e_points():
     """(mu, y) of every case E row, each the float the closed form sees."""
     points = [(mu, y) for mu in [0.0, *CASE_E_MU] for y in CASE_E_Y]
-    # case_e_excess computes mu = (r_dot tau) q, here with tau = 1
+    # excess computes mu = (r_dot tau) q, here with tau = 1
     points += [(REFERENCE_RDOT * 1.0 * q, d_omega)
                for q, d_omega in CASE_E_ONSET]
     return points
 
 
-def reference(mu, y):
-    # the direct form loses about 3 log10(1/mu) digits, and the recurrence
-    # at mu = 0 about 6 log10|y|, to cancellation
+def sinc(x):
+    return mpmath.sin(x) / x if x else mpmath.mpf(1)
+
+
+def sphere(x):
+    """3 (sin x - x cos x) / x^3, 1 at x = 0."""
+    if not x:
+        return mpmath.mpf(1)
+    return 3 * (mpmath.sin(x) - x * mpmath.cos(x)) / x ** 3
+
+
+def mean_gaussian(t):
+    """sqrt(pi) erf(x) / (2 x) at x = t/2, 1 at t = 0."""
+    x = mpmath.mpf(t) / 2
+    if not x:
+        return mpmath.mpf(1)
+    return mpmath.sqrt(mpmath.pi) * mpmath.erf(x) / (2 * x)
+
+
+def mean_sinc2(t):
+    """(Si(2y) - sin^2(y) / y) / y at y = sqrt(3) t / 2, 1 at t = 0."""
+    y = mpmath.sqrt(3) * mpmath.mpf(t) / 2
+    if not y:
+        return mpmath.mpf(1)
+    return (mpmath.si(2 * y) - mpmath.sin(y) ** 2 / y) / y
+
+
+# the one-argument forms: the closed form at mpmath's precision, and the
+# arguments of its rows
+KERNELS = {
+    "form_factor_A": (lambda x: mpmath.exp(-mpmath.mpf(x) ** 2), X_GRID),
+    "form_factor_B": (lambda x: sinc(mpmath.mpf(x)) ** 2, X_GRID),
+    "form_factor_C": (lambda x: sphere(mpmath.mpf(x)) ** 2, X_GRID),
+    "form_factor_D": (lambda x: (1 + mpmath.mpf(x) ** 2) ** -4, X_GRID),
+    "time_factor_D": (lambda y: sinc(mpmath.sqrt(3) * mpmath.mpf(y)) ** 2,
+                      Y_GRID),
+    "mean_time_factor_A": (mean_gaussian, T_GRID),
+    "mean_time_factor_D": (mean_sinc2, T_GRID),
+}
+
+
+def reference(form, *args):
+    # case E's direct form loses about 3 log10(1/mu) digits, its
+    # recurrence at mu = 0 about 6 log10|y|, and C's form factor about
+    # 2 log10(1/x), to cancellation
     with mpmath.workdps(100):
-        value = case_e_excess(mu, y)
+        value = form(*args)
     with mpmath.workdps(130):
-        check = case_e_excess(mu, y)
-    assert abs(value - check) <= mpmath.mpf(10) ** -30 * abs(check), (mu, y)
+        check = form(*args)
+    assert abs(value - check) <= mpmath.mpf(10) ** -30 * abs(check), args
     return mpmath.nstr(value, 17, min_fixed=1, max_fixed=0)
 
 
@@ -102,31 +164,32 @@ def write():
         out.writerow(["form", "arg0", "arg1", "value"])
         for mu, y in case_e_points():
             out.writerow(["case_e_excess", repr(mu), repr(y),
-                          reference(mu, y)])
+                          reference(case_e_excess, mu, y)])
+        for name, (form, grid) in KERNELS.items():
+            for arg in grid:
+                out.writerow([name, repr(arg), "", reference(form, arg)])
 
 
 def read(form):
-    """The (arg0, arg1, value) arrays of the table's rows of `form`."""
+    """The (arg0, arg1, value) arrays of the table's rows of `form`; an
+    empty arg1 reads as NaN."""
     with open(TABLE) as fh:
         rows = [row for row in csv.DictReader(
             line for line in fh if not line.startswith("#"))
             if row["form"] == form]
-    return tuple(np.array([float(row[key]) for row in rows])
+    return tuple(np.array([float(row[key] or "nan") for row in rows])
                  for key in ("arg0", "arg1", "value"))
 
 
 def report(orders):
     from bubblehbt import correlators
-    from bubblehbt.sources import SourceCase, SourceSpec
 
     mu, y, value = read("case_e_excess")
     keep = np.abs(y) <= 10.0
     mu, y, value = mu[keep], y[keep], value[keep]
-    # tau = 1 and r_dot = 1 make mu = q and y = d_omega
-    spec = SourceSpec(case=SourceCase.E_EXPANDING_SHOCK, tau=1.0, r_dot=1.0)
     with np.errstate(all="ignore"):
         columns = {
-            "case_e_excess": correlators.case_e_excess(spec, mu, y),
+            "case_e_excess": correlators.case_e_excess(mu, y),
             "direct": np.where(mu > 0.0,
                                correlators._case_e_direct(y, mu), np.nan),
             "series": correlators._case_e_series(y, mu),
@@ -161,7 +224,7 @@ def report(orders):
     for correlators.MU_SERIES_MAX in (0.45, 0.5, 0.55, 0.6):
         for correlators.MU_Y_SERIES_MAX in (2.0, 2.5, 3.0, 4.0, 5.0):
             with np.errstate(all="ignore"):
-                got = correlators.case_e_excess(spec, mu, y)
+                got = correlators.case_e_excess(mu, y)
             rel = np.abs(got - value) / value
             print(f"MU_SERIES_MAX = {correlators.MU_SERIES_MAX:<5g}"
                   f"MU_Y_SERIES_MAX = {correlators.MU_Y_SERIES_MAX:<4g}"
