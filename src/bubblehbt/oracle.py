@@ -145,8 +145,8 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
     else:
         x = q * spec.R
     f = _transform(spec.case, x, d_omega * spec.tau)
-    excess = CHAOTICITY * abs(f / _origin_transform(spec.case)) ** 2
-    return CorrelationValue(c=1.0 + excess, excess=excess)
+    return CorrelationValue(
+        CHAOTICITY * abs(f / _origin_transform(spec.case)) ** 2)
 
 
 def numeric_curvature(phi_sampler: Callable[[float], float],

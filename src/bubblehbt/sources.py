@@ -136,24 +136,26 @@ def shock_amplitude(mu: float
     over the ball u <= s, whose front is r_dot t.  That integral is
     (sin x - x cos x) / mu^3 with x = mu s, and its Taylor series below
     x = 1e-3, where the direct form cancels; at mu = 0, where x = 0, the
-    series is s^3 / 3, so one closure serves every mu.  The source's
-    transform at (q, d_omega) is (r_dot tau)^3 tau times the Fourier
-    integral of f at y = d_omega tau."""
+    series is s^3 / 3, so one closure serves every mu.  QUADPACK calls it
+    once per node, and at the oracle's mu most nodes take the direct
+    form, so that branch is tested first: with mu >= 0, x >= 1e-3 holds
+    only where s > 0, and only the series' nodes test the onset s < 0.
+    The source's transform at (q, d_omega) is (r_dot tau)^3 tau times
+    the Fourier integral of f at y = d_omega tau."""
     if not mu >= 0.0:
         raise ValueError("mu must be non-negative")
     exp, sin, cos = math.exp, math.sin, math.cos
     mu3 = mu * mu * mu
 
     def amplitude(s: float) -> float:
+        x = mu * s
+        if x >= 1e-3:
+            return exp(-s * s) * ((sin(x) - x * cos(x)) / mu3)
         if s < 0.0:
             return 0.0
-        x = mu * s
-        if x < 1e-3:
-            # s^3/3 - s^3 x^2/30 + s^3 x^4/840
-            inner = s ** 3 * (1.0 / 3.0
-                              + x * x * (-1.0 / 30.0 + x * x / 840.0))
-        else:
-            inner = (sin(x) - x * cos(x)) / mu3
-        return exp(-s * s) * inner
+        # s^3/3 - s^3 x^2/30 + s^3 x^4/840
+        return exp(-s * s) * (s ** 3 * (1.0 / 3.0
+                                        + x * x * (-1.0 / 30.0
+                                                   + x * x / 840.0)))
     # exp(-s^2) < cutoff for s > sqrt(ln(1/cutoff))
     return amplitude, (0.0, math.sqrt(_EXP_CUT))

@@ -26,6 +26,7 @@ _SINC_SMALL = 1e-4
 
 _LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
 _TINY = float(np.finfo(float).tiny)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,12 +67,15 @@ def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(x)/x, exactly 1 at x = 0 and its limit 0 at x = +-inf.
 
     |x| < 1e-4 uses the 4-term Taylor polynomial to avoid cancellation.
+    `sin` takes x clipped to [-M, M], M the largest finite float: every
+    finite x reaches it unchanged, and +-inf, where sin is NaN and warns,
+    reaches it as +-M, so the quotient sin(+-M) / +-inf is the limit 0
+    (of either sign).
     """
     x2 = x * x
     series = np.asarray(1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0
                                                        - x2 / 5040.0)))
-    # sin is skipped at +-inf, where it is NaN; 0 / +-inf is the limit 0
-    sin_x = np.sin(x, out=np.zeros(np.shape(x)), where=np.isfinite(x))
+    sin_x = np.sin(np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX))
     return np.divide(sin_x, x, out=series,
                      where=np.abs(x) >= _SINC_SMALL)[()]
 

@@ -76,6 +76,12 @@ def test_coherent_is_unity():
 def test_rejects_negative_q():
     with pytest.raises(ValueError):
         correlation(spec(A), -0.1, 0.0)
+    # -0.0 is not negative, and an empty q has no entry to reject
+    for case in (A, C, E):
+        s = spec(case)
+        assert (correlation(s, -0.0, 0.5).excess
+                == correlation(s, 0.0, 0.5).excess)
+        assert correlation(s, np.empty((0, 1)), np.zeros(3)).c.shape == (0, 3)
 
 
 def test_q_checks_reject_nan():
@@ -90,13 +96,16 @@ def test_q_checks_reject_nan():
             call()
 
 
-@pytest.mark.parametrize("bad", [-0.1, math.nan])
+# -1e-320 is subnormal, and so are x = q R and mu = r_dot tau q from it
+@pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf, -1e-320])
 @pytest.mark.parametrize("case", [A, C, E])
 def test_array_q_with_a_bad_entry_is_rejected(case, bad):
     q = np.array([[0.0], [0.5], [bad]])
     for emission in Emission:
-        with pytest.raises(ValueError, match="q must be non-negative"):
-            correlation(spec(case, emission=emission), q, np.zeros(3))
+        s = spec(case, emission=emission)
+        for q_in, dw in ((q, np.zeros(3)), (bad, 0.0), (np.float64(bad), 0.0)):
+            with pytest.raises(ValueError, match="q must be non-negative"):
+                correlation(s, q_in, dw)
 
 
 # --- factorized form --------------------------------------------------------
@@ -132,7 +141,7 @@ def test_factorized_rejects_case_e():
 def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
     # a source rejects a scale that is not positive and finite, and each
     # kernel checks its own argument, x = q R or t = tau W: a negative or
-    # NaN one raises (below x = 1e-2 and 1e-3 each takes its Taylor series,
+    # NaN one raises (below x = 1e-2 and 1e-3 each took its Taylor series,
     # which a negative R or tau reached: case C's Phi(5) at R = -1 read
     # 0.0908, 0.00326 at R = 1, and case A's <T> over W = 2 at tau = -1
     # read 0.7667, 0.7468 at tau = 1), and 0 and inf give the limits 1 and
@@ -398,8 +407,10 @@ def mpmath_table(form):
 # Each one-argument kernel's bound on its error relative to the table, from
 # the rounding that the closed form does: A's x^2, up to 100, times eps/2;
 # a few ulps for B's sin, D's powers of 1 + x^2 and both box averages, and
-# scipy's Si for D's; C's 1e-14 is ROADMAP item 15's aim; D's time factor
-# rounds sqrt(3) y, which sinc^2 amplifies as it nears a zero.  For the
+# scipy's Si for D's; C's amplitude cancels to about eps / x^2, 2e-15 just
+# above its series switch at x = 0.5, and Phi, its square, doubles that
+# (ROADMAP item 15's aim is 1e-15); D's time factor rounds sqrt(3) y,
+# which sinc^2 amplifies as it nears a zero.  For the
 # forms with zeros, those of sinc and of C's amplitude, the bound is
 # ZERO_ATOL absolute where the reference is below NEAR_ZERO.
 KERNEL_BOUNDS = {
@@ -417,11 +428,7 @@ ZERO_ATOL = 3e-17
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("form", [
-    pytest.param(form, marks=pytest.mark.xfail(
-        strict=True, reason="C's direct form cancels above its series "
-        "switch at x = 1e-2, to 3.3e-12 at x = 0.0107 (ROADMAP item 15)"))
-    if form == "form_factor_C" else form for form in KERNEL_BOUNDS])
+@pytest.mark.parametrize("form", KERNEL_BOUNDS)
 def test_factorized_kernels_match_the_mpmath_table(form):
     kernel, rel = KERNEL_BOUNDS[form]
     arg, _, reference = mpmath_table(form)
@@ -518,6 +525,11 @@ def test_correlation_broadcasts_bit_for_bit(case, emission):
             assert_each_point_is_the_scalar_call(
                 lambda q, w: getattr(correlation(s, q, w), field),
                 q_row[:, None], dw)
+        # C is 1 + (C - 1), in a grid and at a point
+        for value in (correlation(s, q_row[:, None], dw),
+                      correlation(s, q_row[1], dw[1])):
+            assert (np.float64(value.c).tobytes()
+                    == np.float64(1.0 + value.excess).tobytes())
 
 
 @pytest.mark.filterwarnings("error")

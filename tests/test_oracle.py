@@ -298,6 +298,7 @@ def test_numpy_and_python_floats_give_same_bits(spec):
             clear_caches()
             v = numeric_correlation(spec, arg(q), arg(dw))
             assert type(v.c) is float and type(v.excess) is float
+            assert v.c == 1.0 + v.excess
             values.append((v.c, v.excess))
         assert values[0] == values[1]
 

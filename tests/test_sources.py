@@ -118,6 +118,19 @@ def test_shock_amplitude_against_mpmath(mu):
     for s in points:
         assert f(s) == pytest.approx(_shock_amplitude_mp(mu, s), rel=1e-13,
                                      abs=0.0), s
+    # the bits of the series below x = 1e-3 and of the direct form from it
+    # up, written out, also at the switch, where the direct form cancels
+    if mu > 0.0:
+        points += [x / mu for x in (math.nextafter(1e-3, 0.0), 1e-3, 1.01e-3)
+                   if x / mu <= s1]
+    for s in points:
+        x = mu * s
+        if x < 1e-3:
+            inner = s ** 3 * (1.0 / 3.0 + x * x * (-1.0 / 30.0
+                                                   + x * x / 840.0))
+        else:
+            inner = (math.sin(x) - x * math.cos(x)) / (mu * mu * mu)
+        assert f(s) == math.exp(-s * s) * inner, s
 
 
 def test_shock_amplitude_is_case_e_only():

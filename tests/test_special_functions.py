@@ -175,11 +175,23 @@ def test_chi2_survival_matches_chdtrc():
 
 # --- sinc -------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error")
 def test_sinc_values():
     assert sinc(0.0) == 1.0
     assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
     assert sinc(1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
     assert sinc(1.0) == pytest.approx(0.84147098, abs=5e-9)
+    # from the series switch up to the largest float, sin(x) / x as it is
+    # at every finite x (numpy warns where the unused series overflows),
+    # and the limit 0 at +-inf, with no warning
+    x = np.append(10.0 ** np.linspace(-4.0, 308.0, 4000), np.finfo(float).max)
+    x = np.concatenate([x, -x])
+    with np.errstate(over="ignore"):
+        assert sinc(x).tobytes() == (np.sin(x) / x).tobytes()
+        for v in x[::97].tolist():
+            assert sinc(v) == math.sin(v) / v
+    assert (sinc(np.array([math.inf, -math.inf])) == 0.0).all()
+    assert sinc(math.inf) == 0.0 and sinc(-math.inf) == 0.0
 
 
 def test_sinc_even_and_bounded():

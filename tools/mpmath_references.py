@@ -16,7 +16,7 @@ form of one argument leaves arg1 empty.  The forms:
     tau = 1 ps and r_dot = 2e-4 c;
   - `form_factor_A` to `form_factor_D` at x = q R, on a log grid of x up
     to 10 and x = 0, with points on both sides of sinc's switch at 1e-4
-    and of C's series switch at 1e-2;
+    and of C's series switch at 0.5 (and of 1e-2, its former switch);
   - `time_factor_D` at y = d_omega tau, on the same grid with points on
     both sides of sinc's switch at sqrt(3) y = 1e-4;
   - `mean_time_factor_A` (the closed form of A-C) and `mean_time_factor_D`
@@ -58,10 +58,12 @@ CASE_E_Y = [0.0, 1e-3, 0.1, *(0.25 * k for k in range(1, 41))]
 CASE_E_ONSET = [(0.1, 1e6), (0.0, 1e8), (0.0101 / REFERENCE_RDOT, 1e4)]
 # x = q R of the form factors and y = d_omega tau of D's time factor, and
 # t = tau W of the box averages: log grids, 0, and both sides of each switch
+# (C's at 0.5, and at 1e-2, where it was until its series reached x^12)
 SINC_SWITCH = 1e-4
 X_GRID = sorted({0.0, *np.geomspace(1e-6, 10.0, 71).tolist(),
                  *(f * SINC_SWITCH for f in (0.99, 1.0, 1.01)),
-                 *(f * 1e-2 for f in (0.99, 1.0, 1.01, 1.07))})
+                 *(f * 1e-2 for f in (0.99, 1.0, 1.01, 1.07)),
+                 *(f * 0.5 for f in (0.99, 1.0, 1.01))})
 Y_GRID = sorted({*X_GRID, *(f * SINC_SWITCH / math.sqrt(3.0)
                             for f in (0.99, 1.0, 1.01))})
 T_GRID = sorted({0.0, *np.geomspace(1e-6, 1e3, 91).tolist(),
