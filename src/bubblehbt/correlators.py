@@ -69,13 +69,13 @@ Each kernel takes the source's dimensionless argument alone:
 t = tau W, `case_e_excess` mu = r_dot tau q and y.  `excess` alone reads
 the source's scale, as `oracle.numeric_correlation` does for the
 quadratures, and silences numpy's warnings where a product or a square
-overflows to its limit, as `phi_of_X` does for its own; the kernels are
-plain numpy.  `time_factor`, `form_factor` and `phi_of_X` take arrays,
-and `excess`, `correlation` and `case_e_excess` broadcast q against
-d_omega, or mu against y (a `(nq, 1)` q column and an `(nw,)` d_omega row
-give the `(nq, nw)` grid), so a whole surface is one call; case E picks
-the direct form or the series per point by a mask on mu and mu |y|.
-Scalars in give a scalar out.
+overflows to its limit, as `phi_of_X` and D's `time_factor` do for their
+own; the other kernels are plain numpy.  `time_factor`, `form_factor` and
+`phi_of_X` take arrays, and `excess`, `correlation` and `case_e_excess`
+broadcast q against d_omega, or mu against y (a `(nq, 1)` q column and an
+`(nw,)` d_omega row give the `(nq, nw)` grid), so a whole surface is one
+call; case E picks the direct form or the series per point by a mask on
+mu and mu |y|.  Scalars in give a scalar out.
 """
 
 import functools
@@ -202,7 +202,9 @@ def time_factor(case: SourceCase, y: Values) -> Values:
     """T at y = d_omega tau, the squared normalized temporal transform:
     exp(-y^2) for A-C, sinc^2(sqrt(3) y) for D; T(0) = 1."""
     if case is SourceCase.D_EXPONENTIAL:
-        return np.square(sinc(_SQRT3 * y))
+        # where sqrt(3) y overflows to +-inf, sinc takes its limit 0
+        with np.errstate(over="ignore"):
+            return np.square(sinc(_SQRT3 * y))
     if case in FACTORIZED_CASES:
         return np.exp(-y * y)
     raise ValueError("case E has no factorized time factor")
@@ -294,13 +296,13 @@ def excess(spec: SourceSpec, q: Values, d_omega: Values,
     """C - 1 with q broadcast against d_omega; coherent emission gives 0
     exactly.  With an energy window smear_dw, T is its box average <T> at
     every d_omega; the window is checked whatever the emission.  A
-    negative or NaN q raises ValueError.  The one reader of the source's
-    scale: each kernel gets x = q R, y = d_omega tau, t = tau W or
-    mu = r_dot tau q."""
+    negative or NaN q raises ValueError, checked before a small scale can
+    round q R or mu to -0.0.  The one reader of the source's scale: each
+    kernel gets x = q R, y = d_omega tau, t = tau W or mu = r_dot tau q."""
     if smear_dw is not None:
         check_window(spec.case, smear_dw)
+    _check_q(q)
     if spec.emission is Emission.COHERENT:
-        _check_q(q)
         return np.zeros(np.broadcast_shapes(np.shape(q),
                                             np.shape(d_omega)))[()]
     if spec.case in FACTORIZED_CASES:

@@ -3,7 +3,7 @@
 These are the numerical bedrock for the expanding-shock correlator, the
 space/time form factors and the inference's p-values: the Faddeeva
 function w(z) = exp(-z^2) erfc(-iz), Dawson's integral D(x), the sine
-integral Si(x), sin(x)/x with its removable singularity handled, and
+integral Si(x), sin(x)/x masked at x = 0 and clipped at x = +-inf, and
 the chi-square survival function for integer degrees of freedom.  On the
 real axis w(x) = exp(-x^2) + (2i/sqrt(pi)) D(x); case E, whose arguments
 are real, takes w from D.  `faddeeva`, `dawson` and `sinc` take a scalar
@@ -19,10 +19,6 @@ from typing import Union
 import numpy as np
 
 __all__ = ["faddeeva", "dawson", "sine_integral", "sinc", "chi2_survival"]
-
-# Below this |x| the direct sin(x)/x suffers catastrophic cancellation in the
-# deviation from 1; switch to the Taylor polynomial.
-_SINC_SMALL = 1e-4
 
 _LOG_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
 _TINY = float(np.finfo(float).tiny)
@@ -66,18 +62,16 @@ def sine_integral(x: float) -> float:
 def sinc(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(x)/x, exactly 1 at x = 0 and its limit 0 at x = +-inf.
 
-    |x| < 1e-4 uses the 4-term Taylor polynomial to avoid cancellation.
+    One mask adds 1 to both sides at x = 0; elsewhere adding False changes
+    no bit, so every nonzero finite x, subnormals too, gives sin(x)/x.
     `sin` takes x clipped to [-M, M], M the largest finite float: every
     finite x reaches it unchanged, and +-inf, where sin is NaN and warns,
     reaches it as +-M, so the quotient sin(+-M) / +-inf is the limit 0
     (of either sign).
     """
-    x2 = x * x
-    series = np.asarray(1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0
-                                                       - x2 / 5040.0)))
-    sin_x = np.sin(np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX))
-    return np.divide(sin_x, x, out=series,
-                     where=np.abs(x) >= _SINC_SMALL)[()]
+    zero = x == 0
+    return (np.sin(np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX))
+            + zero) / (x + zero)
 
 
 def chi2_survival(k: int, x: float) -> float:

@@ -96,13 +96,17 @@ def test_q_checks_reject_nan():
             call()
 
 
-# -1e-320 is subnormal, and so are x = q R and mu = r_dot tau q from it
+# -1e-320 is subnormal, and so are x = q R and mu = r_dot tau q from it at
+# the default scales; at R = 1e-5, or at tau = 1e-3 and r_dot = 0.06, they
+# round to -0.0, which a check of x or mu alone passes
 @pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf, -1e-320])
-@pytest.mark.parametrize("case", [A, C, E])
-def test_array_q_with_a_bad_entry_is_rejected(case, bad):
+@pytest.mark.parametrize("case, small_scale", [
+    (A, {"R": 1e-5}), (C, {"R": 1e-5}), (E, {"tau": 1e-3, "r_dot": 0.06})],
+    ids=["A", "C", "E"])
+def test_array_q_with_a_bad_entry_is_rejected(case, small_scale, bad):
     q = np.array([[0.0], [0.5], [bad]])
-    for emission in Emission:
-        s = spec(case, emission=emission)
+    for emission, scale in itertools.product(Emission, ({}, small_scale)):
+        s = spec(case, emission=emission, **scale)
         for q_in, dw in ((q, np.zeros(3)), (bad, 0.0), (np.float64(bad), 0.0)):
             with pytest.raises(ValueError, match="q must be non-negative"):
                 correlation(s, q_in, dw)
@@ -490,6 +494,10 @@ NEAR_DW = np.linspace(-5.0, 5.0, 11)
 # the direct branch far out: mu^6 and mu z± overflow there
 FAR_Q = np.geomspace(1.0, 1e200, 9)
 FAR_DW = np.array([-1e300, -1e100, -3.0, 0.0, 0.7, 1e10, 1e300])
+# B's x = q R and D's sqrt(3) d_omega tau in (0, 1e-4), subnormal too, at
+# R = tau = 1, where sinc is within an ulp or so of 1
+SMALL_Q = np.array([0.0, 5e-5, 1e-320])
+SMALL_DW = np.array([-3e-5, 0.0, 1e-310, 3e-5])
 
 
 def assert_each_point_is_the_scalar_call(fn, q, dw):
@@ -520,7 +528,8 @@ def test_case_e_broadcasts_bit_for_bit(q_row, dw):
 @pytest.mark.parametrize("emission", list(Emission))
 def test_correlation_broadcasts_bit_for_bit(case, emission):
     s = spec(case, emission=emission)
-    for q_row, dw in [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW)]:
+    for q_row, dw in [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW),
+                      (SMALL_Q, SMALL_DW)]:
         for field in ("c", "excess"):
             assert_each_point_is_the_scalar_call(
                 lambda q, w: getattr(correlation(s, q, w), field),

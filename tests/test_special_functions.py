@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from bubblehbt.correlators import form_factor, time_factor
+from bubblehbt.sources import SourceCase
 from bubblehbt.special_functions import (chi2_survival, dawson, faddeeva,
                                          sinc)
 
@@ -181,17 +183,25 @@ def test_sinc_values():
     assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
     assert sinc(1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
     assert sinc(1.0) == pytest.approx(0.84147098, abs=5e-9)
-    # from the series switch up to the largest float, sin(x) / x as it is
-    # at every finite x (numpy warns where the unused series overflows),
-    # and the limit 0 at +-inf, with no warning
-    x = np.append(10.0 ** np.linspace(-4.0, 308.0, 4000), np.finfo(float).max)
+    # from the smallest subnormal up to the largest float, sin(x) / x as it
+    # is at every nonzero finite x, in an array and as a scalar, and the
+    # limit 0 at +-inf, with no warning
+    x = np.append(10.0 ** np.linspace(-323.0, 308.0, 8000),
+                  [5e-324, np.finfo(float).max])
     x = np.concatenate([x, -x])
-    with np.errstate(over="ignore"):
-        assert sinc(x).tobytes() == (np.sin(x) / x).tobytes()
-        for v in x[::97].tolist():
-            assert sinc(v) == math.sin(v) / v
+    expected = np.array([math.sin(v) / v for v in x.tolist()])
+    assert sinc(x).tobytes() == expected.tobytes()
+    for v, e in zip(x[::97].tolist(), expected[::97].tolist()):
+        assert sinc(v) == e
     assert (sinc(np.array([math.inf, -math.inf])) == 0.0).all()
     assert sinc(math.inf) == 0.0 and sinc(-math.inf) == 0.0
+    # B's form factor and D's time factor, its squares, fall below 1e-100
+    # from x = 1e52 and are 0 from 1e300 to +-inf, with no warning either
+    far = np.array([1e52, 1e300, np.finfo(float).max, math.inf])
+    for values in (form_factor(SourceCase.B_SHELL, far),
+                   time_factor(SourceCase.D_EXPONENTIAL, far),
+                   time_factor(SourceCase.D_EXPONENTIAL, -far)):
+        assert 0.0 < values[0] < 1e-100 and (values[1:] == 0.0).all()
 
 
 def test_sinc_even_and_bounded():

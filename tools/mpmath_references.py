@@ -15,10 +15,11 @@ form of one argument leaves arg1 empty.  The forms:
     both branches of case E lose every digit (ROADMAP item 6), at
     tau = 1 ps and r_dot = 2e-4 c;
   - `form_factor_A` to `form_factor_D` at x = q R, on a log grid of x up
-    to 10 and x = 0, with points on both sides of sinc's switch at 1e-4
-    and of C's series switch at 0.5 (and of 1e-2, its former switch);
+    to 10 and x = 0, with points on both sides of x = 1e-4 (where sinc
+    took a Taylor polynomial before it was one quotient) and of C's series
+    switch at 0.5 (and of 1e-2, its former switch);
   - `time_factor_D` at y = d_omega tau, on the same grid with points on
-    both sides of sinc's switch at sqrt(3) y = 1e-4;
+    both sides of sqrt(3) y = 1e-4;
   - `mean_time_factor_A` (the closed form of A-C) and `mean_time_factor_D`
     at t = tau W, on a log grid of t up to 1e3 and t = 0, with points on
     both sides of each Taylor switch (t/2 and sqrt(3) t/2 = 1e-3).
@@ -26,7 +27,8 @@ form of one argument leaves arg1 empty.  The forms:
 `report` reads the table and prints the worst relative error of
 `case_e_excess`, of its direct form and of its series on each band of mu
 and |y|.  With ORDERs it also prints the series through mu^(2 ORDER), with
-the coefficients that `correlators._series_coefficients` derives.  Both
+the coefficients that `correlators._series_coefficients` derives.  Last it
+prints each A-D kernel's worst relative error, one line per form.  Both
 run offline; the tests read only the table.
 """
 
@@ -58,13 +60,15 @@ CASE_E_Y = [0.0, 1e-3, 0.1, *(0.25 * k for k in range(1, 41))]
 CASE_E_ONSET = [(0.1, 1e6), (0.0, 1e8), (0.0101 / REFERENCE_RDOT, 1e4)]
 # x = q R of the form factors and y = d_omega tau of D's time factor, and
 # t = tau W of the box averages: log grids, 0, and both sides of each switch
-# (C's at 0.5, and at 1e-2, where it was until its series reached x^12)
-SINC_SWITCH = 1e-4
+# (C's at 0.5, and at 1e-2, where it was until its series reached x^12) and
+# of sinc's argument 1e-4, where sinc took a Taylor polynomial until it was
+# one quotient
+SINC_FORMER_SWITCH = 1e-4
 X_GRID = sorted({0.0, *np.geomspace(1e-6, 10.0, 71).tolist(),
-                 *(f * SINC_SWITCH for f in (0.99, 1.0, 1.01)),
+                 *(f * SINC_FORMER_SWITCH for f in (0.99, 1.0, 1.01)),
                  *(f * 1e-2 for f in (0.99, 1.0, 1.01, 1.07)),
                  *(f * 0.5 for f in (0.99, 1.0, 1.01))})
-Y_GRID = sorted({*X_GRID, *(f * SINC_SWITCH / math.sqrt(3.0)
+Y_GRID = sorted({*X_GRID, *(f * SINC_FORMER_SWITCH / math.sqrt(3.0)
                             for f in (0.99, 1.0, 1.01))})
 T_GRID = sorted({0.0, *np.geomspace(1e-6, 1e3, 91).tolist(),
                  *(f * 2e-3 for f in (0.99, 1.0, 1.01)),
@@ -185,6 +189,7 @@ def read(form):
 
 def report(orders):
     from bubblehbt import correlators
+    from bubblehbt.sources import SourceCase
 
     mu, y, value = read("case_e_excess")
     keep = np.abs(y) <= 10.0
@@ -234,6 +239,15 @@ def report(orders):
                   f"|y| <= 10: {rel.max():.2g}")
     correlators.MU_SERIES_MAX, correlators.MU_Y_SERIES_MAX = (series_max,
                                                               product_max)
+    print("\nworst relative error of each A-D kernel, point by point")
+    for name in KERNELS:
+        # form_factor_A is correlators.form_factor(SourceCase("A"), x)
+        kernel, case = getattr(correlators, name[:-2]), SourceCase(name[-1])
+        arg, _, value = read(name)
+        got = np.array([kernel(case, a) for a in arg.tolist()])
+        rel = np.abs(got - value) / value
+        worst = int(np.argmax(rel))
+        print(f"{name:<20}{rel[worst]:.2g} at {arg[worst]:.6g}")
 
 
 if __name__ == "__main__":
