@@ -64,22 +64,29 @@ Review 9 (1967) 24), and the terms of its sum over orders grow like
 every digit far out in |y| (ROADMAP item 6).  Smeared case D takes Si from
 `sine_integral`.
 
-Each kernel takes the source's dimensionless argument alone:
-`form_factor` x = q R, `time_factor` y = d_omega tau, `mean_time_factor`
-t = tau W, `case_e_excess` mu = r_dot tau q and y.  `excess` alone reads
-the source's scale, as `oracle.numeric_correlation` does for the
-quadratures, and silences numpy's warnings where a product or a square
-overflows to its limit, as `phi_of_X` and D's `time_factor` do for their
-own; the other kernels are plain numpy.  `time_factor`, `form_factor` and
-`phi_of_X` take arrays, and `excess`, `correlation` and `case_e_excess`
-broadcast q against d_omega, or mu against y (a `(nq, 1)` q column and an
-`(nw,)` d_omega row give the `(nq, nw)` grid), so a whole surface is one
-call; case E picks the direct form or the series per point by a mask on
-mu and mu |y|.  Scalars in give a scalar out.
+Each factorized case is one row of `_FACTORIZED`: its shape constant c
+and its kernels Phi(x) at x = q R, T(y) at y = d_omega tau and <T>(t) at
+t = tau W, so a fit can loop over the rows without branching on the
+case.  A kernel is plain numpy (math for <T>) on an argument its caller
+has checked, and takes its limit where a product or a square overflows.
+Each public entry, `form_factor`, `time_factor`, `mean_time_factor`,
+`phi_of_X`, `small_q_coefficient` and the `kappa_*` pair, looks its case
+up once, as a member or its string, checks its own argument once and
+silences numpy's overflow warning in at most one scope.  `excess` alone
+reads the source's scale, as `oracle.numeric_correlation` does for the
+quadratures: it checks q once, before a scale multiplies it, and calls
+the row's kernels, or `case_e_excess` at mu = r_dot tau q and y, in its
+one scope.  `time_factor`, `form_factor` and `phi_of_X` take arrays, and
+`excess`, `correlation` and `case_e_excess` broadcast q against d_omega,
+or mu against y (a `(nq, 1)` q column and an `(nw,)` d_omega row give
+the `(nq, nw)` grid), so a whole surface is one call; case E picks the
+direct form or the series per point by a mask on mu and mu |y|.  Scalars
+in give a scalar out.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -112,15 +119,6 @@ Values = Union[float, np.ndarray]
 
 # Photon-spin chaoticity factor: maximum excess C - 1 at zero relative momentum.
 CHAOTICITY = 0.5
-
-# Shape constant c of each factorized case: Phi(q) = 1 - c (q R)^2 + O(q^4).
-# The curvature kappa = -Phi''(0) is 2 c R^2, and on the rescaled axis
-# X = sqrt(kappa/2) q every shape reads Phi = form_factor(case, X/sqrt(c)).
-_SHAPE_CONSTANT = {SourceCase.A_GAUSSIAN: 1.0, SourceCase.B_SHELL: 1.0 / 3.0,
-                   SourceCase.C_SPHERE: 1.0 / 5.0,
-                   SourceCase.D_EXPONENTIAL: 4.0}
-
-FACTORIZED_CASES = tuple(_SHAPE_CONSTANT)
 
 # Case E takes its series where mu <= MU_SERIES_MAX and
 # mu |y| <= MU_Y_SERIES_MAX, and the direct form elsewhere.  Both bounds and
@@ -192,30 +190,94 @@ def _check_q(q: Values) -> None:
         raise ValueError("q must be non-negative")
 
 
-def _shape_constant(case: SourceCase) -> float:
-    if case not in _SHAPE_CONSTANT:
-        raise ValueError(f"case {case.value} has no shape constant")
-    return _SHAPE_CONSTANT[case]
+def _gaussian(v: Values) -> Values:
+    return np.exp(-v * v)
 
 
+def _sphere(x: Values) -> Values:
+    """[3 (sin x - x cos x) / x^3]^2 for x >= 0, the squared normalized
+    sphere transform; its limit 0 where x^3 overflows, and below x = 0.5
+    the square of the amplitude's Taylor series through x^12,
+
+        6 sum_(j=0..6) (-1)^j (j + 1) x^(2j) / (2j + 3)!,
+
+    whose next term is below 1e-17 there.  The direct form cancels to
+    about eps / x^2, 5e-12 relative near x = 0.01 and 2e-15 just above
+    0.5, where the series is still within 1e-16 of mpmath."""
+    # above 1e300 the amplitude is 0 in double precision anyway; the clip
+    # keeps sin, cos and the numerator finite up to x = inf
+    x = np.minimum(x, 1e300)
+    x2 = x * x
+    series = np.asarray(1.0 + x2 * (-0.1 + x2 * (1.0 / 280.0 + x2 * (
+        -1.0 / 15120.0 + x2 * (1.0 / 1330560.0 + x2 * (
+            -1.0 / 172972800.0 + x2 / 31135104000.0))))))
+    return np.square(np.divide(3.0 * (np.sin(x) - x * np.cos(x)), x2 * x,
+                               out=series, where=x >= 0.5))
+
+
+def _exponential(x: Values) -> Values:
+    d = 1.0 + x * x
+    return 1.0 / (d * d * d * d)
+
+
+def _mean_gaussian(t: float) -> float:
+    x = 0.5 * t
+    if x < 1e-3:
+        return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
+    return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
+
+
+def _mean_box(t: float) -> float:
+    y = 0.5 * _SQRT3 * t
+    if y < 1e-3:
+        return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
+    # sin(inf) is undefined: the clip gives y = inf its limit 0, and from
+    # y = 1e300 on sin^2(y) / y is far below an ulp of Si(2y) = pi / 2
+    return float(sine_integral(2.0 * y) - math.sin(min(y, 1e300)) ** 2 / y) / y
+
+
+# A factorized case's row: the shape constant c of Phi(q) = 1 - c (q R)^2
+# + O(q^4), and its kernels Phi(x), T(y) and <T>(t), whose formulas
+# `form_factor`, `time_factor` and `mean_time_factor` give.  The curvature
+# kappa = -Phi''(0) is 2 c R^2, and on the rescaled axis X = sqrt(kappa/2) q
+# every shape reads Phi(X / sqrt(c)).
+_Row = namedtuple("_Row", "c phi time mean_time")
+
+_FACTORIZED = {
+    SourceCase.A_GAUSSIAN: _Row(1.0, _gaussian, _gaussian, _mean_gaussian),
+    SourceCase.B_SHELL: _Row(1.0 / 3.0, lambda x: np.square(sinc(x)),
+                             _gaussian, _mean_gaussian),
+    SourceCase.C_SPHERE: _Row(1.0 / 5.0, _sphere, _gaussian, _mean_gaussian),
+    SourceCase.D_EXPONENTIAL: _Row(
+        4.0, _exponential, lambda y: np.square(sinc(_SQRT3 * y)), _mean_box),
+}
+
+FACTORIZED_CASES = tuple(_FACTORIZED)
+
+
+def _row(case: SourceCase, message: str) -> _Row:
+    """The row of `case`, a member or its string; ValueError for case E,
+    with `message` formatted on the case's letter, and for any other value
+    (`SourceCase`'s own)."""
+    if (row := _FACTORIZED.get(SourceCase(case))) is None:
+        raise ValueError(message.format(SourceCase(case).value))
+    return row
+
+
+@np.errstate(over="ignore")
 def time_factor(case: SourceCase, y: Values) -> Values:
     """T at y = d_omega tau, the squared normalized temporal transform:
-    exp(-y^2) for A-C, sinc^2(sqrt(3) y) for D; T(0) = 1."""
-    if case is SourceCase.D_EXPONENTIAL:
-        # where sqrt(3) y overflows to +-inf, sinc takes its limit 0
-        with np.errstate(over="ignore"):
-            return np.square(sinc(_SQRT3 * y))
-    if case in FACTORIZED_CASES:
-        return np.exp(-y * y)
-    raise ValueError("case E has no factorized time factor")
+    exp(-y^2) for A-C, sinc^2(sqrt(3) y) for D; T(0) = 1, and 0 where
+    y^2 or sqrt(3) y overflows."""
+    return _row(case, "case {} has no factorized time factor").time(y)
 
 
 def check_window(case: Optional[SourceCase], window: float) -> None:
     """ValueError unless a surface of `case` can be smeared over a box
     window of full width W = window: a factorized case, or None for a
     surface without a source, and 0 < W < inf."""
-    if case is not None and case not in FACTORIZED_CASES:
-        raise ValueError("smearing of the non-factorized case E is unsupported")
+    if case is not None:
+        _row(case, "smearing of the non-factorized case {} is unsupported")
     if not 0.0 < window < math.inf:
         raise ValueError("smearing window must be positive and finite")
 
@@ -235,56 +297,17 @@ def mean_time_factor(case: SourceCase, t: float) -> float:
     negative or NaN t raises ValueError."""
     if not t >= 0.0:
         raise ValueError("tau W must be non-negative")
-    if case is SourceCase.D_EXPONENTIAL:
-        y = 0.5 * _SQRT3 * t
-        if y < 1e-3:
-            return 1.0 - y * y * (1.0 / 9.0 - 2.0 * y * y / 225.0)
-        if y == math.inf:  # sin(inf) is undefined; <T> falls as pi / 2y
-            return 0.0
-        return float(sine_integral(2.0 * y) - math.sin(y) ** 2 / y) / y
-    if case not in FACTORIZED_CASES:
-        raise ValueError("case E has no factorized time factor")
-    x = 0.5 * t
-    if x < 1e-3:
-        return 1.0 - x * x * (1.0 / 3.0 - x * x / 10.0)
-    return math.sqrt(math.pi) * math.erf(x) / (2.0 * x)
+    return _row(case, "case {} has no factorized time factor").mean_time(t)
 
 
-def _sphere_amplitude(x: np.ndarray) -> np.ndarray:
-    """3 (sin x - x cos x) / x^3 for x >= 0, the normalized sphere
-    transform; its limit 0 where x^3 overflows, and below x = 0.5 its
-    Taylor series through x^12,
-
-        6 sum_(j=0..6) (-1)^j (j + 1) x^(2j) / (2j + 3)!,
-
-    whose next term is below 1e-17 there.  The direct form cancels to
-    about eps / x^2, 5e-12 relative near x = 0.01 and 2e-15 just above
-    0.5, where the series is still within 1e-16 of mpmath."""
-    # above 1e300 the amplitude is 0 in double precision anyway; the clip
-    # keeps sin, cos and the numerator finite up to x = inf
-    x = np.minimum(x, 1e300)
-    x2 = x * x
-    series = np.asarray(1.0 + x2 * (-0.1 + x2 * (1.0 / 280.0 + x2 * (
-        -1.0 / 15120.0 + x2 * (1.0 / 1330560.0 + x2 * (
-            -1.0 / 172972800.0 + x2 / 31135104000.0))))))
-    return np.divide(3.0 * (np.sin(x) - x * np.cos(x)), x2 * x, out=series,
-                     where=x >= 0.5)
-
-
+@np.errstate(over="ignore")
 def form_factor(case: SourceCase, x: Values) -> Values:
-    """Phi at x = q R, the squared normalized spatial transform;
-    Phi(0) = 1.  A negative or NaN x raises ValueError."""
+    """Phi at x = q R, the squared normalized spatial transform: exp(-x^2)
+    for A, sinc^2(x) for B, [3 (sin x - x cos x) / x^3]^2 for C and
+    (1 + x^2)^-4 for D; Phi(0) = 1, and 0 where a power of x overflows.  A
+    negative or NaN x raises ValueError."""
     _check_q(x)
-    if case is SourceCase.A_GAUSSIAN:
-        return np.exp(-x * x)
-    if case is SourceCase.B_SHELL:
-        return np.square(sinc(x))
-    if case is SourceCase.C_SPHERE:
-        return np.square(_sphere_amplitude(x))
-    if case is SourceCase.D_EXPONENTIAL:
-        d = 1.0 + x * x
-        return 1.0 / (d * d * d * d)
-    raise ValueError("case E has no factorized form factor")
+    return _row(case, "case {} has no factorized form factor").phi(x)
 
 
 # Far out on either axis the scale products and the kernels' squares
@@ -303,14 +326,13 @@ def excess(spec: SourceSpec, q: Values, d_omega: Values,
         check_window(spec.case, smear_dw)
     _check_q(q)
     if spec.emission is Emission.COHERENT:
-        return np.zeros(np.broadcast_shapes(np.shape(q),
-                                            np.shape(d_omega)))[()]
-    if spec.case in FACTORIZED_CASES:
-        t = (time_factor(spec.case, d_omega * spec.tau) if smear_dw is None
-             else np.full(np.shape(d_omega), mean_time_factor(
-                 spec.case, spec.tau * smear_dw))[()])
-        return CHAOTICITY * t * form_factor(spec.case, q * spec.R)
-    return case_e_excess(spec.r_dot * spec.tau * q, d_omega * spec.tau)
+        return np.zeros(np.broadcast(q, d_omega).shape)[()]
+    if (row := _FACTORIZED.get(spec.case)) is None:
+        return case_e_excess(spec.r_dot * spec.tau * q, d_omega * spec.tau)
+    # tau and W are positive and finite, so t = tau W needs no check
+    t = (row.time(d_omega * spec.tau) if smear_dw is None else np.full(
+        np.shape(d_omega), row.mean_time(spec.tau * smear_dw))[()])
+    return CHAOTICITY * t * row.phi(q * spec.R)
 
 
 def correlation(spec: SourceSpec, q: Values, d_omega: Values
@@ -321,8 +343,11 @@ def correlation(spec: SourceSpec, q: Values, d_omega: Values
 
 
 def small_q_coefficient(case: SourceCase, R: float) -> float:
-    """Coefficient c R^2 in the expansion Phi(q) = 1 - c R^2 q^2 + ..."""
-    return _shape_constant(case) * R * R
+    """Coefficient c R^2 in the expansion Phi(q) = 1 - c R^2 q^2 + ...; an
+    R that is not positive and finite raises ValueError."""
+    if not 0.0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
+    return _row(case, "case {} has no shape constant").c * R * R
 
 
 def kappa_analytic(case: SourceCase, R: float) -> float:
@@ -334,15 +359,17 @@ def kappa_to_radius(case: SourceCase, kappa: float) -> float:
     """R from the curvature kappa of Phi at the origin, per shape hypothesis."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return math.sqrt(kappa / (2.0 * _shape_constant(case)))
+    # kappa grows as R^2, and kappa_analytic(case, 1) is 2 c exactly
+    return math.sqrt(kappa / kappa_analytic(case, 1.0))
 
 
-# where x^2 overflows, Phi takes its limit 0 without numpy's warning
 @np.errstate(over="ignore")
 def phi_of_X(case: SourceCase, X: Values) -> Values:
     """Phi on the rescaled axis X = sqrt(kappa/2) q; every case starts as
-    1 - X^2 + O(X^4)."""
-    return form_factor(case, X / math.sqrt(_shape_constant(case)))
+    1 - X^2 + O(X^4).  A negative or NaN X raises ValueError."""
+    _check_q(X)
+    c, phi, _, _ = _row(case, "case {} has no shape constant")
+    return phi(X / math.sqrt(c))
 
 
 def _case_e_direct(y: Values, mu: Values) -> np.ndarray:

@@ -152,9 +152,10 @@ def numeric_correlation(spec: SourceSpec, q: float, d_omega: float
 def numeric_curvature(phi_sampler: Callable[[float], float],
                       h: float) -> Tuple[float, float]:
     """kappa = -d^2 Phi / dq^2 at q = 0 by Richardson-extrapolated central
-    second differences (even extension of Phi), with an error estimate."""
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
+    second differences (even extension of Phi), with an error estimate.
+    A step h that is not positive and finite raises ValueError."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("step h must be positive and finite")
     phi0 = phi_sampler(0.0)
 
     def second_diff(step: float) -> float:

@@ -149,7 +149,7 @@ def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
     # which a negative R or tau reached: case C's Phi(5) at R = -1 read
     # 0.0908, 0.00326 at R = 1, and case A's <T> over W = 2 at tau = -1
     # read 0.7667, 0.7468 at tau = 1), and 0 and inf give the limits 1 and
-    # 0.  The kernels are plain numpy, which warns where x^2 overflows.
+    # 0.
     for case in FACTORIZED_CASES:
         with pytest.raises(ValueError, match="requires a finite R > 0"):
             SourceSpec(case=case, tau=1.0, R=bad)
@@ -158,8 +158,7 @@ def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
             SourceSpec(case=case, tau=bad, R=1.0)
         if bad >= 0.0:
             limit = 1.0 if bad == 0.0 else 0.0
-            with np.errstate(over="ignore"):
-                assert form_factor(case, 5.0 * bad) == limit
+            assert form_factor(case, 5.0 * bad) == limit
             assert mean_time_factor(case, 2.0 * bad) == limit
             continue
         with pytest.raises(ValueError, match="q must be non-negative"):
@@ -169,15 +168,71 @@ def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
 
 
 def test_factorized_consistency():
+    # excess and the public entries call the same row of kernels, so the
+    # product of the factors is the excess bit for bit
     rng = np.random.default_rng(21)
     for case in FACTORIZED_CASES:
-        s = spec(case)
+        s = spec(case, R=1.3, tau=0.7)
         for _ in range(200):
             q, dw = rng.uniform(0, 8), rng.uniform(-8, 8)
-            expected = 1.0 + (CHAOTICITY * time_factor(case, dw * s.tau)
-                              * form_factor(case, q * s.R))
-            assert correlation(s, q, dw).c == pytest.approx(expected,
-                                                            rel=1e-12)
+            expected = (CHAOTICITY * time_factor(case, dw * s.tau)
+                        * form_factor(case, q * s.R))
+            assert excess(s, q, dw) == expected
+            assert correlation(s, q, dw).c == 1.0 + expected
+
+
+def test_factorized_excess_checks_q_once(monkeypatch):
+    # excess checks the caller's q, and the row's kernels it calls check
+    # nothing again
+    calls = []
+    check = corr._check_q
+
+    def counted_check(q):
+        calls.append(q)
+        check(q)
+
+    monkeypatch.setattr(corr, "_check_q", counted_check)
+    for case in FACTORIZED_CASES:
+        for smear_dw in (None, 2.0):
+            calls.clear()
+            excess(spec(case), np.float64(0.7), 0.3, smear_dw)
+            assert len(calls) == 1
+
+
+# --- a case as its member or its string --------------------------------------
+
+ENTRIES = [(time_factor, np.array([0.0, 0.3, 1.0, -2.5])),
+           (form_factor, np.array([0.0, 0.3, 1.0, 2.5])),
+           (phi_of_X, np.array([0.0, 0.3, 1.0, 2.5])),
+           (mean_time_factor, 1.0), (small_q_coefficient, 1.7),
+           (kappa_analytic, 1.7), (kappa_to_radius, 0.9)]
+
+
+def test_a_case_spelled_as_its_string_gets_its_own_kernels():
+    # a SourceSpec takes "D" for SourceCase.D_EXPONENTIAL, and so does
+    # every entry: time_factor("D", 1) read A's exp(-1) = 0.36788, and
+    # form_factor("A", 1) raised case E's error
+    for case in FACTORIZED_CASES:
+        for entry, arg in ENTRIES:
+            assert (np.asarray(entry(case.value, arg)).tobytes()
+                    == np.asarray(entry(case, arg)).tobytes())
+        corr.check_window(case.value, 2.0)
+    assert time_factor("D", 1.0) == pytest.approx(0.32474, abs=1e-5)
+    assert mean_time_factor("D", 1.0) == pytest.approx(0.92148, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad", [E, "E", "Z", "a", None, 5, 1.5],
+                         ids=repr)
+def test_entries_reject_a_value_that_is_no_factorized_case(bad):
+    # case E, as its member or its string, by its own message; any other
+    # value by SourceCase's, a ValueError too (small_q_coefficient("Z")
+    # raised AttributeError)
+    match = "case E" if bad == "E" else "is not a valid SourceCase"
+    for entry, arg in ENTRIES + [(corr.check_window, 2.0)]:
+        if bad is None and entry is corr.check_window:
+            continue  # None is a surface without a source
+        with pytest.raises(ValueError, match=match):
+            entry(bad, arg)
 
 
 # --- small-q expansion, kappa, X --------------------------------------------
@@ -215,6 +270,18 @@ def test_kappa_round_trip():
 def test_kappa_to_radius_rejects_nonpositive():
     with pytest.raises(ValueError):
         kappa_to_radius(A, 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0, math.nan, math.inf,
+                                 -math.inf])
+def test_radius_must_be_positive_and_finite(bad):
+    # as a SourceSpec's R: small_q_coefficient(A, -1) returned 1.0 and
+    # kappa_analytic(A, nan) NaN
+    for case in FACTORIZED_CASES:
+        for entry in (small_q_coefficient, kappa_analytic):
+            with pytest.raises(ValueError,
+                               match="R must be positive and finite"):
+                entry(case, bad)
 
 
 def test_phi_of_x_values():

@@ -325,5 +325,8 @@ def test_curvature_constant():
 
 
 def test_curvature_rejects_bad_step():
-    with pytest.raises(ValueError):
-        numeric_curvature(lambda q: 1.0, h=0.0)
+    # h = inf gave (nan, nan)
+    for h in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match="step h must be positive and finite"):
+            numeric_curvature(lambda q: 1.0, h=h)

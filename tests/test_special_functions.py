@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bubblehbt.correlators import form_factor, time_factor
+from bubblehbt.correlators import (FACTORIZED_CASES, form_factor, phi_of_X,
+                                   time_factor)
 from bubblehbt.sources import SourceCase
 from bubblehbt.special_functions import (chi2_survival, dawson, faddeeva,
                                          sinc)
@@ -196,12 +197,24 @@ def test_sinc_values():
     assert (sinc(np.array([math.inf, -math.inf])) == 0.0).all()
     assert sinc(math.inf) == 0.0 and sinc(-math.inf) == 0.0
     # B's form factor and D's time factor, its squares, fall below 1e-100
-    # from x = 1e52 and are 0 from 1e300 to +-inf, with no warning either
+    # from x = 1e52 and are 0 from 1e300 to +-inf, and so does every A-D
+    # form factor, phi_of_X and time factor at +-y, where x^2, x^3 or
+    # sqrt(3) y overflows: in an array and as numpy scalars, with no
+    # warning either (called directly, A, C and D's form factors and A-C's
+    # time factor warned)
     far = np.array([1e52, 1e300, np.finfo(float).max, math.inf])
     for values in (form_factor(SourceCase.B_SHELL, far),
                    time_factor(SourceCase.D_EXPONENTIAL, far),
                    time_factor(SourceCase.D_EXPONENTIAL, -far)):
         assert 0.0 < values[0] < 1e-100 and (values[1:] == 0.0).all()
+    for case in FACTORIZED_CASES:
+        for entry, args in ((form_factor, far), (phi_of_X, far),
+                            (time_factor, far), (time_factor, -far)):
+            values = entry(case, args)
+            assert 0.0 <= values[0] < 1e-100 and (values[1:] == 0.0).all()
+            scalars = [entry(case, v) for v in args]
+            assert all(type(v) is np.float64 for v in scalars)
+            assert np.array(scalars).tobytes() == values.tobytes()
 
 
 def test_sinc_even_and_bounded():
