@@ -356,11 +356,13 @@ def kappa_analytic(case: SourceCase, R: float) -> float:
 
 
 def kappa_to_radius(case: SourceCase, kappa: float) -> float:
-    """R from the curvature kappa of Phi at the origin, per shape hypothesis."""
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    # kappa grows as R^2, and kappa_analytic(case, 1) is 2 c exactly
-    return math.sqrt(kappa / kappa_analytic(case, 1.0))
+    """R from the curvature kappa = 2 c R^2 of Phi at the origin, per shape
+    hypothesis; a kappa that is not positive and finite raises
+    ValueError."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
+    return math.sqrt(kappa / (2.0 * _row(case, "case {} has no shape "
+                                         "constant").c))
 
 
 @np.errstate(over="ignore")

@@ -102,7 +102,9 @@ def time_profile(case: SourceCase
     """rho_t(s) of cases A-D and the interval (s0, s1) outside which it is
     below DENSITY_CUTOFF of its peak: the Gaussian lapse of A-C, D's box
     (exactly zero outside).  Case E's lapse is part of `shock_amplitude`.
+    The case is a member or its string; any other value raises ValueError.
     """
+    case = SourceCase(case)
     if case is SourceCase.D_EXPONENTIAL:
         w = math.sqrt(3.0)
         return (lambda s: 1.0 if -w <= s <= w else 0.0), (-w, w)
@@ -115,7 +117,9 @@ def radial_profile(case: SourceCase
                    ) -> Tuple[Callable[[float], float], float]:
     """rho_s(u) of cases A, C and D and the u beyond which it is below
     DENSITY_CUTOFF of its peak (C's edge, where it is exactly zero).  Case B
-    is a delta shell and case E's ball grows with s (see shock_amplitude)."""
+    is a delta shell and case E's ball grows with s (see shock_amplitude).
+    The case is a member or its string; any other value raises ValueError."""
+    case = SourceCase(case)
     if case is SourceCase.A_GAUSSIAN:
         return (lambda u: math.exp(-u * u / 2.0)), _GAUSS_CUT
     if case is SourceCase.C_SPHERE:

@@ -268,8 +268,11 @@ def test_kappa_round_trip():
 
 
 def test_kappa_to_radius_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        kappa_to_radius(A, 0.0)
+    # as R must be: an infinite kappa returned inf
+    for kappa in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match="^kappa must be positive and finite$"):
+            kappa_to_radius(A, kappa)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0, math.nan, math.inf,

@@ -17,16 +17,20 @@ A, B, C, D, E = SourceCase
 
 
 def test_gaussian_peak():
-    rho_t, _ = time_profile(A)
-    rho_s, _ = radial_profile(A)
-    assert rho_t(0.0) == 1.0
-    assert rho_s(0.0) == 1.0
+    # a case spelled as its string gets its own profile too
+    for case in (A, "A"):
+        rho_t, _ = time_profile(case)
+        rho_s, _ = radial_profile(case)
+        assert rho_t(0.0) == 1.0
+        assert rho_s(0.0) == 1.0
 
 
 def test_sphere_outside_is_zero():
-    rho_s, _ = radial_profile(C)
-    assert rho_s(1.5) == 0.0
-    assert rho_s(0.5) == 1.0
+    # radial_profile("C") raised AttributeError
+    for case in (C, "C"):
+        rho_s, _ = radial_profile(case)
+        assert rho_s(1.5) == 0.0
+        assert rho_s(0.5) == 1.0
 
 
 def test_shock_interior_value():
@@ -37,17 +41,23 @@ def test_shock_interior_value():
 
 
 def test_exponential_outside_time_box():
-    rho_t, _ = time_profile(D)
-    rho_s, _ = radial_profile(D)
-    assert rho_t(2.0) == 0.0
-    assert rho_t(1.0) * rho_s(0.3) == pytest.approx(math.exp(-0.3))
+    # time_profile("D") returned A's Gaussian lapse, which is not 0 at 2
+    for case in (D, "D"):
+        rho_t, _ = time_profile(case)
+        rho_s, _ = radial_profile(case)
+        assert rho_t(2.0) == 0.0
+        assert rho_t(1.0) * rho_s(0.3) == pytest.approx(math.exp(-0.3))
 
 
 def test_shell_density_is_distributional():
     # B's delta shell and E's growing ball have no pointwise radial profile
-    for case in (B, E):
-        with pytest.raises(ValueError, match="no pointwise radial profile"):
+    for case in (B, E, "B", "E"):
+        with pytest.raises(ValueError,
+                           match=f"^case {case[0]} has no pointwise radial "
+                                 "profile$"):
             radial_profile(case)
+    with pytest.raises(ValueError, match="'Z' is not a valid SourceCase"):
+        radial_profile("Z")
 
 
 def test_density_nonnegative_everywhere():
@@ -137,8 +147,13 @@ def test_shock_amplitude_is_case_e_only():
     # case E's source is shock_amplitude's alone, at mu = q r_dot tau >= 0
     with pytest.raises(ValueError, match="mu must be non-negative"):
         shock_amplitude(-0.5)
-    with pytest.raises(ValueError, match="no factorized time profile"):
-        time_profile(E)
+    # time_profile("E") and ("Z") returned the Gaussian lapse
+    for case in (E, "E"):
+        with pytest.raises(ValueError,
+                           match="^case E has no factorized time profile$"):
+            time_profile(case)
+    with pytest.raises(ValueError, match="'Z' is not a valid SourceCase"):
+        time_profile("Z")
 
 
 def test_gaussian_support_cutoff():
@@ -157,10 +172,11 @@ def test_time_profile_intervals():
     assert hi == pytest.approx(7.4338, abs=1e-3)
     assert lo == -hi
     assert rho_t(hi) == pytest.approx(1e-12, rel=1e-6)
-    rho_t, box = time_profile(D)
-    assert box == (-math.sqrt(3), math.sqrt(3))
-    assert rho_t(box[0]) == rho_t(box[1]) == 1.0
-    assert rho_t(math.nextafter(box[1], math.inf)) == 0.0
+    for case in (D, "D"):
+        rho_t, box = time_profile(case)
+        assert box == (-math.sqrt(3), math.sqrt(3))
+        assert rho_t(box[0]) == rho_t(box[1]) == 1.0
+        assert rho_t(math.nextafter(box[1], math.inf)) == 0.0
     f, (lo, hi) = shock_amplitude(0.0)
     assert lo == 0.0
     assert hi == math.sqrt(-math.log(1e-12))
