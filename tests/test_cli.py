@@ -72,6 +72,12 @@ def rejected(name, message, source="a5.csv", edits=()):
                reads={name: source}, edits=edits)
 
 
+def lacks(*keys):
+    """`fit` of a5.csv without `keys` names them."""
+    return rejected(f"no_{'-'.join(keys)}.csv", "surface CSV metadata lacks "
+                    + ", ".join(keys), edits=drop(*keys))
+
+
 test_eval_origin = contract([Row("eval --case A --q 0 --dw 0",
                                  out="C = 1.5\n")])
 test_eval_coherent = contract([Row("eval --case B --q 2.0 --coherent",
@@ -468,16 +474,11 @@ test_fit_rejects_short_rows = contract([
     rejected(f"width{i}.csv", "surface CSV rows need 9 values", edits=[edit])
     for i, edit in enumerate([
         (r",\d+$", "", 61), (r"^(counts\n(?:.*\n){10}.*),\d+$", r"\1"),
-        (r"^\d.*$", r"\g<0>,1", 61), (r"^(counts\n(?:.*\n){10}.*)$", r"\1,1")])])
-NO_TAU = rejected("no_tau_ps.csv", "surface CSV metadata lacks tau_ps",
-                  edits=drop("tau_ps"))
+        (r"^\d.*$", r"\g<0>,1", 61),
+        (r"^(counts\n(?:.*\n){10}.*)$", r"\1,1")])])
 test_fit_rejects_missing_metadata_keys = contract([
-    rejected(f"no_{key}.csv", f"surface CSV metadata lacks {key}",
-             edits=drop(key))
-    for key in ("case", "emission")] + [NO_TAU] + [
-    rejected(f"no_{key}.csv", f"surface CSV metadata lacks {key}",
-             edits=drop(key))
-    for key in ("q_values_per_um", "d_omega_values_per_ps", "seed")])
+    lacks(key) for key in ("case", "emission", "tau_ps", "q_values_per_um",
+                           "d_omega_values_per_ps", "seed")])
 test_fit_rejects_negative_seed = contract([rejected(
     "seed-1.csv", "seed must be non-negative", edits=meta("seed", -1))])
 test_fit_rejects_non_finite_metadata = contract({
@@ -515,10 +516,9 @@ test_fit_rejects_a_metadata_key_given_twice = contract({
                       ("q_values_per_um", 6)]})
 test_fit_rejects_a_metadata_key_it_does_not_write = contract({
     "misspelled": ["fit ds2bad.csv"],
-    "invented": [rejected("ds2det.csv",
-                          "surface CSV line 11: unknown metadata key "
-                          "'detector'", "ds2.csv",
-                          [("^# units = ", "# detector = spad\n# units = ")])]})
+    "invented": [rejected(
+        "ds2det.csv", "surface CSV line 11: unknown metadata key 'detector'",
+        "ds2.csv", [("^# units = ", "# detector = spad\n# units = ")])]})
 test_fit_reads_a_metadata_line_without_equals_as_a_comment = contract([Row(
     "fit bench.csv", reads={"bench.csv": "a5.csv"},
     edits=[("^counts$", "# taken on the bench\ncounts")],
@@ -539,13 +539,11 @@ test_fit_reads_no_truth_from_the_metadata = contract({
 # the source keys are optional as a group: a file that names part of a
 # source is malformed, whichever part it keeps
 test_fit_rejects_a_partial_source = contract({
-    "kept0-metadata lacks case, emission, tau_ps": [rejected(
-        "partial0.csv", "surface CSV metadata lacks case, emission, tau_ps",
-        edits=drop("case", "emission", "tau_ps"))],
+    "kept0-metadata lacks case, emission, tau_ps": [
+        lacks("case", "emission", "tau_ps")],
     "kept1-case A requires a finite R > 0": [rejected(
-        "partial1.csv", "case A requires a finite R > 0",
-        edits=drop("R_um"))],
-    "kept2-metadata lacks tau_ps": [NO_TAU]})
+        "no_R_um.csv", "case A requires a finite R > 0", edits=drop("R_um"))],
+    "kept2-metadata lacks tau_ps": [lacks("tau_ps")]})
 test_fit_rejects_non_numeric_field = contract([rejected(
     "field.csv", "surface CSV line 22: '1.0x' is not a number",
     edits=[(LAST, r"\g<1>1.0x")])])

@@ -53,8 +53,8 @@ def test_shell_density_is_distributional():
     # B's delta shell and E's growing ball have no pointwise radial profile
     for case in (B, E, "B", "E"):
         with pytest.raises(ValueError,
-                           match=f"^case {case[0]} has no pointwise radial "
-                                 "profile$"):
+                           match=f"^case {SourceCase(case).value} has no "
+                                 "pointwise radial profile$"):
             radial_profile(case)
     with pytest.raises(ValueError, match="'Z' is not a valid SourceCase"):
         radial_profile("Z")
