@@ -212,11 +212,8 @@ TABLE = {row.argv: row for row in ROWS}
 
 def out_file(argv):
     """The path that `argv` gives --out, as '--out path' or '--out=path'."""
-    words = argv.split()
-    for word, after in zip(words, words[1:] + [None]):
-        if word == "--out" or word.startswith("--out="):
-            return after if word == "--out" else word[len("--out="):]
-    return None
+    words = argv.replace("--out=", "--out ").split()
+    return words[words.index("--out") + 1] if "--out" in words else None
 
 
 def run(argv, where):
@@ -281,7 +278,8 @@ def check(outcome, row):
         elif expected is not None:
             assert text == expected
     files = {path.name: path.read_text() for path in where.iterdir()}
-    left = [out_file(row.argv)] if code == 0 and out_file(row.argv) else []
+    name = out_file(row.argv)
+    left = [name] if code == 0 and name else []
     assert sorted(files) == sorted([*row.reads, *left])
     texts = {"stdout": out, "stderr": err, **files}
     for target, pattern, n, *bound in row.grep:
