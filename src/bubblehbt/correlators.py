@@ -8,10 +8,9 @@ with T the squared normalized temporal transform and Phi the squared
 normalized spatial transform of the source.  The 1/2 is the photon-spin
 chaoticity factor; it is a fixed constant, not a fit parameter.  Coherent
 emission gives C = 1 identically.  Poor energy resolution, a box window of
-full width W in d_omega, replaces T by its closed-form average <T>
-(`mean_time_factor`): the smeared excess is (1/2) <T> Phi(q) at every
-d_omega.  `excess` takes the window, so it is the one forward model that
-`synth` tabulates.
+full width W in d_omega, replaces T by its closed-form average <T>: the
+smeared excess is (1/2) <T> Phi(q) at every d_omega.  `excess` takes the
+window, so it is the one forward model that `synth` tabulates.
 
 Case E (expanding shock) does not factorize.  Its excess is
 
@@ -69,17 +68,20 @@ and its kernels Phi(x) at x = q R, T(y) at y = d_omega tau and <T>(t) at
 t = tau W, so a fit can loop over the rows without branching on the
 case.  A kernel is plain numpy (math for <T>) on an argument its caller
 has checked, and takes its limit where a product or a square overflows.
-Each public entry, `form_factor`, `time_factor`, `mean_time_factor`,
-`phi_of_X`, `small_q_coefficient` and the `kappa_*` pair, looks its case
-up once, as a member or its string, checks its own argument once and
-silences numpy's overflow warning in at most one scope.  `excess` alone
-reads the source's scale, as `oracle.numeric_correlation` does for the
+T and <T> are the rows' `time` and `mean_time`, reached through
+`excess`: at tau = R = 1, where Phi(0) = 1, 2 excess(spec, 0, y) is T(y)
+and 2 excess(spec, 0, 0, smear_dw=t) is <T>(t), to the bit where they
+are normal floats.  Each public entry, `form_factor`, `phi_of_X`,
+`small_q_coefficient` and the `kappa_*` pair, looks its case up once, as
+a member or its string, checks its own argument once and silences
+numpy's overflow warning in at most one scope.  `excess` alone reads the
+source's scale, as `oracle.numeric_correlation` does for the
 quadratures: it checks q once, before a scale multiplies it, and calls
 the row's kernels, or `case_e_excess` at mu = r_dot tau q and y, in its
-one scope.  `time_factor`, `form_factor` and `phi_of_X` take arrays, and
-`excess`, `correlation` and `case_e_excess` broadcast q against d_omega,
-or mu against y (a `(nq, 1)` q column and an `(nw,)` d_omega row give
-the `(nq, nw)` grid), so a whole surface is one call; case E picks the
+one scope.  `form_factor` and `phi_of_X` take arrays, and `excess`,
+`correlation` and `case_e_excess` broadcast q against d_omega, or mu
+against y (a `(nq, 1)` q column and an `(nw,)` d_omega row give the
+`(nq, nw)` grid), so a whole surface is one call; case E picks the
 direct form or the series per point by a mask on mu and mu |y|.  Scalars
 in give a scalar out.
 """
@@ -103,9 +105,7 @@ __all__ = [
     "CorrelationValue",
     "correlation",
     "excess",
-    "time_factor",
     "check_window",
-    "mean_time_factor",
     "form_factor",
     "small_q_coefficient",
     "kappa_analytic",
@@ -237,8 +237,13 @@ def _mean_box(t: float) -> float:
 
 
 # A factorized case's row: the shape constant c of Phi(q) = 1 - c (q R)^2
-# + O(q^4), and its kernels Phi(x), T(y) and <T>(t), whose formulas
-# `form_factor`, `time_factor` and `mean_time_factor` give.  The curvature
+# + O(q^4), and its kernels: Phi(x), whose formulas `form_factor` gives;
+# T(y), exp(-y^2) for A-C and sinc^2(sqrt(3) y) for D; and T's box average
+# <T>(t), sqrt(pi) erf(x) / (2 x) at x = t / 2 for A-C and
+# (Si(2y) - sin^2(y) / y) / y at y = sqrt(3) t / 2 for D.  Below x, y =
+# 1e-3 each <T> takes its Taylor series, whose next term is below 1e-19
+# (there erf(x) / x loses its last bit and sin^2(y) can underflow), and
+# where tau W overflows it takes its limit 0.  The curvature
 # kappa = -Phi''(0) is 2 c R^2, and on the rescaled axis X = sqrt(kappa/2) q
 # every shape reads Phi(X / sqrt(c)).
 _Row = namedtuple("_Row", "c phi time mean_time")
@@ -264,14 +269,6 @@ def _row(case: SourceCase, message: str) -> _Row:
     return row
 
 
-@np.errstate(over="ignore")
-def time_factor(case: SourceCase, y: Values) -> Values:
-    """T at y = d_omega tau, the squared normalized temporal transform:
-    exp(-y^2) for A-C, sinc^2(sqrt(3) y) for D; T(0) = 1, and 0 where
-    y^2 or sqrt(3) y overflows."""
-    return _row(case, "case {} has no factorized time factor").time(y)
-
-
 def check_window(case: Optional[SourceCase], window: float) -> None:
     """ValueError unless a surface of `case` can be smeared over a box
     window of full width W = window: a factorized case, or None for a
@@ -280,24 +277,6 @@ def check_window(case: Optional[SourceCase], window: float) -> None:
         _row(case, "smearing of the non-factorized case {} is unsupported")
     if not 0.0 < window < math.inf:
         raise ValueError("smearing window must be positive and finite")
-
-
-def mean_time_factor(case: SourceCase, t: float) -> float:
-    """<T> over a box window of full width W, at t = tau W, for the
-    factorized cases, in closed form:
-
-        A-C  T = exp(-(tau w)^2):         <T> = sqrt(pi) erf(x) / (2 x),
-             x = t / 2;
-        D    T = sinc^2(sqrt(3) tau w):   <T> = (Si(2y) - sin^2(y) / y) / y,
-             y = sqrt(3) t / 2.
-
-    Below x, y = 1e-3 each takes its Taylor series, whose next term is
-    below 1e-19: there erf(x) / x loses its last bit and sin^2(y) can
-    underflow.  At t = inf, where tau W overflows, each is its limit 0.  A
-    negative or NaN t raises ValueError."""
-    if not t >= 0.0:
-        raise ValueError("tau W must be non-negative")
-    return _row(case, "case {} has no factorized time factor").mean_time(t)
 
 
 @np.errstate(over="ignore")

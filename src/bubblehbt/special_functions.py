@@ -86,10 +86,13 @@ def chi2_survival(k: int, x: float) -> float:
     The terms are summed in log space, relative to the largest, so exp(-a)
     may underflow where the sum does not.  It agrees with scipy's `chdtrc`
     to a few 1e-13 relative, the rounding of a and log(a) in the exponent;
-    a result below the smallest normal float is 0.
+    a result below the smallest normal float is 0, as is x = inf, and a
+    NaN x gives NaN.
     """
     if x <= 0.0:
         return 1.0
+    if not x < math.inf:
+        return 0.0 if x == math.inf else math.nan
     a = 0.5 * x
     odd = k % 2
     n = k // 2

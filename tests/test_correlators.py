@@ -1,6 +1,6 @@
 """Closed-form correlators: frozen values, invariants, oracle agreement."""
 
-import csv
+import importlib.util
 import itertools
 import math
 import os
@@ -14,8 +14,8 @@ from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    MU_SERIES_MAX, MU_Y_SERIES_MAX,
                                    case_e_excess, correlation, excess,
                                    form_factor, kappa_analytic,
-                                   kappa_to_radius, mean_time_factor, phi_of_X,
-                                   small_q_coefficient, time_factor)
+                                   kappa_to_radius, phi_of_X,
+                                   small_q_coefficient)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.oracle import numeric_correlation
 from bubblehbt.special_functions import dawson
@@ -32,6 +32,18 @@ def spec(case, R=1.0, tau=1.0, r_dot=REFERENCE_RDOT, emission=Emission.CHAOTIC):
     if case is E:
         return SourceSpec(case=case, tau=tau, r_dot=r_dot, emission=emission)
     return SourceSpec(case=case, tau=tau, R=R, emission=emission)
+
+
+# T and <T> through the forward model: at tau = R = 1 and q = 0, where
+# Phi(0) = 1, the excess is (1/2) T(y), or (1/2) <T>(t) over a window
+# W = t, and doubling it is exact where T is a normal float
+def unit_time(case, y):
+    return 2.0 * excess(spec(case), 0.0, y)
+
+
+def unit_mean_time(case, t):
+    # a window of width 0 is none: <T>(0) = T(0) = 1
+    return 2.0 * excess(spec(case), 0.0, 0.0, smear_dw=t or None)
 
 
 # --- frozen spot values -----------------------------------------------------
@@ -64,13 +76,6 @@ def test_sphere_point():
 def test_exponential_point():
     assert correlation(spec(D), 1.0, 0.0).c == pytest.approx(1.0 + 0.5 / 16.0,
                                                              rel=1e-14)
-
-
-def test_coherent_is_unity():
-    for case in (A, B, C, D, E):
-        s = spec(case, emission=Emission.COHERENT)
-        for q, dw in [(0.0, 0.0), (1.0, 2.0), (3.0, 0.5)]:
-            assert correlation(s, q, dw).c == 1.0
 
 
 def test_rejects_negative_q():
@@ -115,13 +120,13 @@ def test_array_q_with_a_bad_entry_is_rejected(case, small_scale, bad):
 # --- factorized form --------------------------------------------------------
 
 def test_factorized_origin():
-    assert time_factor(A, 0.0) == 1.0
+    assert unit_time(A, 0.0) == 1.0
     assert form_factor(A, 0.0) == 1.0
 
 
 def test_exponential_time_zero():
     y = math.pi / math.sqrt(3.0)
-    assert time_factor(D, y) == pytest.approx(0.0, abs=1e-15)
+    assert unit_time(D, y) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_shell_half_pi():
@@ -132,10 +137,6 @@ def test_shell_half_pi():
 
 def test_factorized_rejects_case_e():
     with pytest.raises(ValueError, match="case E"):
-        time_factor(E, 0.0)
-    with pytest.raises(ValueError, match="case E"):
-        mean_time_factor(E, 1.0)
-    with pytest.raises(ValueError, match="case E"):
         form_factor(E, 1.0)
     with pytest.raises(ValueError, match="case E has no shape constant"):
         small_q_coefficient(E, 1.0)
@@ -143,39 +144,44 @@ def test_factorized_rejects_case_e():
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
 def test_form_and_mean_time_factors_reject_a_bad_scale(bad):
-    # a source rejects a scale that is not positive and finite, and each
-    # kernel checks its own argument, x = q R or t = tau W: a negative or
-    # NaN one raises (below x = 1e-2 and 1e-3 each took its Taylor series,
-    # which a negative R or tau reached: case C's Phi(5) at R = -1 read
-    # 0.0908, 0.00326 at R = 1, and case A's <T> over W = 2 at tau = -1
-    # read 0.7667, 0.7468 at tau = 1), and 0 and inf give the limits 1 and
-    # 0.
+    # a source rejects a scale that is not positive and finite, and so
+    # does `excess` a window: t = tau W is never negative or NaN (below
+    # x = 1e-2 and t = 2e-3 each kernel took its Taylor series, which a
+    # negative R or tau reached: case C's Phi(5) at R = -1 read 0.0908,
+    # 0.00326 at R = 1, and case A's <T> over W = 2 at tau = -1 read
+    # 0.7667, 0.7468 at tau = 1).  form_factor checks its own x: a negative
+    # or NaN one raises, and 0 and inf give the limits 1 and 0, as <T> does
+    # where tau W underflows to 0 or overflows to inf.
     for case in FACTORIZED_CASES:
         with pytest.raises(ValueError, match="requires a finite R > 0"):
             SourceSpec(case=case, tau=1.0, R=bad)
         with pytest.raises(ValueError,
                            match="tau must be positive and finite"):
             SourceSpec(case=case, tau=bad, R=1.0)
+        with pytest.raises(ValueError, match="smearing window must be "
+                           "positive and finite"):
+            excess(spec(case), 0.0, 0.0, smear_dw=2.0 * bad)
         if bad >= 0.0:
             limit = 1.0 if bad == 0.0 else 0.0
             assert form_factor(case, 5.0 * bad) == limit
-            assert mean_time_factor(case, 2.0 * bad) == limit
+            scale = 1e-200 if bad == 0.0 else 1e200
+            assert 2.0 * excess(spec(case, tau=scale), 0.0, 0.0,
+                                smear_dw=scale) == limit
             continue
         with pytest.raises(ValueError, match="q must be non-negative"):
             form_factor(case, 5.0 * bad)
-        with pytest.raises(ValueError, match="tau W must be non-negative"):
-            mean_time_factor(case, 2.0 * bad)
 
 
 def test_factorized_consistency():
-    # excess and the public entries call the same row of kernels, so the
-    # product of the factors is the excess bit for bit
+    # excess and form_factor call the same row of kernels, so the product
+    # of T, read off the excess at q = 0 and unit scale, and Phi is the
+    # excess bit for bit
     rng = np.random.default_rng(21)
     for case in FACTORIZED_CASES:
         s = spec(case, R=1.3, tau=0.7)
         for _ in range(200):
             q, dw = rng.uniform(0, 8), rng.uniform(-8, 8)
-            expected = (CHAOTICITY * time_factor(case, dw * s.tau)
+            expected = (CHAOTICITY * unit_time(case, dw * s.tau)
                         * form_factor(case, q * s.R))
             assert excess(s, q, dw) == expected
             assert correlation(s, q, dw).c == 1.0 + expected
@@ -201,24 +207,23 @@ def test_factorized_excess_checks_q_once(monkeypatch):
 
 # --- a case as its member or its string --------------------------------------
 
-ENTRIES = [(time_factor, np.array([0.0, 0.3, 1.0, -2.5])),
-           (form_factor, np.array([0.0, 0.3, 1.0, 2.5])),
+ENTRIES = [(form_factor, np.array([0.0, 0.3, 1.0, 2.5])),
            (phi_of_X, np.array([0.0, 0.3, 1.0, 2.5])),
-           (mean_time_factor, 1.0), (small_q_coefficient, 1.7),
-           (kappa_analytic, 1.7), (kappa_to_radius, 0.9)]
+           (small_q_coefficient, 1.7), (kappa_analytic, 1.7),
+           (kappa_to_radius, 0.9)]
 
 
 def test_a_case_spelled_as_its_string_gets_its_own_kernels():
     # a SourceSpec takes "D" for SourceCase.D_EXPONENTIAL, and so does
-    # every entry: time_factor("D", 1) read A's exp(-1) = 0.36788, and
-    # form_factor("A", 1) raised case E's error
+    # every entry: form_factor("A", 1) raised case E's error.  D's T(1) and
+    # <T>(1) are its own (A's T(1) is exp(-1) = 0.36788)
     for case in FACTORIZED_CASES:
         for entry, arg in ENTRIES:
             assert (np.asarray(entry(case.value, arg)).tobytes()
                     == np.asarray(entry(case, arg)).tobytes())
         corr.check_window(case.value, 2.0)
-    assert time_factor("D", 1.0) == pytest.approx(0.32474, abs=1e-5)
-    assert mean_time_factor("D", 1.0) == pytest.approx(0.92148, abs=1e-5)
+    assert unit_time("D", 1.0) == pytest.approx(0.32474, abs=1e-5)
+    assert unit_mean_time("D", 1.0) == pytest.approx(0.92148, abs=1e-5)
 
 
 @pytest.mark.parametrize("bad", [E, "E", "Z", "a", None, 5, 1.5],
@@ -465,17 +470,20 @@ def test_case_e_matches_pinned_references(q, dw, reference):
 
 # --- the closed forms against the mpmath table -------------------------------
 
-def mpmath_table(form):
-    """(arg0, arg1, value) arrays of the rows of `form` in the table that
-    tools/mpmath_references.py writes; an empty arg1 reads as NaN."""
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "mpmath_references.csv")
-    with open(path) as fh:
-        rows = [row for row in csv.DictReader(
-            line for line in fh if not line.startswith("#"))
-            if row["form"] == form]
-    return tuple(np.array([float(row[key] or "nan") for row in rows])
-                 for key in ("arg0", "arg1", "value"))
+def _mpmath_references():
+    """tools/mpmath_references.py, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "mpmath_references.py")
+    module_spec = importlib.util.spec_from_file_location(
+        "mpmath_references", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+# the (arg0, arg1, value) arrays of a form's rows, from the one reader of
+# the table, the script that writes it
+mpmath_table = _mpmath_references().read
 
 
 # Each one-argument kernel's bound on its error relative to the table, from
@@ -492,9 +500,9 @@ KERNEL_BOUNDS = {
     "form_factor_B": (lambda x: form_factor(B, x), 2e-15),
     "form_factor_C": (lambda x: form_factor(C, x), 1e-14),
     "form_factor_D": (lambda x: form_factor(D, x), 2e-15),
-    "time_factor_D": (lambda y: time_factor(D, y), 3e-14),
-    "mean_time_factor_A": (lambda t: mean_time_factor(A, t), 2e-15),
-    "mean_time_factor_D": (lambda t: mean_time_factor(D, t), 5e-15),
+    "time_factor_D": (lambda y: unit_time(D, y), 3e-14),
+    "mean_time_factor_A": (lambda t: unit_mean_time(A, t), 2e-15),
+    "mean_time_factor_D": (lambda t: unit_mean_time(D, t), 5e-15),
 }
 WITH_ZEROS = ("form_factor_B", "form_factor_C", "time_factor_D")
 NEAR_ZERO = 1e-3
@@ -582,21 +590,12 @@ def assert_each_point_is_the_scalar_call(fn, q, dw):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("q_row, dw", [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW)],
-                         ids=["near_switch", "far"])
-def test_case_e_broadcasts_bit_for_bit(q_row, dw):
-    s = spec(E)
-    mu = s.r_dot * s.tau * q_row
-    if q_row is NEAR_Q:
-        assert (mu <= MU_SERIES_MAX).sum() > 1 and (mu > MU_SERIES_MAX).any()
-    assert_each_point_is_the_scalar_call(
-        lambda q, w: excess(s, q, w), q_row[:, None], dw)
-
-
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", [A, B, C, D, E])
 @pytest.mark.parametrize("emission", list(Emission))
 def test_correlation_broadcasts_bit_for_bit(case, emission):
+    # NEAR_Q's rows take both of case E's branches
+    mu = REFERENCE_RDOT * NEAR_Q
+    assert (mu <= MU_SERIES_MAX).sum() > 1 and (mu > MU_SERIES_MAX).any()
     s = spec(case, emission=emission)
     for q_row, dw in [(NEAR_Q, NEAR_DW), (FAR_Q, FAR_DW),
                       (SMALL_Q, SMALL_DW)]:
@@ -822,41 +821,3 @@ def test_case_e_is_even_in_d_omega_bit_for_bit(q_row, dw):
     minus = excess(s, q_row[:, None], -dw)
     assert plus.tobytes() == minus.tobytes()
 
-
-# --- global invariants ------------------------------------------------------
-
-def test_exchange_symmetry():
-    rng = np.random.default_rng(31)
-    for case in (A, B, C, D, E):
-        s = spec(case)
-        for _ in range(100):
-            q, dw = rng.uniform(0, 5), rng.uniform(0, 5)
-            plus = correlation(s, q, dw).c
-            minus = correlation(s, q, -dw).c
-            assert minus == pytest.approx(plus, rel=1e-10)
-
-
-def test_excess_bounds():
-    rng = np.random.default_rng(41)
-    for case in (A, B, C, D, E):
-        s = spec(case)
-        qs = rng.uniform(0, 10, 2000)
-        dws = rng.uniform(-10, 10, 2000)
-        for q, dw in zip(qs, dws):
-            excess = correlation(s, q, dw).excess
-            assert -1e-12 <= excess <= 0.5 + 1e-12
-
-
-def test_oracle_equivalence_factorized():
-    # coarse grid here; the full 20x20 acceptance grid lives in the
-    # acceptance suite; C = 1 + excess agrees trivially wherever the excess
-    # is below the tolerance, so the excess is compared too
-    for case in FACTORIZED_CASES:
-        s = spec(case)
-        for q in np.linspace(0.0, 6.0, 5):
-            for dw in np.linspace(0.0, 6.0, 4):
-                a = correlation(s, q, dw)
-                o = numeric_correlation(s, q, dw)
-                assert a.c == pytest.approx(o.c, rel=1e-6)
-                if o.excess > 1e-12:
-                    assert a.excess == pytest.approx(o.excess, rel=1e-6)

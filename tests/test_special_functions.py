@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from bubblehbt.correlators import (FACTORIZED_CASES, form_factor, phi_of_X,
-                                   time_factor)
+from bubblehbt.correlators import FACTORIZED_CASES, form_factor, phi_of_X
 from bubblehbt.sources import SourceCase
 from bubblehbt.special_functions import (chi2_survival, dawson, faddeeva,
                                          sinc)
+from test_correlators import unit_time
 
 
 # --- independent oracles (series / continued fraction, no scipy) -----------
@@ -156,11 +156,13 @@ def test_faddeeva_imaginary_part_on_the_real_axis_is_dawson():
 def test_chi2_survival_matches_chdtrc():
     # the finite sum against scipy's incomplete-gamma chdtrc for k = 1 to
     # 200 and x up to 1e4: within 1e-12 relative wherever chdtrc is above
-    # 1e-300, and 0 where chdtrc underflows to 0
+    # 1e-300, and 0 where chdtrc underflows to 0.  x = inf gives 0 with no
+    # warning (inf - inf in the log sum warned from k = 4), and a NaN x
+    # gives NaN (it gave 0.0, a p-value of 0)
     from scipy import special
 
     wide = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 120),
-                           np.linspace(1.0, 1e4, 40)])
+                           np.linspace(1.0, 1e4, 40), [math.inf, math.nan]])
     underflows = 0
     for k in range(1, 201):
         # and the bulk, k +- a few sqrt(2k)
@@ -172,6 +174,7 @@ def test_chi2_survival_matches_chdtrc():
         np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12,
                                    atol=0.0)
         assert (got[ref == 0.0] == 0.0).all()
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
         underflows += np.count_nonzero(ref == 0.0)
     assert underflows > 0
 
@@ -200,16 +203,15 @@ def test_sinc_values():
     # from x = 1e52 and are 0 from 1e300 to +-inf, and so does every A-D
     # form factor, phi_of_X and time factor at +-y, where x^2, x^3 or
     # sqrt(3) y overflows: in an array and as numpy scalars, with no
-    # warning either (called directly, A, C and D's form factors and A-C's
-    # time factor warned)
+    # warning either (called directly, A, C and D's form factors warned)
     far = np.array([1e52, 1e300, np.finfo(float).max, math.inf])
     for values in (form_factor(SourceCase.B_SHELL, far),
-                   time_factor(SourceCase.D_EXPONENTIAL, far),
-                   time_factor(SourceCase.D_EXPONENTIAL, -far)):
+                   unit_time(SourceCase.D_EXPONENTIAL, far),
+                   unit_time(SourceCase.D_EXPONENTIAL, -far)):
         assert 0.0 < values[0] < 1e-100 and (values[1:] == 0.0).all()
     for case in FACTORIZED_CASES:
         for entry, args in ((form_factor, far), (phi_of_X, far),
-                            (time_factor, far), (time_factor, -far)):
+                            (unit_time, far), (unit_time, -far)):
             values = entry(case, args)
             assert 0.0 <= values[0] < 1e-100 and (values[1:] == 0.0).all()
             scalars = [entry(case, v) for v in args]

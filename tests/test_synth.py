@@ -15,12 +15,13 @@ from scipy.special import chdtri, ndtri
 from bubblehbt import correlators, synth
 from bubblehbt.correlators import (CHAOTICITY, FACTORIZED_CASES,
                                    MU_SERIES_MAX, correlation, excess,
-                                   form_factor, mean_time_factor, time_factor)
+                                   form_factor)
 from bubblehbt.kinematics import C_UM_PER_PS
 from bubblehbt.sources import Emission, SourceCase, SourceSpec
 from bubblehbt.special_functions import dawson, faddeeva, sine_integral
 from bubblehbt.synth import (GridSpec, NoiseSpec, format_value, generate,
                              read_surface_csv, write_surface_csv)
+from test_correlators import unit_mean_time, unit_time
 
 
 def spec_a(**kw):
@@ -316,7 +317,7 @@ def test_smearing_gaussian_window():
 
 
 def test_smearing_monotone_in_window():
-    vals = [mean_time_factor(SourceCase.A_GAUSSIAN, t)
+    vals = [unit_mean_time(SourceCase.A_GAUSSIAN, t)
             for t in [0.5, 1.0, 2.0, 4.0, 8.0]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -330,12 +331,12 @@ def test_smeared_excess_is_mean_time_factor_times_form_factor(case):
     spec = SourceSpec(case=case, tau=0.8, R=1.3)
     for window in (1e-6, 0.7, 2.0, 50.0):
         smeared = excess(spec, q, dw, smear_dw=window)
-        expected = (CHAOTICITY * mean_time_factor(case, 0.8 * window)
+        expected = (CHAOTICITY * unit_mean_time(case, 0.8 * window)
                     * form_factor(case, q * 1.3))
         assert smeared.shape == (7, 5)
         assert (smeared == expected).all()
     assert excess(spec, 0.5, 1.0, smear_dw=2.0) == (
-        CHAOTICITY * mean_time_factor(case, 0.8 * 2.0)
+        CHAOTICITY * unit_mean_time(case, 0.8 * 2.0)
         * form_factor(case, 0.5 * 1.3))
 
 
@@ -351,16 +352,17 @@ def test_mean_time_factor_matches_quadrature(case):
         if case is SourceCase.D_EXPONENTIAL and half > zero:
             points = zero * np.arange(1, int(half / zero) + 1)
         avg, _ = integrate.quad(
-            lambda y: float(time_factor(case, y)), 0.0, half,
+            lambda y: float(unit_time(case, y)), 0.0, half,
             points=points, epsabs=0.0, epsrel=2e-14, limit=500)
-        assert mean_time_factor(case, t) == pytest.approx(
+        assert unit_mean_time(case, t) == pytest.approx(
             avg / half, rel=1e-13, abs=0.0)
-    # far below the series switch, <T> is 1 to the last bit, and at t = 0
-    assert mean_time_factor(case, 1e-200) == 1.0
-    assert mean_time_factor(case, 0.0) == 1.0
+    # far below the series switch, <T> is 1 to the last bit, and where
+    # tau W underflows to 0
+    assert unit_mean_time(case, 1e-200) == 1.0
+    spec = SourceSpec(case=case, tau=1e-200, R=1.0)
+    assert excess(spec, 0.0, 0.0, smear_dw=1e-200) == CHAOTICITY
     # where tau W overflows, every case is its limit 0, and the smeared
     # excess with it
-    assert mean_time_factor(case, math.inf) == 0.0
     spec = SourceSpec(case=case, tau=1e10, R=1.0)
     assert (excess(spec, np.array([0.0, 1.0]), 0.5, smear_dw=1e308)
             == 0.0).all()
@@ -370,10 +372,6 @@ def test_mean_time_factor_rejects_bad_windows():
     for window in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             correlators.check_window(SourceCase.A_GAUSSIAN, window)
-        # <T> takes t = tau W >= 0, whose limits 0 and inf it reaches
-        if not window >= 0.0:
-            with pytest.raises(ValueError, match="tau W must be non-neg"):
-                mean_time_factor(SourceCase.A_GAUSSIAN, window)
         # the window is checked whatever the emission
         for emission in Emission:
             with pytest.raises(ValueError, match="positive and finite"):

@@ -2,7 +2,7 @@
 against, and a report of each case E branch's error on it.
 
     python tools/mpmath_references.py write
-    python tools/mpmath_references.py report [ORDER ...]
+    python tools/mpmath_references.py report
 
 `write` computes every reference at 100 digits, checks it against the same
 value at 130 digits, and writes tests/data/mpmath_references.csv.  Its rows
@@ -26,10 +26,11 @@ form of one argument leaves arg1 empty.  The forms:
 
 `report` reads the table and prints the worst relative error of
 `case_e_excess`, of its direct form and of its series on each band of mu
-and |y|.  With ORDERs it also prints the series through mu^(2 ORDER), with
-the coefficients that `correlators._series_coefficients` derives.  Last it
-prints each A-D kernel's worst relative error, one line per form.  Both
-run offline; the tests read only the table.
+and |y|, then that of `case_e_excess` with other branch bounds.  Last it
+prints each A-D kernel's worst relative error, one line per form: Phi from
+`form_factor`, and T and <T> through `excess` at q = 0 and tau = R = 1,
+where Phi(0) = 1.  Both run offline; the tests read only the table,
+through `read`.
 """
 
 import csv
@@ -187,9 +188,9 @@ def read(form):
                  for key in ("arg0", "arg1", "value"))
 
 
-def report(orders):
+def report():
     from bubblehbt import correlators
-    from bubblehbt.sources import SourceCase
+    from bubblehbt.sources import SourceCase, SourceSpec
 
     mu, y, value = read("case_e_excess")
     keep = np.abs(y) <= 10.0
@@ -201,11 +202,6 @@ def report(orders):
                                correlators._case_e_direct(y, mu), np.nan),
             "series": correlators._case_e_series(y, mu),
         }
-        coef = correlators._SERIES_COEF
-        for order in orders:
-            correlators._SERIES_COEF = correlators._series_coefficients(order)
-            columns[f"mu^{2 * order}"] = correlators._case_e_series(y, mu)
-        correlators._SERIES_COEF = coef
     mu_edges = [0.0, 1e-4, 0.0101, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.6, 0.7,
                 1.0]
     y_edges = [0.0, 2.0, 5.0, 7.5, 10.0]
@@ -241,10 +237,18 @@ def report(orders):
                                                               product_max)
     print("\nworst relative error of each A-D kernel, point by point")
     for name in KERNELS:
-        # form_factor_A is correlators.form_factor(SourceCase("A"), x)
-        kernel, case = getattr(correlators, name[:-2]), SourceCase(name[-1])
+        # form_factor_A is Phi of SourceCase("A"); T and <T> are twice the
+        # excess at q = 0 and unit scale, and a window of width 0 is none
+        case = SourceCase(name[-1])
+        unit = SourceSpec(case=case, tau=1.0, R=1.0)
+        kernel = {
+            "form": lambda a: correlators.form_factor(case, a),
+            "time": lambda a: 2.0 * correlators.excess(unit, 0.0, a),
+            "mean": lambda a: 2.0 * correlators.excess(
+                unit, 0.0, 0.0, smear_dw=a or None),
+        }[name.split("_")[0]]
         arg, _, value = read(name)
-        got = np.array([kernel(case, a) for a in arg.tolist()])
+        got = np.array([kernel(a) for a in arg.tolist()])
         rel = np.abs(got - value) / value
         worst = int(np.argmax(rel))
         print(f"{name:<20}{rel[worst]:.2g} at {arg[worst]:.6g}")
@@ -254,6 +258,6 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["write"]:
         write()
     elif sys.argv[1:2] == ["report"]:
-        report([int(order) for order in sys.argv[2:]])
+        report()
     else:
         sys.exit(__doc__)
